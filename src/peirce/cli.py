@@ -15,7 +15,7 @@ from . import continuum as ct
 from .calculus import System, check_script
 from .errors import BoundsExceededError, PeirceError
 from .graphs import Dialect, canonicalize
-from .kripke import kripke_countermodel
+from .kripke import MAX_WORLDS, kripke_countermodel
 from .notation import parse_formula, parse_graph, print_formula, print_graph
 from .render import render_svg
 from .scriptfile import format_script, parse_script
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logic", choices=["classical", "intuitionistic"], required=True)
     p.add_argument("--countermodel", action="store_true",
                    help="search a Kripke countermodel when not a theorem")
-    p.add_argument("--max-worlds", type=int, default=3)
+    p.add_argument("--max-worlds", type=int, choices=range(1, MAX_WORLDS + 1), default=3)
     _add_text(p, "formula")
 
     p = sub.add_parser("translate", help="translate between graphs and formulas")
@@ -118,6 +118,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 1
 
     if args.command == "prove":
+        if args.depth < 0:
+            raise PeirceError(f"--depth must be at least 0, not {args.depth}")
         system = System(args.system)
         goal = parse_graph(args.goal, system.dialect)
         start = parse_graph(args.start, system.dialect)

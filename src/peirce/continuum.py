@@ -20,6 +20,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import EmptyElementError, NotInMonadError, OrdinalUnderflowError, ParseError
+from .notation import _skip_ws
 
 # ---------------------------------------------------------------------------
 # Ordinals in Cantor normal form
@@ -107,10 +108,6 @@ def ord_sub_left(b: Ordinal, d: Ordinal) -> Ordinal:
     return Ordinal(d.terms[len(b.terms):])
 
 
-def ord_is_finite(a: Ordinal) -> bool:
-    return a.is_zero() or (len(a.terms) == 1 and a.terms[0][0].is_zero())
-
-
 # ---------------------------------------------------------------------------
 # Ordinal literals
 # ---------------------------------------------------------------------------
@@ -122,12 +119,6 @@ def parse_ordinal(text: str) -> Ordinal:
     if pos != len(text):
         raise ParseError(f"unexpected {text[pos]!r} in ordinal", pos)
     return value
-
-
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
 
 
 def _parse_ordinal_sum(text: str, pos: int) -> tuple[Ordinal, int]:

@@ -1,12 +1,13 @@
 """Finite Kripke models: forcing, persistence, and countermodel search.
 
-Models are enumerated up to isomorphism (countermodel existence is
-isomorphism-invariant): posets are generated as transitive subrelations of
-a fixed linear order and deduplicated by a canonical signature, and
-valuations range over up-sets so persistence holds by construction.  The
-search evaluates forcing with per-world bitmasks; any model returned is
-re-checked with the plain recursive forcing relation, which is the
-independent half of the pair.
+Models are enumerated up to isomorphism: posets are generated as transitive
+subrelations of a fixed linear order and deduplicated by a canonical
+signature, and valuations range over up-sets so persistence holds by
+construction.  Only rooted posets are tried and only the root is tested:
+the worlds above a failing world form a countermodel too, so a smallest
+countermodel fails at its least world, world 0.  Forcing is evaluated with
+``formulas.eval_mask``; a model found must pass the recursive forcing
+relation, the independent half of the pair, or CertificationError is raised.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from . import formulas as fm
-from .semantics import _strip_not
+from .errors import CertificationError
 
 MAX_WORLDS = 5
 
@@ -141,47 +142,23 @@ def _is_upset(mask: int, up: tuple[int, ...], n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _eval_mask(f: fm.Formula, atom_masks: dict[str, int], up: tuple[int, ...],
-               full: int, n: int) -> int:
-    if isinstance(f, fm.Atom):
-        return atom_masks[f.name]
-    if isinstance(f, fm.Top):
-        return full
-    if isinstance(f, fm.Bot):
-        return 0
-    if isinstance(f, fm.And):
-        return (_eval_mask(f.left, atom_masks, up, full, n)
-                & _eval_mask(f.right, atom_masks, up, full, n))
-    if isinstance(f, fm.Or):
-        return (_eval_mask(f.left, atom_masks, up, full, n)
-                | _eval_mask(f.right, atom_masks, up, full, n))
-    left = _eval_mask(f.left, atom_masks, up, full, n)
-    right = _eval_mask(f.right, atom_masks, up, full, n)
-    bad = left & ~right
-    mask = 0
-    for w in range(n):
-        if up[w] & bad == 0:
-            mask |= 1 << w
-    return mask
-
-
 def kripke_countermodel(f: fm.Formula, max_worlds: int) -> KripkeModel | None:
-    """A model with at most ``max_worlds`` worlds in which ``f`` fails
-    somewhere, or None.  Any returned model is verified against the
+    """A smallest model, of at most ``max_worlds`` worlds, in which ``f``
+    fails at the root, or None.  Any returned model is verified against the
     recursive forcing relation before being handed back."""
     if not 1 <= max_worlds <= MAX_WORLDS:
         raise ValueError(f"max_worlds must be in 1..{MAX_WORLDS}")
-    stripped = _strip_not(f)
-    names = sorted(fm.atoms(stripped))
+    names = sorted(fm.atoms(f))
     for n in range(1, max_worlds + 1):
         full = (1 << n) - 1
         for up, upsets in _posets(n):
+            if up[0] != full:
+                continue
             for choice in product(upsets, repeat=len(names)):
-                atom_masks = dict(zip(names, choice))
-                if _eval_mask(stripped, atom_masks, up, full, n) != full:
+                if not fm.eval_mask(f, dict(zip(names, choice)), full, up) & 1:
                     model = _build_model(n, up, names, choice)
-                    assert persistent(model)
-                    assert any(not forces(model, w, f) for w in range(n))
+                    if not persistent(model) or forces(model, 0, f):
+                        raise CertificationError(f"model fails the forcing re-check: {model}")
                     return model
     return None
 

@@ -1,6 +1,7 @@
 """Graph/formula translations and the two propositional oracles.
 
-The classical oracle is a brute-force truth table (guarded at 20 atoms).
+The classical oracle is a truth table over all 2^n rows at once, one
+bitmask per atom (guarded at 20 atoms).
 The intuitionistic oracle is a contraction-free sequent procedure in the
 G4ip style: the four implication-left refinements make it terminate on
 every input, and it decides full IPC.  Negation is treated internally as
@@ -8,8 +9,6 @@ implication into falsum.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 from . import formulas as fm
 from .errors import TooManyAtomsError
@@ -105,10 +104,14 @@ def taut_classical(f: fm.Formula) -> bool:
     names = sorted(fm.atoms(f))
     if len(names) > 20:
         raise TooManyAtomsError(f"{len(names)} atoms exceed the truth-table guard")
-    for values in product((False, True), repeat=len(names)):
-        if not eval_classical(f, dict(zip(names, values))):
-            return False
-    return True
+    # Atom i is true in the rows whose bit i is set.  Each new atom doubles
+    # the table: the old masks repeat in the upper half, where it is true.
+    masks, rows = [], 1
+    for _ in names:
+        masks = [m | m << rows for m in masks] + [((1 << rows) - 1) << rows]
+        rows <<= 1
+    full = (1 << rows) - 1
+    return fm.eval_mask(f, dict(zip(names, masks)), full) == full
 
 
 # ---------------------------------------------------------------------------
@@ -116,22 +119,10 @@ def taut_classical(f: fm.Formula) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _strip_not(f: fm.Formula) -> fm.Formula:
-    if isinstance(f, fm.Not):
-        return fm.Imp(_strip_not(f.body), fm.BOT)
-    if isinstance(f, fm.And):
-        return fm.And(_strip_not(f.left), _strip_not(f.right))
-    if isinstance(f, fm.Or):
-        return fm.Or(_strip_not(f.left), _strip_not(f.right))
-    if isinstance(f, fm.Imp):
-        return fm.Imp(_strip_not(f.left), _strip_not(f.right))
-    return f
-
-
 def taut_int(f: fm.Formula) -> bool:
     """True iff ``f`` is a theorem of intuitionistic propositional logic."""
     cache: dict = {}
-    return _prove(frozenset(), _strip_not(f), cache)
+    return _prove(frozenset(), fm.strip_not(f), cache)
 
 
 def _prove(gamma: frozenset, goal: fm.Formula, cache: dict) -> bool:

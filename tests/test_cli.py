@@ -50,6 +50,13 @@ class TestTaut:
         code, out, _ = run(capsys, "taut", "--logic", "intuitionistic", "p -> ~~p")
         assert code == 0 and out == "theorem\n"
 
+    @pytest.mark.parametrize("worlds", ["9", "0", "-1"])
+    def test_max_worlds_out_of_range(self, capsys, worlds):
+        code, out, err = run(capsys, "taut", "--logic", "intuitionistic",
+                             "--countermodel", "--max-worlds", worlds, "p | ~p")
+        assert (code, out) == (2, "")
+        assert "--max-worlds: invalid choice" in err and "Traceback" not in err
+
 
 class TestCheck:
     def test_valid_script(self, capsys, tmp_path):
@@ -91,6 +98,12 @@ class TestProve:
         code, out, _ = run(capsys, "prove", "--system", "intuitionistic",
                            "--goal", "[ | p | (p)]", "--depth", "4")
         assert code == 1 and out == "no derivation within depth 4\n"
+
+    def test_negative_depth(self, capsys):
+        code, out, err = run(capsys, "prove", "--system", "classical",
+                             "--goal", "p", "--depth", "-1")
+        assert (code, out) == (2, "")
+        assert "--depth must be at least 0" in err and "Traceback" not in err
 
     def test_from_start(self, capsys):
         code, out, _ = run(capsys, "prove", "--system", "classical",

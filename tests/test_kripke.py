@@ -1,9 +1,15 @@
 import random
+import subprocess
+import sys
+from itertools import product
 
 import pytest
 
+from peirce import formulas as fm
+from peirce.errors import CertificationError
 from peirce.graphs import Dialect
-from peirce.kripke import KripkeModel, forces, kripke_countermodel, persistent
+from peirce.kripke import (KripkeModel, _build_model, _posets, forces, kripke_countermodel,
+                           persistent)
 from peirce.notation import parse_formula
 from peirce.semantics import taut_int
 
@@ -57,6 +63,79 @@ class TestCountermodels:
             if taut_int(formula):
                 assert kripke_countermodel(formula, 3) is None
             # non-theorems need not have small countermodels, so no converse
+
+
+def _forced(formula, masks, up, full):
+    """The worlds forcing ``formula``, one world at a time for -> and ~."""
+    if isinstance(formula, fm.Atom):
+        return masks[formula.name]
+    if isinstance(formula, fm.Top):
+        return full
+    if isinstance(formula, fm.Bot):
+        return 0
+    if isinstance(formula, fm.And):
+        return _forced(formula.left, masks, up, full) & _forced(formula.right, masks, up, full)
+    if isinstance(formula, fm.Or):
+        return _forced(formula.left, masks, up, full) | _forced(formula.right, masks, up, full)
+    if isinstance(formula, fm.Not):
+        left, right = _forced(formula.body, masks, up, full), 0
+    else:
+        left = _forced(formula.left, masks, up, full)
+        right = _forced(formula.right, masks, up, full)
+    return sum(1 << w for w in range(len(up))
+               if all(not (up[w] >> v & 1) or not (left >> v & 1) or right >> v & 1
+                      for v in range(len(up))))
+
+
+def _every_poset_countermodel(formula, max_worlds):
+    """The search over every poset of ``_posets``, accepting a failure at
+    any world: the search before it was restricted to rooted models."""
+    names = sorted(fm.atoms(formula))
+    for n in range(1, max_worlds + 1):
+        full = (1 << n) - 1
+        for up, upsets in _posets(n):
+            for choice in product(upsets, repeat=len(names)):
+                if _forced(formula, dict(zip(names, choice)), up, full) != full:
+                    return _build_model(n, up, names, choice)
+    return None
+
+
+class TestRootedSearch:
+    def test_same_models_as_every_poset_search(self):
+        rng = random.Random(59)
+        found = 0
+        larger = 0
+        for i in range(150):
+            g = random_formula(rng, connectives=rng.randint(0, 4), atoms=rng.randint(1, 3))
+            h = random_formula(rng, connectives=rng.randint(0, 2), atoms=rng.randint(1, 3))
+            max_worlds = 1 + i % 4
+            # g itself, then classical tautologies whose countermodels, if
+            # any, have more than one world
+            for formula in (g, fm.Or(g, fm.Not(g)), fm.Imp(fm.Not(fm.Not(g)), g),
+                            fm.Imp(fm.Imp(fm.Imp(g, h), g), g)):
+                expected = _every_poset_countermodel(formula, max_worlds)
+                got = kripke_countermodel(formula, max_worlds)
+                assert str(got) == str(expected)
+                found += got is not None
+                larger += got is not None and got.worlds > 1
+        assert found > 250 and larger > 120
+
+    def test_lying_evaluator_is_caught(self, monkeypatch):
+        monkeypatch.setattr(fm, "eval_mask", lambda *args: 0)
+        with pytest.raises(CertificationError):
+            kripke_countermodel(f("p -> p"), 2)
+
+    def test_lying_evaluator_is_caught_under_optimize(self):
+        code = ("from peirce import formulas as fm, kripke_countermodel, parse_formula\n"
+                "from peirce.errors import CertificationError\n"
+                "fm.eval_mask = lambda *args: 0\n"
+                "try:\n"
+                "    kripke_countermodel(parse_formula('p -> p'), 2)\n"
+                "except CertificationError:\n"
+                "    print('caught')\n")
+        done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "caught\n"), done.stderr
 
 
 class TestModelPrinting:

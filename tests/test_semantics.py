@@ -125,6 +125,78 @@ class TestClassicalOracle:
                 assert eval_classical(formula, assignment) == out
 
 
+def _row_by_row(formula):
+    """The truth table one row at a time, through eval_classical."""
+    names = sorted(fm.atoms(formula))
+    return all(eval_classical(formula, dict(zip(names, values)))
+               for values in product((False, True), repeat=len(names)))
+
+
+def _formula_over(rng, names, connectives):
+    if connectives <= 0:
+        roll = rng.random()
+        if roll < 0.8:
+            return fm.Atom(rng.choice(names))
+        return fm.TOP if roll < 0.9 else fm.BOT
+    kind = rng.randrange(4)
+    if kind == 0:
+        return fm.Not(_formula_over(rng, names, connectives - 1))
+    left_budget = rng.randint(0, connectives - 1)
+    return (fm.And, fm.Or, fm.Imp)[kind - 1](
+        _formula_over(rng, names, left_budget),
+        _formula_over(rng, names, connectives - 1 - left_budget))
+
+
+def _chain(names):
+    links = fm.TOP
+    for a, b in zip(names, names[1:]):
+        links = fm.And(links, fm.Imp(fm.Atom(a), fm.Atom(b)))
+    return fm.Imp(links, fm.Imp(fm.Atom(names[0]), fm.Atom(names[-1])))
+
+
+class TestBitsetTruthTable:
+    def test_agrees_with_row_by_row_reference(self):
+        rng = random.Random(53)
+        tautologies = 0
+        for _ in range(400):
+            names = [f"a{i}" for i in range(rng.randint(1, 10))]
+            g = _formula_over(rng, names, rng.randint(0, 12))
+            h = _formula_over(rng, names, rng.randint(0, 6))
+            for formula in (g, fm.Or(g, fm.Not(g)), fm.Imp(fm.And(g, h), h),
+                            fm.Imp(g, h)):
+                expected = _row_by_row(formula)
+                assert taut_classical(formula) == expected, print_formula(formula)
+                tautologies += expected
+        assert 800 < tautologies < 1600
+
+    @pytest.mark.parametrize("text,expected", [
+        ("T", True), ("F", False), ("~F", True), ("~T", False),
+        ("F -> p", True), ("p -> T", True), ("p | T", True), ("p & T", False),
+        ("T -> F", False), ("(p -> F) | p", True),
+    ])
+    def test_constants(self, text, expected):
+        assert taut_classical(f(text)) == expected == _row_by_row(f(text))
+
+    @pytest.mark.parametrize("width", [19, 20])
+    def test_wide_tables(self, width):
+        names = [f"a{i}" for i in range(width)]
+        assert taut_classical(_chain(names))
+        broken = _chain(names[:7] + names[8:])
+        assert not taut_classical(fm.Imp(fm.And(fm.Atom("a7"), broken.left),
+                                         broken.right.right))
+        every = fm.Atom(names[0])
+        for name in names[1:]:
+            every = fm.And(every, fm.Atom(name))
+        assert taut_classical(fm.Imp(every, fm.Atom(names[-1])))
+        assert not taut_classical(fm.Imp(fm.Atom(names[-1]), every))
+        assert taut_classical(fm.Or(fm.Not(every), every))
+        assert not taut_classical(fm.Or(every, fm.Not(fm.Atom(names[0]))))
+
+    def test_twenty_one_atoms_guarded(self):
+        with pytest.raises(TooManyAtomsError):
+            taut_classical(_chain([f"a{i}" for i in range(21)]))
+
+
 class TestIntuitionisticOracle:
     @pytest.mark.parametrize("text", [
         "p -> p",
