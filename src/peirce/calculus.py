@@ -22,20 +22,17 @@ from typing import Optional, Union
 
 from .errors import IllegalRuleError, InvalidPathError
 from .graphs import (
-    EVEN,
-    ODD,
     Dialect,
     Graph,
     Item,
     Path,
     Scroll,
     equals,
-    insert_items,
-    polarity,
-    replace_at,
+    locate_item,
+    node_count,
+    rebuild,
     resolve_area,
-    resolve_item,
-    splice_item,
+    splice_located,
     walk_areas,
     walk_items,
     well_formed,
@@ -130,16 +127,10 @@ def _require(condition: bool, reason: str) -> None:
         raise IllegalRuleError(reason)
 
 
-def _area_polarity(g: Graph, area: Path) -> str:
+def _item_at(g: Graph, path: Path) -> tuple[Graph, Item]:
+    """The area holding the addressed item, and the item."""
     try:
-        return polarity(g, area)
-    except InvalidPathError as exc:
-        raise IllegalRuleError(f"invalid path: {exc}") from exc
-
-
-def _item_at(g: Graph, path: Path) -> Item:
-    try:
-        return resolve_item(g, path)
+        return locate_item(g, path)
     except InvalidPathError as exc:
         raise IllegalRuleError(f"invalid path: {exc}") from exc
 
@@ -168,94 +159,92 @@ def apply_rule(system: System, g: Graph, rule: RuleInstance) -> Graph:
     allowed = _CLASSICAL_RULES if system is System.CLASSICAL else _INTUITIONISTIC_RULES
     _require(isinstance(rule, allowed),
              f"{type(rule).__name__} is not a rule of the {system.value} system")
-    result = _apply(system, g, rule)
+    result = _apply(g, rule)
+    if isinstance(rule, (Insert, LoopAdd)):
+        bad = well_formed(rule.graph, system.dialect)
+        if bad:
+            what = "inserted" if isinstance(rule, Insert) else "loop"
+            raise IllegalRuleError(f"{what} graph not in dialect: {bad[0].reason}")
     bad = well_formed(result, system.dialect)
     if bad:
         raise IllegalRuleError(f"result not well-formed: {bad[0].reason} at {bad[0].path}")
     return result
 
 
-def _apply(system: System, g: Graph, rule: RuleInstance) -> Graph:
+def _apply(g: Graph, rule: RuleInstance) -> Graph:
+    """The rewrite, resolving each path once.  The graph of an Insert or
+    LoopAdd is not checked against the dialect here: apply_rule checks it,
+    and the search draws it from a vocabulary already filtered."""
     if isinstance(rule, Erase):
-        _item_at(g, rule.item)
-        _require(_area_polarity(g, rule.item.parent_area()) == EVEN,
-                 "wrong polarity: erasure needs an even area")
-        return splice_item(g, rule.item, ())
+        area, _ = _item_at(g, rule.item)
+        _require(not rule.item.is_odd, "wrong polarity: erasure needs an even area")
+        return splice_located(g, rule.item, area, ())
 
     if isinstance(rule, Insert):
-        _area_at(g, rule.area)
-        _require(_area_polarity(g, rule.area) == ODD,
-                 "wrong polarity: insertion needs an odd area")
-        bad = well_formed(rule.graph, system.dialect)
-        if bad:
-            raise IllegalRuleError(f"inserted graph not in dialect: {bad[0].reason}")
-        return insert_items(g, rule.area, rule.graph.items)
+        area = _area_at(g, rule.area)
+        _require(rule.area.is_odd, "wrong polarity: insertion needs an odd area")
+        return rebuild(g, rule.area, Graph(area.items + rule.graph.items))
 
     if isinstance(rule, Iterate):
-        item = _item_at(g, rule.source)
-        _area_at(g, rule.target)
+        _, item = _item_at(g, rule.source)
+        area = _area_at(g, rule.target)
         _require(in_scope(rule.source, rule.target),
                  "target area not within the source item's scope")
-        return insert_items(g, rule.target, (item,))
+        return rebuild(g, rule.target, Graph(area.items + (item,)))
 
     if isinstance(rule, Deiterate):
-        item = _item_at(g, rule.item)
-        witness = _item_at(g, rule.witness)
+        area, item = _item_at(g, rule.item)
+        _, witness = _item_at(g, rule.witness)
         _require(rule.witness != rule.item, "witness must differ from the removed item")
         _require(witness.key == item.key, "bad witness: items are not equal")
         _require(in_scope(rule.witness, rule.item.parent_area()),
                  "bad witness: removed item not within the witness's scope")
-        return splice_item(g, rule.item, ())
+        return splice_located(g, rule.item, area, ())
 
     if isinstance(rule, DoubleCutIntro):
         return _wrap(g, rule.area, rule.indices, double=True)
 
     if isinstance(rule, DoubleCutElim):
-        item = _item_at(g, rule.item)
+        area, item = _item_at(g, rule.item)
         _require(isinstance(item, Scroll) and item.is_cut, "not a cut")
         _require(len(item.outer.items) == 1, "donut not empty")
         inner = item.outer.items[0]
         _require(isinstance(inner, Scroll) and inner.is_cut, "donut not empty")
-        return splice_item(g, rule.item, inner.outer.items)
+        return splice_located(g, rule.item, area, inner.outer.items)
 
     if isinstance(rule, ScrollWrap):
         return _wrap(g, rule.area, rule.indices, double=False)
 
     if isinstance(rule, ScrollUnwrap):
-        item = _item_at(g, rule.item)
+        area, item = _item_at(g, rule.item)
         _require(isinstance(item, Scroll) and len(item.loops) == 1
                  and not item.outer.items,
                  "unwrap needs a one-loop scroll with empty outer")
-        return splice_item(g, rule.item, item.loops[0].items)
+        return splice_located(g, rule.item, area, item.loops[0].items)
 
     if isinstance(rule, LoopAdd):
-        item = _item_at(g, rule.item)
+        area, item = _item_at(g, rule.item)
         _require(isinstance(item, Scroll), "loops attach to scrolls")
-        _require(_area_polarity(g, rule.item.parent_area()) == EVEN,
-                 "wrong polarity: loop addition needs an even area")
-        bad = well_formed(rule.graph, system.dialect)
-        if bad:
-            raise IllegalRuleError(f"loop graph not in dialect: {bad[0].reason}")
-        return splice_item(g, rule.item,
-                           (Scroll(item.outer, item.loops + (rule.graph,)),))
+        _require(not rule.item.is_odd, "wrong polarity: loop addition needs an even area")
+        return splice_located(g, rule.item, area,
+                              (Scroll(item.outer, item.loops + (rule.graph,)),))
 
     if isinstance(rule, LoopRemove):
-        item = _item_at(g, rule.item)
+        area, item = _item_at(g, rule.item)
         _require(isinstance(item, Scroll), "loops attach to scrolls")
         _require(0 <= rule.loop < len(item.loops), "loop index out of range")
-        _require(_area_polarity(g, rule.item.parent_area()) == ODD,
-                 "wrong polarity: loop removal needs an odd area")
+        _require(rule.item.is_odd, "wrong polarity: loop removal needs an odd area")
         loops = item.loops[: rule.loop] + item.loops[rule.loop + 1:]
-        return splice_item(g, rule.item, (Scroll(item.outer, loops),))
+        return splice_located(g, rule.item, area, (Scroll(item.outer, loops),))
 
     if isinstance(rule, Detach):
-        item = _item_at(g, rule.item)
+        area, item = _item_at(g, rule.item)
         _require(isinstance(item, Scroll) and len(item.loops) == 1,
                  "detachment needs a one-loop scroll")
-        _require(_area_polarity(g, rule.item.parent_area()) == EVEN,
-                 "wrong polarity: detachment needs an even area")
+        _require(not rule.item.is_odd, "wrong polarity: detachment needs an even area")
         inner = Scroll(item.loops[0])
-        return splice_item(g, rule.item, (Scroll(Graph(item.outer.items + (inner,))),))
+        return splice_located(g, rule.item, area,
+                              (Scroll(Graph(item.outer.items + (inner,))),))
 
     raise IllegalRuleError(f"unknown rule {rule!r}")
 
@@ -272,7 +261,7 @@ def _wrap(g: Graph, area_path: Path, indices: frozenset[int], double: bool) -> G
     at = min((sum(1 for j in range(len(area.items)) if j < i and j not in indices)
               for i in indices), default=len(rest))
     rest.insert(at, wrapper)
-    return replace_at(g, area_path, Graph(tuple(rest)))
+    return rebuild(g, area_path, Graph(tuple(rest)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,24 +270,31 @@ def _wrap(g: Graph, area_path: Path, indices: frozenset[int], double: bool) -> G
 
 
 def enumerate_rule_instances(system: System, g: Graph,
-                             vocabulary: tuple[Graph, ...] = ()) -> list[RuleInstance]:
+                             vocabulary: tuple[Graph, ...] = (),
+                             max_growth: Optional[int] = None) -> list[RuleInstance]:
     """Every legal rule instance, in a fixed deterministic order.
 
     Insertion and loop contents are drawn from ``vocabulary``.  Wrap and
     double-cut item choices are limited to the empty set and singletons,
     which keeps the enumeration polynomial; arbitrary subsets remain
     available through apply_rule.
+
+    ``max_growth`` drops, before they are built, the instances that would
+    add more than that many nodes to ``g``; the rest keep their order.
+    Each rule adds a fixed number of nodes: insertion and loop addition
+    the size of their graph, iteration the size of the source item, the
+    double cut two, wrap and detachment one.  The other rules add none and
+    are never dropped.
     """
     areas = list(walk_areas(g))
     items = list(walk_items(g))
     area_cross = {path.parts: path.crossings() for path, _ in areas}
+    limit = float("inf") if max_growth is None else max_growth
     # keep only vocabulary entries valid in this dialect (no violations)
+    # and small enough to fit
     vocab = [graph for graph in vocabulary
-             if not well_formed(graph, system.dialect)]
+             if node_count(graph) <= limit and not well_formed(graph, system.dialect)]
     out: list[RuleInstance] = []
-
-    def area_parity(parts) -> int:
-        return len(area_cross[parts]) % 2
 
     def scoped(src: Path, tgt: Path) -> bool:
         src_cross = area_cross[src.parts[:-1]]
@@ -308,18 +304,19 @@ def enumerate_rule_instances(system: System, g: Graph,
         return not tgt.starts_with(src)
 
     for path, _ in items:
-        if area_parity(path.parts[:-1]) == 0:
+        if not path.is_odd:
             out.append(Erase(path))
 
     for path, _ in areas:
-        if area_parity(path.parts) == 1:
+        if path.is_odd:
             for graph in vocab:
                 out.append(Insert(path, graph))
 
-    for src, _ in items:
-        for tgt, _ in areas:
-            if scoped(src, tgt):
-                out.append(Iterate(src, tgt))
+    for src, item in items:
+        if node_count(item) <= limit:
+            for tgt, _ in areas:
+                if scoped(src, tgt):
+                    out.append(Iterate(src, tgt))
 
     keys = [item.key for _, item in items]
     for (path, item), key in zip(items, keys):
@@ -328,7 +325,7 @@ def enumerate_rule_instances(system: System, g: Graph,
                 out.append(Deiterate(path, wpath))
 
     if system is System.CLASSICAL:
-        for path, area in areas:
+        for path, area in areas if 2 <= limit else ():
             out.append(DoubleCutIntro(path, frozenset()))
             for i in range(len(area.items)):
                 out.append(DoubleCutIntro(path, frozenset((i,))))
@@ -340,7 +337,7 @@ def enumerate_rule_instances(system: System, g: Graph,
                 out.append(DoubleCutElim(path))
         return out
 
-    for path, area in areas:
+    for path, area in areas if 1 <= limit else ():
         out.append(ScrollWrap(path, frozenset()))
         for i in range(len(area.items)):
             out.append(ScrollWrap(path, frozenset((i,))))
@@ -349,15 +346,15 @@ def enumerate_rule_instances(system: System, g: Graph,
         if len(item.loops) == 1 and not item.outer.items:
             out.append(ScrollUnwrap(path))
     for path, item in scrolls:
-        if area_parity(path.parts[:-1]) == 0:
+        if not path.is_odd:
             for graph in vocab:
                 out.append(LoopAdd(path, graph))
     for path, item in scrolls:
-        if area_parity(path.parts[:-1]) == 1:
+        if path.is_odd:
             for k in range(len(item.loops)):
                 out.append(LoopRemove(path, k))
-    for path, item in scrolls:
-        if len(item.loops) == 1 and area_parity(path.parts[:-1]) == 0:
+    for path, item in scrolls if 1 <= limit else ():
+        if len(item.loops) == 1 and not path.is_odd:
             out.append(Detach(path))
     return out
 

@@ -1,8 +1,9 @@
 """The ``eg`` batch command-line surface.
 
 Exit codes: 0 success/valid/theorem; 1 checked-and-negative (invalid
-script, non-theorem, no derivation); 2 usage or input error.  Diagnostics
-go to stderr, machine-consumable results to stdout.
+script, non-theorem, no derivation); 2 usage or input error, input nested
+too deeply included.  Diagnostics go to stderr, machine-consumable
+results to stdout.
 """
 
 from __future__ import annotations
@@ -94,6 +95,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (PeirceError, OSError) as exc:
         print(f"eg: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the parsers, translations, oracles and layout recurse once per
+        # level of nesting, so input deeper than the stack allows ends here
+        print("eg: input nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -111,9 +111,9 @@ def scroll(outer: tuple[Item, ...], *loops: tuple[Item, ...]) -> Scroll:
     return Scroll(Graph(tuple(outer)), tuple(Graph(tuple(l)) for l in loops))
 
 
-def node_count(g: Graph) -> int:
+def node_count(node: Union[Item, Graph]) -> int:
     """Atoms plus scrolls; the key holds one code of either per node."""
-    key = g.key
+    key = node.key
     return key.count(_ATOM) + key.count(_SCROLL)
 
 
@@ -180,6 +180,12 @@ class Path:
         if not self.is_item:
             raise InvalidPathError("only item paths have a parent area")
         return _trusted(self.parts[:-1])
+
+    @property
+    def is_odd(self) -> bool:
+        """Whether the area addressed (for an item path, the item's area) is
+        odd: entering an outer area crosses one curve, a loop two."""
+        return self.parts[1::2].count(OUTER) % 2 == 1
 
     def starts_with(self, prefix: "Path") -> bool:
         return self.parts[: len(prefix.parts)] == prefix.parts
@@ -251,17 +257,23 @@ SHEET = Path()
 
 def resolve(g: Graph, path: Path) -> Union[Item, Graph]:
     """The item or area (as a Graph) addressed by ``path``."""
+    return _walk(g, path.parts)[1]
+
+
+def _walk(g: Graph, parts: tuple) -> tuple[Graph, Union[Item, Graph]]:
+    """The area the last item step selects from (``g`` for the sheet), and
+    the addressed node."""
     node: Graph = g
-    parts = path.parts
+    area = g
     pos = 0
     while pos < len(parts):
         index = parts[pos]
         if index >= len(node.items):
             raise InvalidPathError(f"item index {index} out of range at {Path(parts[:pos + 1])}")
-        item = node.items[index]
+        area, item = node, node.items[index]
         pos += 1
         if pos == len(parts):
-            return item
+            return area, item
         region = parts[pos]
         pos += 1
         if not isinstance(item, Scroll):
@@ -273,7 +285,7 @@ def resolve(g: Graph, path: Path) -> Union[Item, Graph]:
             if k >= len(item.loops):
                 raise InvalidPathError(f"loop {k} out of range at {Path(parts[:pos])}")
             node = item.loops[k]
-    return node
+    return area, node
 
 
 def resolve_area(g: Graph, path: Path) -> Graph:
@@ -285,23 +297,30 @@ def resolve_area(g: Graph, path: Path) -> Graph:
 
 
 def resolve_item(g: Graph, path: Path) -> Item:
+    return locate_item(g, path)[1]
+
+
+def locate_item(g: Graph, path: Path) -> tuple[Graph, Item]:
+    """The area holding the addressed item, and the item."""
     if not path.is_item:
         raise InvalidPathError(f"{path} addresses an area, not an item")
-    item = resolve(g, path)
-    return item  # type: ignore[return-value]
+    return _walk(g, path.parts)  # type: ignore[return-value]
 
 
 def polarity(g: Graph, area: Path) -> str:
     """EVEN or ODD: parity of boundary crossings from the sheet."""
     resolve_area(g, area)
-    return EVEN if len(area.crossings()) % 2 == 0 else ODD
+    return ODD if area.is_odd else EVEN
 
 
 def replace_at(g: Graph, area: Path, new_contents: Graph) -> Graph:
     """``g`` with the addressed area's contents replaced."""
-    if not area.is_area:
-        raise InvalidPathError(f"{area} addresses an item, not an area")
-    resolve(g, area)
+    resolve_area(g, area)
+    return rebuild(g, area, new_contents)
+
+
+def rebuild(g: Graph, area: Path, new_contents: Graph) -> Graph:
+    """replace_at for an area path already resolved in ``g``: unchecked."""
     return _rebuild(g, area.parts, new_contents)
 
 
@@ -325,18 +344,16 @@ def _rebuild(node: Graph, parts: tuple, new_contents: Graph) -> Graph:
 
 def splice_item(g: Graph, item_path: Path, replacement: tuple[Item, ...]) -> Graph:
     """Replace the addressed item by zero or more items, in place."""
-    resolve_item(g, item_path)
-    area_path = item_path.parent_area()
+    return splice_located(g, item_path, locate_item(g, item_path)[0], replacement)
+
+
+def splice_located(g: Graph, item_path: Path, area: Graph,
+                   replacement: tuple[Item, ...]) -> Graph:
+    """splice_item for an item path already located in ``g``, with ``area``
+    the area that holds it: unchecked."""
     index = item_path.parts[-1]
-    area = resolve_area(g, area_path)
     items = area.items[:index] + replacement + area.items[index + 1:]
-    return _rebuild(g, area_path.parts, Graph(items))
-
-
-def insert_items(g: Graph, area_path: Path, new_items: tuple[Item, ...]) -> Graph:
-    """Append items at the end of the addressed area."""
-    area = resolve_area(g, area_path)
-    return _rebuild(g, area_path.parts, Graph(area.items + new_items))
+    return _rebuild(g, item_path.parts[:-1], Graph(items))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,13 @@ from the forward side alone (exhausted space or full depth), never from an
 oracle.  Without widening the backward side is the goal alone, and the
 search is the plain BFS.
 
+No successor over the cap is built: the forward side asks
+enumerate_rule_instances for the instances that add at most ``cap -
+node_count(g)`` nodes (or up to the goal's size, should the goal exceed
+the cap).  Such a successor was always discarded, since every key it
+could meet lies within that size, so the states expanded, their order
+and the scripts found are those of building every successor.
+
 ``max_visited`` bounds the states expanded, on both sides together.
 Every script found is re-checked through check_script before being
 returned; a failed re-check raises CertificationError.
@@ -65,9 +72,8 @@ from .graphs import (
     Scroll,
     canonicalize,
     equals,
-    insert_items,
     node_count,
-    replace_at,
+    rebuild,
     resolve_item,
     splice_item,
     walk_areas,
@@ -156,9 +162,9 @@ def size_cap(system: System, start: Graph, goal: Graph,
     for g in predecessors(system, goal, vocabulary):
         if node_count(g) <= cap and entailed(g):
             return cap
-    return cap + max((node_count(Graph((item,)))
+    return cap + max((node_count(item)
                       for g in (start, goal) for path, item in walk_items(g)
-                      if len(path.parent_area().crossings()) % 2 == 1), default=0)
+                      if path.is_odd), default=0)
 
 
 def predecessors(system: System, g: Graph,
@@ -186,24 +192,24 @@ def predecessors(system: System, g: Graph,
                 continue
         elif not isinstance(rule, (Iterate, Deiterate, ScrollWrap, DoubleCutIntro)):
             continue
-        out.append(_apply_fast(system, g, rule))
+        out.append(_apply_fast(g, rule))
 
     singles = [v for v in vocab if len(v.items) == 1]
     for path, area in walk_areas(g):
-        if len(path.crossings()) % 2 == 0:
-            out.extend(insert_items(g, path, v.items) for v in singles)
+        if not path.is_odd:
+            out.extend(rebuild(g, path, Graph(area.items + v.items)) for v in singles)
             continue
         for v in vocab:
             rest = _without(area.items, v.items)
             if rest is not None:
-                out.append(replace_at(g, path, Graph(rest)))
+                out.append(rebuild(g, path, Graph(rest)))
     if system is System.CLASSICAL:
         return out
 
     for path, item in walk_items(g):
         if not isinstance(item, Scroll):
             continue
-        if len(path.parent_area().crossings()) % 2 == 1:
+        if path.is_odd:
             out.extend(splice_item(g, path, (Scroll(item.outer, item.loops + (v,)),))
                        for v in vocab)
             continue
@@ -246,6 +252,9 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
     goal_key = goal.key
     if start.key == goal_key:
         return []
+    # every key the forward side can meet or keep, the goal's included,
+    # has at most ``limit`` nodes, so no successor over it is built
+    limit = max(cap, node_count(goal))
     ahead: dict[str, Optional[str]] = {start.key: None}
     behind: dict[str, tuple[Optional[str], int]] = {goal_key: (None, 0)}
     frontier = [start]
@@ -273,7 +282,8 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
                         continue
                     behind[key] = (g.key, back_depth + 1)
                     if key in ahead:
-                        return _replay(system, start, _chain(ahead, behind, key), vocabulary)
+                        return _replay(system, start, _chain(ahead, behind, key),
+                                       vocabulary, limit)
                     next_back.append(prev)
             back_frontier = next_back
             back_depth += 1
@@ -281,13 +291,15 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
         next_frontier: list[Graph] = []
         for g in frontier:
             spend()
-            for rule in enumerate_rule_instances(system, g, vocabulary):
-                nxt = _apply_fast(system, g, rule)
+            for rule in enumerate_rule_instances(system, g, vocabulary,
+                                                 limit - node_count(g)):
+                nxt = _apply_fast(g, rule)
                 key = nxt.key
                 meet = behind.get(key)
                 if meet is not None and depth + 1 + meet[1] <= bounds.max_depth:
                     ahead[key] = g.key
-                    return _replay(system, start, _chain(ahead, behind, key), vocabulary)
+                    return _replay(system, start, _chain(ahead, behind, key),
+                                   vocabulary, limit)
                 if key in ahead or node_count(nxt) > cap:
                     continue
                 ahead[key] = g.key
@@ -311,15 +323,16 @@ def _chain(ahead: dict, behind: dict, meeting: str) -> list[str]:
 
 
 def _replay(system: System, start: Graph, keys: list[str],
-            vocabulary: tuple[Graph, ...]) -> list[RuleInstance]:
+            vocabulary: tuple[Graph, ...], limit: int) -> list[RuleInstance]:
     """For each step, the first enumerated instance that reaches the next
     key.  On the forward side that is the instance the search recorded,
-    because it expanded the same representatives in the same order."""
+    because it expanded the same representatives in the same order.  No
+    key after the start has more than ``limit`` nodes."""
     chain: list[RuleInstance] = []
     g = start
     for key in keys[1:]:
-        for rule in enumerate_rule_instances(system, g, vocabulary):
-            nxt = _apply_fast(system, g, rule)
+        for rule in enumerate_rule_instances(system, g, vocabulary, limit - node_count(g)):
+            nxt = _apply_fast(g, rule)
             if nxt.key == key:
                 break
         else:

@@ -21,7 +21,17 @@ from peirce.calculus import (
     enumerate_rule_instances,
 )
 from peirce.errors import IllegalRuleError
-from peirce.graphs import Dialect, Graph, Path, equals, node_count, resolve_area, well_formed
+from peirce.graphs import (
+    Atom,
+    Dialect,
+    Graph,
+    Path,
+    Scroll,
+    equals,
+    node_count,
+    resolve_area,
+    well_formed,
+)
 from peirce.notation import parse_graph, print_graph
 from peirce.scriptfile import parse_script
 from peirce.semantics import graph_to_formula, taut_classical, taut_int
@@ -156,6 +166,19 @@ class TestApplyRule:
             apply_rule(CL, g("p", CL), Erase(p("4")))
         assert "invalid path" in err.value.reason
 
+    @pytest.mark.parametrize("system,text,rule,reason", [
+        (CL, "(p)", Insert(p("0.outer"), Graph((Scroll(Graph(), (Graph(),)),))),
+         "inserted graph not in dialect: scroll loops are not classical signs"),
+        (IN, "(p)", Insert(p("0.outer"), Graph((Atom("9bad"),))),
+         "inserted graph not in dialect: bad atom name '9bad'"),
+        (IN, "[p | q]", LoopAdd(p("0"), Graph((Atom("9bad"),))),
+         "loop graph not in dialect: bad atom name '9bad'"),
+    ])
+    def test_graph_drawn_from_outside_the_dialect(self, system, text, rule, reason):
+        with pytest.raises(IllegalRuleError) as err:
+            apply_rule(system, g(text, system), rule)
+        assert err.value.reason == reason
+
 
 class TestEnumerate:
     def test_blank_sheet_classical(self):
@@ -189,6 +212,23 @@ class TestEnumerate:
             for rule in enumerate_rule_instances(system, graph, vocab):
                 out = apply_rule(system, graph, rule)
                 assert well_formed(out, system.dialect) == []
+
+    def test_growth_bound_is_exact(self):
+        # the bound drops exactly the instances whose result is too large,
+        # and keeps the order of the rest
+        rng = random.Random(97)
+        for _ in range(150):
+            system = rng.choice([CL, IN])
+            graph = random_graph(rng, depth=3, dialect=system.dialect)
+            # vocabularies of either dialect, empty graphs included
+            vocab = tuple(random_graph(rng, depth=2, dialect=rng.choice(list(Dialect)))
+                          for _ in range(rng.randint(0, 3)))
+            every = enumerate_rule_instances(system, graph, vocab)
+            sizes = [node_count(apply_rule(system, graph, rule)) for rule in every]
+            for k in range(5):
+                fitting = [rule for rule, size in zip(every, sizes)
+                           if size <= node_count(graph) + k]
+                assert enumerate_rule_instances(system, graph, vocab, max_growth=k) == fitting
 
     def test_deterministic_order(self):
         graph = g("p (q) [r | s]")

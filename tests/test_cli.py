@@ -164,3 +164,39 @@ class TestUsage:
     def test_missing_text(self, capsys):
         code, _, err = run(capsys, "parse", "--dialect", "classical")
         assert code == 2 and err
+
+
+NESTED = "(" * 3000 + "p" + ")" * 3000
+NEGATED = "~" * 3000 + "p"
+CONJUNCTS = " & ".join(["p"] * 3000)
+JUXTAPOSED = " ".join(["p"] * 3000)
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("argv", [
+        ("parse", "--dialect", "classical", NESTED),
+        ("translate", "--to", "formula", "--dialect", "classical", NESTED),
+        ("translate", "--to", "formula", "--dialect", "classical", JUXTAPOSED),
+        ("translate", "--to", "graph", "--dialect", "classical", NEGATED),
+        ("translate", "--to", "graph", "--dialect", "intuitionistic", CONJUNCTS),
+        ("taut", "--logic", "classical", NEGATED),
+        ("taut", "--logic", "classical", CONJUNCTS),
+        ("taut", "--logic", "intuitionistic", NEGATED),
+        ("taut", "--logic", "intuitionistic", "--countermodel", CONJUNCTS),
+        ("prove", "--system", "classical", "--goal", NESTED),
+        ("prove", "--system", "intuitionistic", "--goal", "p", "--from", NESTED),
+        ("continuum", "domain", "[" + "w^(" * 3000 + "1" + ")" * 3000 + ":1]"),
+    ])
+    def test_exit_2_without_traceback(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (2, "eg: input nested too deeply\n")
+
+    def test_render(self, capsys, tmp_path):
+        code, _, err = run(capsys, "render", "-o", str(tmp_path / "g.svg"), NESTED)
+        assert (code, err) == (2, "eg: input nested too deeply\n")
+
+    def test_check(self, capsys, tmp_path):
+        src = tmp_path / "deep.txt"
+        src.write_text(f"system classical\ngraph {NESTED}\n")
+        code, _, err = run(capsys, "check", str(src))
+        assert (code, err) == (2, "eg: input nested too deeply\n")

@@ -81,6 +81,25 @@ class TestDerive:
         with pytest.raises(BoundsExceededError):
             derive(CL, Graph(), goal, SearchBounds(max_depth=12, max_visited=5))
 
+    def test_goal_over_the_cap_is_still_met(self):
+        # with a negative slack the cap (1 node) is below the goal's size;
+        # the goal is met all the same, so its successor is built
+        script = derive(CL, parse_graph("p", Dialect.CLASSICAL),
+                        parse_graph("p p", Dialect.CLASSICAL),
+                        SearchBounds(max_depth=2, size_slack=-2))
+        assert script is not None and len(script.steps) == 1
+
+    @pytest.mark.parametrize("depth,expansions", [(5, 317), (7, 1047)])
+    def test_excluded_middle_expands_a_fixed_number_of_states(self, depth, expansions):
+        # exhausting the space takes exactly this many expansions: building
+        # fewer successors must not change which states are expanded
+        goal = goal_graph("p | ~p", IN)
+        assert derive(IN, Graph(), goal, SearchBounds(max_depth=depth,
+                                                      max_visited=expansions)) is None
+        with pytest.raises(BoundsExceededError):
+            derive(IN, Graph(), goal, SearchBounds(max_depth=depth,
+                                                   max_visited=expansions - 1))
+
     @pytest.mark.parametrize("final", [None, Graph()])
     def test_certification_is_unconditional(self, monkeypatch, final):
         # a rejected script and a script ending elsewhere both raise,
