@@ -8,23 +8,32 @@ anywhere), adds loop handling (a loop may be added where the scroll sits
 in an even area and removed where it sits in an odd one), and has the
 one-way detachment ``[g0 | g1]``  ->  ``(g0 (g1))`` in even areas.
 
-Iteration scope follows the curve-nesting order: an area is in scope of
-the source's area when its crossing sequence extends the source area's
-crossing sequence, which in particular lets a graph be iterated from a
-scroll's outer area into that scroll's own loops.
+Every rule is stated once, as an entry of one table (``RULES``): its side
+conditions (shape, polarity, scope, and the dialect of a graph it draws),
+the nodes it adds, its rewrite, and its dual.  apply_rule evaluates the
+conditions and raises the first failing one's reason,
+enumerate_rule_instances lists the candidate operands that the same
+conditions accept, and search.predecessors undoes each rule by its dual.
+
+Iteration scope is a test on paths.  An area is in scope of an item when
+it lies in the item's area or, if that is a scroll's outer area, in one of
+the same scroll's loops (entering a loop crosses the outer curve first),
+and not inside the item itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import IllegalRuleError, InvalidPathError
 from .graphs import (
+    EVEN,
+    ODD,
+    OUTER,
     Dialect,
     Graph,
-    Item,
     Path,
     Scroll,
     equals,
@@ -32,6 +41,7 @@ from .graphs import (
     node_count,
     rebuild,
     resolve_area,
+    splice_item,
     splice_located,
     walk_areas,
     walk_items,
@@ -117,246 +127,323 @@ RuleInstance = Union[
     ScrollWrap, ScrollUnwrap, LoopAdd, LoopRemove, Detach,
 ]
 
-_CLASSICAL_RULES = (Erase, Insert, Iterate, Deiterate, DoubleCutIntro, DoubleCutElim)
-_INTUITIONISTIC_RULES = (Erase, Insert, Iterate, Deiterate, ScrollWrap, ScrollUnwrap,
-                         LoopAdd, LoopRemove, Detach)
-
-
-def _require(condition: bool, reason: str) -> None:
-    if not condition:
-        raise IllegalRuleError(reason)
-
-
-def _item_at(g: Graph, path: Path) -> tuple[Graph, Item]:
-    """The area holding the addressed item, and the item."""
-    try:
-        return locate_item(g, path)
-    except InvalidPathError as exc:
-        raise IllegalRuleError(f"invalid path: {exc}") from exc
-
-
-def _area_at(g: Graph, path: Path) -> Graph:
-    try:
-        return resolve_area(g, path)
-    except InvalidPathError as exc:
-        raise IllegalRuleError(f"invalid path: {exc}") from exc
-
 
 def in_scope(source_item: Path, target_area: Path) -> bool:
     """Whether iteration from the source item may land in the target area:
-    the target lies at or below the source's area along the curve-nesting
-    order and does not lie inside the source item itself."""
-    src_area = source_item.parent_area()
-    src_cross = src_area.crossings()
-    tgt_cross = target_area.crossings()
-    if tgt_cross[: len(src_cross)] != src_cross:
-        return False
-    return not target_area.starts_with(source_item)
+    the target lies in the source's area, or in a loop of the scroll whose
+    outer area that is, and not inside the source item itself."""
+    area = source_item.parts[:-1]
+    if area[-1:] == (OUTER,):
+        area = area[:-1]
+    return target_area.parts[:len(area)] == area and not target_area.starts_with(source_item)
+
+
+# ---------------------------------------------------------------------------
+# The rule table
+# ---------------------------------------------------------------------------
+#
+# A rule's operands are its instance's fields in order, each path followed
+# by the node it addresses: an Iterate's are (source, item, target, area).
+# Conditions take the operands and give the checker's reason, or None when
+# they hold.  Rewrites take the graph, the area that holds the first
+# operand's item (None when it is an area) and the operands.
+
+
+class Walk:
+    """A graph's candidate operands: its items, areas and scrolls in walk
+    order, and (as 1-tuples) the vocabulary graphs in the system's dialect."""
+
+    def __init__(self, system: System, g: Graph, vocabulary: tuple[Graph, ...]):
+        self.items = list(walk_items(g))
+        self.areas = list(walk_areas(g))
+        self.scrolls = [site for site in self.items if isinstance(site[1], Scroll)]
+        self.drawn = [(v,) for v in vocabulary if not v.violations[system.dialect]]
+
+
+@dataclass(frozen=True)
+class Dual:
+    """How the backward search undoes a rule: by the instances of the table
+    rule ``rule`` that ``keep`` passes, or by ``undo(g, walk, path, node,
+    limit)`` at each ``at`` site of the rule's polarity: earlier graphs."""
+
+    rule: Optional[type] = None
+    keep: Optional[Callable[..., bool]] = None
+    at: str = ""
+    undo: Optional[Callable[..., list[Graph]]] = None
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One rule of the calculus.  Its first operand comes from the Walk list
+    ``site``, and ``more`` gives the candidates for the rest at one site
+    (None: the site is all).  Side conditions, checked in this order: the
+    shape and scope ``condition``, the ``polarity`` (EVEN or ODD) of the
+    first operand's area, and, where ``drawn`` names a graph operand, its
+    dialect.  ``growth``: the nodes the rewrite adds, a number or a function
+    of the operands (None: none, and no bound drops it)."""
+
+    name: str
+    site: str
+    rewrite: Callable[..., Graph]
+    dual: Dual
+    more: Optional[Callable[..., list]] = None
+    growth: Union[int, Callable[..., int], None] = None
+    condition: Optional[Callable[..., Optional[str]]] = None
+    polarity: Optional[str] = None
+    drawn: Optional[str] = None
+
+    def fits(self, path: Path) -> bool:
+        """Whether the area of ``path`` has the rule's polarity."""
+        return self.polarity is None or path.is_odd == (self.polarity == ODD)
+
+
+def accepted(rule: Rule, walk: Walk, limit: float) -> Iterator[tuple]:
+    """The candidate operands at the walked graph that satisfy the rule's
+    side conditions and add at most ``limit`` nodes, in walk order."""
+    # the dialect of drawn graphs needs no test: the Walk holds no others
+    more, growth, condition = rule.more, rule.growth, rule.condition
+    if isinstance(growth, int):
+        if growth > limit:
+            return
+        growth = None
+    for site in getattr(walk, rule.site):
+        if rule.fits(site[0]):
+            for rest in more(walk, *site) if more else ((),):
+                ops = site + rest
+                if ((growth is None or growth(*ops) <= limit)
+                        and not (condition and condition(*ops))):
+                    yield ops
+
+
+def _target_scope(source, item, target, area) -> Optional[str]:
+    return None if in_scope(source, target) else "target area not within the source item's scope"
+
+
+def _witness(path, item, witness_path, witness) -> Optional[str]:
+    # unequal items lie at different paths, so the cheap test goes first
+    if witness.key != item.key:
+        return "bad witness: items are not equal"
+    if witness_path == path:
+        return "witness must differ from the removed item"
+    if not in_scope(witness_path, path.parent_area()):
+        return "bad witness: removed item not within the witness's scope"
+    return None
+
+
+def _chosen(path, area, indices) -> Optional[str]:
+    in_range = not indices or 0 <= min(indices) and max(indices) < len(area.items)
+    return None if in_range else "item index out of range"
+
+
+def _is_cut(node) -> bool:
+    return isinstance(node, Scroll) and node.is_cut
+
+
+def _donut(path, item) -> Optional[str]:
+    if not _is_cut(item):
+        return "not a cut"
+    if len(item.outer.items) != 1 or not _is_cut(item.outer.items[0]):
+        return "donut not empty"
+    return None
+
+
+def _unwrappable(path, item) -> Optional[str]:
+    if isinstance(item, Scroll) and len(item.loops) == 1 and not item.outer.items:
+        return None
+    return "unwrap needs a one-loop scroll with empty outer"
+
+
+def _scroll(path, item, *_) -> Optional[str]:
+    return None if isinstance(item, Scroll) else "loops attach to scrolls"
+
+
+def _loop(path, item, k) -> Optional[str]:
+    return _scroll(path, item) or (None if 0 <= k < len(item.loops)
+                                   else "loop index out of range")
+
+
+def _one_loop(path, item) -> Optional[str]:
+    if isinstance(item, Scroll) and len(item.loops) == 1:
+        return None
+    return "detachment needs a one-loop scroll"
+
+
+def _choices(walk, path, area) -> list:
+    return [(frozenset(),)] + [(frozenset((i,)),) for i in range(len(area.items))]
+
+
+def _remove(g, holder, path, *_) -> Graph:
+    return splice_located(g, path, holder, ())
+
+
+def _wrapping(wrapper: Callable[[Graph], Scroll]) -> Callable[..., Graph]:
+    """The rewrite that puts an area's chosen items in ``wrapper(chosen)``."""
+    def rewrite(g, holder, path, area, indices) -> Graph:
+        chosen = Graph(tuple(area.items[i] for i in sorted(indices)))
+        rest = [item for i, item in enumerate(area.items) if i not in indices]
+        rest.insert(min(indices, default=len(rest)), wrapper(chosen))
+        return rebuild(g, path, Graph(tuple(rest)))
+    return rewrite
+
+
+def _splicing(replacement: Callable[..., tuple]) -> Callable[..., Graph]:
+    """The rewrite that puts ``replacement(item, *rest)`` in its place."""
+    return lambda g, holder, path, *ops: splice_located(g, path, holder, replacement(*ops))
+
+
+def _unerase(g, walk, path, area, limit) -> list[Graph]:
+    return [RULES[Insert].rewrite(g, None, path, area, v) for (v,) in walk.drawn
+            if len(v.items) == 1 and node_count(v) <= limit]
+
+
+def _uninsert(g, walk, path, area, limit) -> list[Graph]:
+    out = []
+    for (v,) in walk.drawn:
+        rest = list(area.items)
+        for item in v.items:
+            match = next((i for i, other in enumerate(rest) if other.key == item.key), None)
+            if match is None:
+                break
+            del rest[match]
+        else:
+            out.append(rebuild(g, path, Graph(tuple(rest))))
+    return out
+
+
+def _unadd_loop(g, walk, path, item, limit) -> list[Graph]:
+    keys = {v.key for (v,) in walk.drawn}
+    return [rewrite(g, LoopRemove(path, k)) for k, loop in enumerate(item.loops)
+            if loop.key in keys]
+
+
+def _unremove_loop(g, walk, path, item, limit) -> list[Graph]:
+    return [rewrite(g, LoopAdd(path, v)) for (v,) in walk.drawn if node_count(v) <= limit]
+
+
+def _undetach(g, walk, path, item, limit) -> list[Graph]:
+    items = item.outer.items if item.is_cut else ()
+    return [splice_item(g, path, (Scroll(Graph(items[:i] + items[i + 1:]), (inner.outer,)),))
+            for i, inner in enumerate(items) if _is_cut(inner)]
+
+
+RULES: dict[type, Rule] = {
+    Erase: Rule("erasure", "items", _remove, Dual(at="areas", undo=_unerase), polarity=EVEN),
+    Insert: Rule("insertion", "areas",
+                 lambda g, holder, path, area, graph: rebuild(g, path, Graph(area.items + graph.items)),
+                 Dual(at="areas", undo=_uninsert), more=lambda walk, *site: walk.drawn,
+                 growth=lambda path, area, graph: node_count(graph), polarity=ODD,
+                 drawn="inserted"),
+    Iterate: Rule("iteration", "items",
+                  lambda g, holder, source, item, target, area:
+                      rebuild(g, target, Graph(area.items + (item,))),
+                  Dual(Deiterate), more=lambda walk, *site: walk.areas,
+                  growth=lambda source, item, target, area: node_count(item),
+                  condition=_target_scope),
+    Deiterate: Rule("deiteration", "items", _remove, Dual(Iterate),
+                    more=lambda walk, *site: walk.items, condition=_witness),
+    DoubleCutIntro: Rule("double-cut introduction", "areas",
+                         _wrapping(lambda chosen: Scroll(Graph((Scroll(chosen),)))),
+                         Dual(DoubleCutElim,
+                              lambda path, item: len(item.outer.items[0].outer.items) <= 1),
+                         more=_choices, growth=2, condition=_chosen),
+    DoubleCutElim: Rule("double-cut elimination", "scrolls",
+                        _splicing(lambda item: item.outer.items[0].outer.items),
+                        Dual(DoubleCutIntro), condition=_donut),
+    ScrollWrap: Rule("wrap", "areas", _wrapping(lambda chosen: Scroll(Graph(), (chosen,))),
+                     Dual(ScrollUnwrap, lambda path, item: len(item.loops[0].items) <= 1),
+                     more=_choices, growth=1, condition=_chosen),
+    ScrollUnwrap: Rule("unwrap", "scrolls", _splicing(lambda item: item.loops[0].items),
+                       Dual(ScrollWrap), condition=_unwrappable),
+    LoopAdd: Rule("loop addition", "scrolls",
+                  _splicing(lambda item, graph: (Scroll(item.outer, item.loops + (graph,)),)),
+                  Dual(at="scrolls", undo=_unadd_loop), more=lambda walk, *site: walk.drawn,
+                  growth=lambda path, item, graph: node_count(graph), condition=_scroll,
+                  polarity=EVEN, drawn="loop"),
+    LoopRemove: Rule("loop removal", "scrolls",
+                     _splicing(lambda item, k: (Scroll(item.outer,
+                                                       item.loops[:k] + item.loops[k + 1:]),)),
+                     Dual(at="scrolls", undo=_unremove_loop),
+                     more=lambda walk, path, item: [(k,) for k in range(len(item.loops))],
+                     condition=_loop, polarity=ODD),
+    Detach: Rule("detachment", "scrolls",
+                 _splicing(lambda item: (Scroll(Graph(item.outer.items
+                                                      + (Scroll(item.loops[0]),))),)),
+                 Dual(at="scrolls", undo=_undetach),
+                 growth=1, condition=_one_loop, polarity=EVEN),
+}
+
+SYSTEM_RULES = {
+    System.CLASSICAL: (Erase, Insert, Iterate, Deiterate, DoubleCutIntro, DoubleCutElim),
+    System.INTUITIONISTIC: (Erase, Insert, Iterate, Deiterate, ScrollWrap, ScrollUnwrap,
+                            LoopAdd, LoopRemove, Detach),
+}
+
+
+def _operands(g: Graph, rule: RuleInstance) -> tuple[Optional[Graph], tuple]:
+    """The area holding the rule's first item (None when its first path
+    addresses an area), and its operands in ``g``."""
+    holder, ops = None, []
+    try:
+        for name, value in vars(rule).items():
+            ops.append(value)
+            if name in ("area", "target"):
+                ops.append(resolve_area(g, value))
+            elif isinstance(value, Path):
+                area, item = locate_item(g, value)
+                ops.append(item)
+                holder = area if holder is None else holder
+    except InvalidPathError as exc:
+        raise IllegalRuleError(f"invalid path: {exc}") from exc
+    return holder, tuple(ops)
 
 
 def apply_rule(system: System, g: Graph, rule: RuleInstance) -> Graph:
     """The rewritten graph, or IllegalRuleError with the reason."""
-    allowed = _CLASSICAL_RULES if system is System.CLASSICAL else _INTUITIONISTIC_RULES
-    _require(isinstance(rule, allowed),
-             f"{type(rule).__name__} is not a rule of the {system.value} system")
-    result = _apply(g, rule)
-    if isinstance(rule, (Insert, LoopAdd)):
-        bad = well_formed(rule.graph, system.dialect)
-        if bad:
-            what = "inserted" if isinstance(rule, Insert) else "loop"
-            raise IllegalRuleError(f"{what} graph not in dialect: {bad[0].reason}")
+    if type(rule) not in SYSTEM_RULES[system]:
+        raise IllegalRuleError(f"{type(rule).__name__} is not a rule of the {system.value} system")
+    holder, ops = _operands(g, rule)
+    entry = RULES[type(rule)]
+    reason = entry.condition and entry.condition(*ops)
+    if not reason and not entry.fits(ops[0]):
+        reason = f"wrong polarity: {entry.name} needs an {entry.polarity} area"
+    bad = not reason and entry.drawn and ops[-1].violations[system.dialect]
+    if bad:
+        reason = f"{entry.drawn} graph not in dialect: {bad[0].reason}"
+    if reason:
+        raise IllegalRuleError(reason)
+    result = entry.rewrite(g, holder, *ops)
     bad = well_formed(result, system.dialect)
     if bad:
         raise IllegalRuleError(f"result not well-formed: {bad[0].reason} at {bad[0].path}")
     return result
 
 
-def _apply(g: Graph, rule: RuleInstance) -> Graph:
-    """The rewrite, resolving each path once.  The graph of an Insert or
-    LoopAdd is not checked against the dialect here: apply_rule checks it,
-    and the search draws it from a vocabulary already filtered."""
-    if isinstance(rule, Erase):
-        area, _ = _item_at(g, rule.item)
-        _require(not rule.item.is_odd, "wrong polarity: erasure needs an even area")
-        return splice_located(g, rule.item, area, ())
-
-    if isinstance(rule, Insert):
-        area = _area_at(g, rule.area)
-        _require(rule.area.is_odd, "wrong polarity: insertion needs an odd area")
-        return rebuild(g, rule.area, Graph(area.items + rule.graph.items))
-
-    if isinstance(rule, Iterate):
-        _, item = _item_at(g, rule.source)
-        area = _area_at(g, rule.target)
-        _require(in_scope(rule.source, rule.target),
-                 "target area not within the source item's scope")
-        return rebuild(g, rule.target, Graph(area.items + (item,)))
-
-    if isinstance(rule, Deiterate):
-        area, item = _item_at(g, rule.item)
-        _, witness = _item_at(g, rule.witness)
-        _require(rule.witness != rule.item, "witness must differ from the removed item")
-        _require(witness.key == item.key, "bad witness: items are not equal")
-        _require(in_scope(rule.witness, rule.item.parent_area()),
-                 "bad witness: removed item not within the witness's scope")
-        return splice_located(g, rule.item, area, ())
-
-    if isinstance(rule, DoubleCutIntro):
-        return _wrap(g, rule.area, rule.indices, double=True)
-
-    if isinstance(rule, DoubleCutElim):
-        area, item = _item_at(g, rule.item)
-        _require(isinstance(item, Scroll) and item.is_cut, "not a cut")
-        _require(len(item.outer.items) == 1, "donut not empty")
-        inner = item.outer.items[0]
-        _require(isinstance(inner, Scroll) and inner.is_cut, "donut not empty")
-        return splice_located(g, rule.item, area, inner.outer.items)
-
-    if isinstance(rule, ScrollWrap):
-        return _wrap(g, rule.area, rule.indices, double=False)
-
-    if isinstance(rule, ScrollUnwrap):
-        area, item = _item_at(g, rule.item)
-        _require(isinstance(item, Scroll) and len(item.loops) == 1
-                 and not item.outer.items,
-                 "unwrap needs a one-loop scroll with empty outer")
-        return splice_located(g, rule.item, area, item.loops[0].items)
-
-    if isinstance(rule, LoopAdd):
-        area, item = _item_at(g, rule.item)
-        _require(isinstance(item, Scroll), "loops attach to scrolls")
-        _require(not rule.item.is_odd, "wrong polarity: loop addition needs an even area")
-        return splice_located(g, rule.item, area,
-                              (Scroll(item.outer, item.loops + (rule.graph,)),))
-
-    if isinstance(rule, LoopRemove):
-        area, item = _item_at(g, rule.item)
-        _require(isinstance(item, Scroll), "loops attach to scrolls")
-        _require(0 <= rule.loop < len(item.loops), "loop index out of range")
-        _require(rule.item.is_odd, "wrong polarity: loop removal needs an odd area")
-        loops = item.loops[: rule.loop] + item.loops[rule.loop + 1:]
-        return splice_located(g, rule.item, area, (Scroll(item.outer, loops),))
-
-    if isinstance(rule, Detach):
-        area, item = _item_at(g, rule.item)
-        _require(isinstance(item, Scroll) and len(item.loops) == 1,
-                 "detachment needs a one-loop scroll")
-        _require(not rule.item.is_odd, "wrong polarity: detachment needs an even area")
-        inner = Scroll(item.loops[0])
-        return splice_located(g, rule.item, area,
-                              (Scroll(Graph(item.outer.items + (inner,))),))
-
-    raise IllegalRuleError(f"unknown rule {rule!r}")
-
-
-def _wrap(g: Graph, area_path: Path, indices: frozenset[int], double: bool) -> Graph:
-    area = _area_at(g, area_path)
-    _require(all(0 <= i < len(area.items) for i in indices), "item index out of range")
-    chosen = tuple(area.items[i] for i in sorted(indices))
-    rest = [item for i, item in enumerate(area.items) if i not in indices]
-    if double:
-        wrapper: Item = Scroll(Graph((Scroll(Graph(chosen)),)))
-    else:
-        wrapper = Scroll(Graph(), (Graph(chosen),))
-    at = min((sum(1 for j in range(len(area.items)) if j < i and j not in indices)
-              for i in indices), default=len(rest))
-    rest.insert(at, wrapper)
-    return rebuild(g, area_path, Graph(tuple(rest)))
-
-
-# ---------------------------------------------------------------------------
-# Instance enumeration
-# ---------------------------------------------------------------------------
+def rewrite(g: Graph, rule: RuleInstance) -> Graph:
+    """The rewrite of ``rule``, its side conditions unchecked: for instances
+    that enumerate_rule_instances listed."""
+    holder, ops = _operands(g, rule)
+    return RULES[type(rule)].rewrite(g, holder, *ops)
 
 
 def enumerate_rule_instances(system: System, g: Graph,
                              vocabulary: tuple[Graph, ...] = (),
                              max_growth: Optional[int] = None) -> list[RuleInstance]:
-    """Every legal rule instance, in a fixed deterministic order.
+    """Every legal rule instance, in a fixed deterministic order: rule by
+    rule in the system's order, each in walk order.
 
-    Insertion and loop contents are drawn from ``vocabulary``.  Wrap and
-    double-cut item choices are limited to the empty set and singletons,
-    which keeps the enumeration polynomial; arbitrary subsets remain
-    available through apply_rule.
+    Insertion and loop contents are drawn from ``vocabulary``; graphs
+    outside the system's dialect are dropped.  Wrap and double-cut item
+    choices are limited to the empty set and singletons; arbitrary subsets
+    remain available through apply_rule.
 
-    ``max_growth`` drops, before they are built, the instances that would
-    add more than that many nodes to ``g``; the rest keep their order.
-    Each rule adds a fixed number of nodes: insertion and loop addition
-    the size of their graph, iteration the size of the source item, the
-    double cut two, wrap and detachment one.  The other rules add none and
-    are never dropped.
+    ``max_growth`` drops, before they are built, the instances whose rule's
+    growth (the nodes it adds) exceeds it; the rest keep their order.
+    Rules that add no nodes are never dropped.
     """
-    areas = list(walk_areas(g))
-    items = list(walk_items(g))
-    area_cross = {path.parts: path.crossings() for path, _ in areas}
+    walk = Walk(system, g, vocabulary)
     limit = float("inf") if max_growth is None else max_growth
-    # keep only vocabulary entries valid in this dialect (no violations)
-    # and small enough to fit
-    vocab = [graph for graph in vocabulary
-             if node_count(graph) <= limit and not well_formed(graph, system.dialect)]
-    out: list[RuleInstance] = []
-
-    def scoped(src: Path, tgt: Path) -> bool:
-        src_cross = area_cross[src.parts[:-1]]
-        tgt_cross = area_cross[tgt.parts]
-        if tgt_cross[: len(src_cross)] != src_cross:
-            return False
-        return not tgt.starts_with(src)
-
-    for path, _ in items:
-        if not path.is_odd:
-            out.append(Erase(path))
-
-    for path, _ in areas:
-        if path.is_odd:
-            for graph in vocab:
-                out.append(Insert(path, graph))
-
-    for src, item in items:
-        if node_count(item) <= limit:
-            for tgt, _ in areas:
-                if scoped(src, tgt):
-                    out.append(Iterate(src, tgt))
-
-    keys = [item.key for _, item in items]
-    for (path, item), key in zip(items, keys):
-        for (wpath, witness), wkey in zip(items, keys):
-            if wpath != path and wkey == key and scoped(wpath, path.parent_area()):
-                out.append(Deiterate(path, wpath))
-
-    if system is System.CLASSICAL:
-        for path, area in areas if 2 <= limit else ():
-            out.append(DoubleCutIntro(path, frozenset()))
-            for i in range(len(area.items)):
-                out.append(DoubleCutIntro(path, frozenset((i,))))
-        for path, item in items:
-            if (isinstance(item, Scroll) and item.is_cut
-                    and len(item.outer.items) == 1
-                    and isinstance(item.outer.items[0], Scroll)
-                    and item.outer.items[0].is_cut):
-                out.append(DoubleCutElim(path))
-        return out
-
-    for path, area in areas if 1 <= limit else ():
-        out.append(ScrollWrap(path, frozenset()))
-        for i in range(len(area.items)):
-            out.append(ScrollWrap(path, frozenset((i,))))
-    scrolls = [(path, item) for path, item in items if isinstance(item, Scroll)]
-    for path, item in scrolls:
-        if len(item.loops) == 1 and not item.outer.items:
-            out.append(ScrollUnwrap(path))
-    for path, item in scrolls:
-        if not path.is_odd:
-            for graph in vocab:
-                out.append(LoopAdd(path, graph))
-    for path, item in scrolls:
-        if path.is_odd:
-            for k in range(len(item.loops)):
-                out.append(LoopRemove(path, k))
-    for path, item in scrolls if 1 <= limit else ():
-        if len(item.loops) == 1 and not path.is_odd:
-            out.append(Detach(path))
-    return out
+    return [kind(*ops[::2]) for kind in SYSTEM_RULES[system]
+            for ops in accepted(RULES[kind], walk, limit)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path as FsPath
 
 from . import continuum as ct
 from .calculus import System, check_script
-from .errors import BoundsExceededError, PeirceError
+from .errors import PeirceError
 from .graphs import Dialect, canonicalize
 from .kripke import MAX_WORLDS, kripke_countermodel
 from .notation import parse_formula, parse_graph, print_formula, print_graph
@@ -90,9 +90,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _dispatch(args)
-    except BoundsExceededError as exc:
-        print(f"eg: {exc}", file=sys.stderr)
-        return 2
     except (PeirceError, OSError) as exc:
         print(f"eg: {exc}", file=sys.stderr)
         return 2

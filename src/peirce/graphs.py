@@ -92,6 +92,11 @@ class Graph:
     def key(self) -> str:
         return "".join(sorted([item.key for item in self.items])) + _END_AREA
 
+    @_cached
+    def violations(self) -> dict:
+        """well_formed in each dialect, computed once per graph."""
+        return {dialect: well_formed(self, dialect) for dialect in Dialect}
+
     def __len__(self) -> int:
         return len(self.items)
 
@@ -112,9 +117,18 @@ def scroll(outer: tuple[Item, ...], *loops: tuple[Item, ...]) -> Scroll:
 
 
 def node_count(node: Union[Item, Graph]) -> int:
-    """Atoms plus scrolls; the key holds one code of either per node."""
-    key = node.key
-    return key.count(_ATOM) + key.count(_SCROLL)
+    """Atoms plus scrolls, counted once per node."""
+    return node._size
+
+
+@_cached
+def _size(node) -> int:
+    # the key holds one code of either per node
+    return node.key.count(_ATOM) + node.key.count(_SCROLL)
+
+
+# one cached attribute serves the three node types
+Atom._size = Scroll._size = Graph._size = _size
 
 
 # ---------------------------------------------------------------------------
@@ -189,23 +203,6 @@ class Path:
 
     def starts_with(self, prefix: "Path") -> bool:
         return self.parts[: len(prefix.parts)] == prefix.parts
-
-    def crossings(self) -> tuple:
-        """The boundary curves crossed walking from the sheet to this address.
-
-        Entering a scroll's outer area crosses one curve; entering a loop
-        crosses the outer curve and the loop curve.  Polarity is the parity
-        of this sequence's length, and scope questions (iteration) are
-        prefix questions on it.
-        """
-        crossed = []
-        for pos in range(1, len(self.parts), 2):
-            owner = self.parts[:pos]
-            region = self.parts[pos]
-            crossed.append((owner, OUTER))
-            if region != OUTER:
-                crossed.append((owner, region))
-        return tuple(crossed)
 
     @staticmethod
     def parse(text: str) -> "Path":
@@ -294,10 +291,6 @@ def resolve_area(g: Graph, path: Path) -> Graph:
     area = resolve(g, path)
     assert isinstance(area, Graph)
     return area
-
-
-def resolve_item(g: Graph, path: Path) -> Item:
-    return locate_item(g, path)[1]
 
 
 def locate_item(g: Graph, path: Path) -> tuple[Graph, Item]:

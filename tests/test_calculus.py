@@ -32,6 +32,8 @@ from peirce.graphs import (
     resolve_area,
     well_formed,
 )
+from peirce.calculus import in_scope
+from peirce.graphs import OUTER, walk_areas, walk_items
 from peirce.notation import parse_graph, print_graph
 from peirce.scriptfile import parse_script
 from peirce.semantics import graph_to_formula, taut_classical, taut_int
@@ -338,3 +340,93 @@ class TestCheckScript:
         assert len(script.steps) == 9
         assert equals(report.final, g("(([ | p | (p)]))"))
         assert max(node_count(step.graph) for step in report.results) == 12
+
+
+def _crossings(parts):
+    """The curves crossed from the sheet to an area: entering a scroll's
+    outer area crosses its outer curve, entering a loop the outer curve and
+    then the loop's."""
+    crossed = []
+    for pos in range(1, len(parts), 2):
+        crossed.append((parts[:pos], OUTER))
+        if parts[pos] != OUTER:
+            crossed.append((parts[:pos], parts[pos]))
+    return crossed
+
+
+class TestScope:
+    def test_scope_is_the_curve_nesting_order(self):
+        # reference: the target's crossings extend those of the source's
+        # area, and the target does not lie inside the source item
+        rng = random.Random(101)
+        verdicts = {True: 0, False: 0}
+        outer_to_loop = 0
+        for _ in range(400):
+            system = rng.choice([CL, IN])
+            graph = random_graph(rng, depth=4, dialect=system.dialect)
+            areas = [path for path, _ in walk_areas(graph)]
+            for item, _ in walk_items(graph):
+                source = _crossings(item.parts[:-1])
+                for area in areas:
+                    expected = (_crossings(area.parts)[:len(source)] == source
+                                and area.parts[:len(item.parts)] != item.parts)
+                    assert in_scope(item, area) == expected, (print_graph(graph), item, area)
+                    verdicts[expected] += 1
+                    # from a scroll's outer area into one of its loops
+                    scroll = item.parts[:-2]
+                    region = area.parts[len(scroll):len(scroll) + 1]
+                    outer_to_loop += (expected and item.parts[-2:-1] == (OUTER,)
+                                      and area.parts[:len(scroll)] == scroll
+                                      and region not in ((), (OUTER,)))
+        assert min(verdicts.values()) > 2000 and outer_to_loop > 100
+
+
+class TestCheckerAndEnumeratorAgree:
+    def test_enumerated_exactly_when_accepted(self):
+        # every candidate over the enumerator's candidate space: each item
+        # and area, each (source, target) and (item, witness) pair, the
+        # empty and singleton index sets, each vocabulary graph (of either
+        # dialect) and each loop index
+        rng = random.Random(103)
+        accepted = rejected = 0
+        for _ in range(200):
+            system = rng.choice([CL, IN])
+            graph = random_graph(rng, depth=3, dialect=system.dialect)
+            vocab = tuple(random_graph(rng, depth=2, dialect=rng.choice(list(Dialect)))
+                          for _ in range(rng.randint(0, 3)))
+            items = list(walk_items(graph))
+            areas = list(walk_areas(graph))
+            candidates = []
+            for path, node in items:
+                candidates += [Erase(path), DoubleCutElim(path), ScrollUnwrap(path), Detach(path)]
+                candidates += [LoopAdd(path, v) for v in vocab]
+                candidates += [LoopRemove(path, k) for k in range(len(getattr(node, "loops", ())))]
+                candidates += [Iterate(path, area) for area, _ in areas]
+                candidates += [Deiterate(path, witness) for witness, _ in items]
+            for path, area in areas:
+                candidates += [Insert(path, v) for v in vocab]
+                for chosen in [frozenset()] + [frozenset((i,)) for i in range(len(area.items))]:
+                    candidates += [DoubleCutIntro(path, chosen), ScrollWrap(path, chosen)]
+            listed = enumerate_rule_instances(system, graph, vocab)
+            assert set(listed) <= set(candidates)
+            for rule in candidates:
+                try:
+                    apply_rule(system, graph, rule)
+                except IllegalRuleError:
+                    assert rule not in listed, (system, print_graph(graph), rule)
+                    rejected += 1
+                else:
+                    assert rule in listed, (system, print_graph(graph), rule)
+                    accepted += 1
+        assert accepted > 3000 and rejected > 3000
+
+
+class TestWrapPlacement:
+    @pytest.mark.parametrize("system,rule,expected", [
+        (IN, ScrollWrap(Path(), frozenset({0, 2})), "[ | p r] q"),
+        (IN, ScrollWrap(Path(), frozenset({1, 2})), "p [ | q r]"),
+        (CL, DoubleCutIntro(Path(), frozenset({2, 1})), "p ((q r))"),
+        (CL, DoubleCutIntro(Path(), frozenset()), "p q r (())"),
+    ])
+    def test_wrapper_takes_the_place_of_the_first_chosen_item(self, system, rule, expected):
+        assert print_graph(apply_rule(system, g("p q r", system), rule)) == expected

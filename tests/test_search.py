@@ -1,8 +1,9 @@
+import collections
 import random
 
 import pytest
 
-from peirce import search
+from peirce import calculus, graphs, search
 from peirce.calculus import ProofScript, Report, System, apply_rule, check_script, enumerate_rule_instances
 from peirce.errors import BoundsExceededError, CertificationError
 from peirce.graphs import Dialect, Graph, canonicalize, equals, node_count
@@ -222,3 +223,41 @@ class TestVocabulary:
         texts = {print_graph(v) for v in vocab}
         assert "p" in texts and "q" in texts and "[p | q]" in texts
         assert "" not in texts
+
+
+class TestPredecessorBound:
+    def test_growth_bound_is_exact(self):
+        # as for enumerate_rule_instances: the bounded list is the unbounded
+        # one less the graphs over the bound, in the same order
+        rng = random.Random(109)
+        dropped = 0
+        for _ in range(150):
+            system = rng.choice([CL, IN])
+            graph = random_graph(rng, depth=3, dialect=system.dialect)
+            # vocabularies of either dialect, empty graphs included
+            vocab = tuple(random_graph(rng, depth=2, dialect=rng.choice(list(Dialect)))
+                          for _ in range(rng.randint(0, 3)))
+            every = predecessors(system, graph, vocab)
+            for k in range(5):
+                fitting = [prev for prev in every if node_count(prev) <= node_count(graph) + k]
+                assert predecessors(system, graph, vocab, k) == fitting
+                dropped += len(every) - len(fitting)
+        assert dropped > 1000
+
+
+class TestVocabularyCheck:
+    def test_each_vocabulary_graph_is_checked_once_per_search(self, monkeypatch):
+        checked = collections.Counter()
+        well_formed = graphs.well_formed
+
+        def counting(g, dialect):
+            checked[id(g), dialect] += 1
+            return well_formed(g, dialect)
+        for module in (graphs, calculus, search):
+            monkeypatch.setattr(module, "well_formed", counting)
+        goal = goal_graph("p -> (q -> p)", IN)
+        # fresh objects, so that the checks of the endpoints are not counted
+        vocab = tuple(parse_graph(print_graph(v), Dialect.INTUITIONISTIC)
+                      for v in default_vocabulary(Graph(), goal))
+        assert derive(IN, Graph(), goal, SearchBounds(vocabulary=vocab)) is not None
+        assert [checked[id(v), Dialect.INTUITIONISTIC] for v in vocab] == [1] * len(vocab)
