@@ -136,9 +136,9 @@ def _parse_ordinal_term(text: str, pos: int, allow_coeff: bool = True) -> tuple[
     pos = _skip_ws(text, pos)
     if pos == len(text):
         raise ParseError("ordinal expected", pos)
-    if text[pos].isdigit():
+    if text[pos].isdecimal():
         end = pos
-        while end < len(text) and text[end].isdigit():
+        while end < len(text) and text[end].isdecimal():
             end += 1
         return from_int(int(text[pos:end])), end
     if text[pos] != "w":
@@ -163,7 +163,7 @@ def _parse_ordinal_term(text: str, pos: int, allow_coeff: bool = True) -> tuple[
         if pos < len(text) and text[pos] == "*":
             pos = _skip_ws(text, pos + 1)
             end = pos
-            while end < len(text) and text[end].isdigit():
+            while end < len(text) and text[end].isdecimal():
                 end += 1
             if end == pos:
                 raise ParseError("coefficient expected after '*'", pos)

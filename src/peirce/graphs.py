@@ -212,12 +212,12 @@ class Path:
         parts: list = []
         for pos, chunk in enumerate(text.split(".")):
             if pos % 2 == 0:
-                if not chunk.isdigit():
+                if not chunk.isdecimal():
                     raise InvalidPathError(f"bad item index {chunk!r} in path {text!r}")
                 parts.append(int(chunk))
             elif chunk == OUTER:
                 parts.append(OUTER)
-            elif chunk.startswith("loop") and chunk[4:].isdigit():
+            elif chunk.startswith("loop") and chunk[4:].isdecimal():
                 parts.append(loop_region(int(chunk[4:])))
             else:
                 raise InvalidPathError(f"bad region {chunk!r} in path {text!r}")

@@ -5,9 +5,12 @@ subrelations of a fixed linear order and deduplicated by a canonical
 signature, and valuations range over up-sets so persistence holds by
 construction.  Only rooted posets are tried and only the root is tested:
 the worlds above a failing world form a countermodel too, so a smallest
-countermodel fails at its least world, world 0.  Forcing is evaluated with
-``formulas.eval_mask``; a model found must pass the recursive forcing
-relation, the independent half of the pair, or CertificationError is raised.
+countermodel fails at its least world, world 0.  A rooted poset on n worlds
+is a poset on n - 1 worlds, shifted up one, under a new least world 0, so
+the search builds its frames from the posets one world smaller.  Forcing is
+evaluated with ``formulas.eval_mask``; a model found must pass the recursive
+forcing relation, the independent half of the pair, or CertificationError
+is raised.
 """
 
 from __future__ import annotations
@@ -151,10 +154,9 @@ def kripke_countermodel(f: fm.Formula, max_worlds: int) -> KripkeModel | None:
     names = sorted(fm.atoms(f))
     for n in range(1, max_worlds + 1):
         full = (1 << n) - 1
-        for up, upsets in _posets(n):
-            if up[0] != full:
-                continue
-            for choice in product(upsets, repeat=len(names)):
+        for below, upsets in _posets(n - 1):
+            up = (full,) + tuple(u << 1 for u in below)
+            for choice in product([u << 1 for u in upsets] + [full], repeat=len(names)):
                 if not fm.eval_mask(f, dict(zip(names, choice)), full, up) & 1:
                     model = _build_model(n, up, names, choice)
                     if not persistent(model) or forces(model, 0, f):

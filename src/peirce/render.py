@@ -8,6 +8,10 @@ tangent to it: the loop's centre lies at distance R - r from the outer
 centre, exactly, which is the glued-curves reading of the scroll.  Nested
 classical cuts stay strictly separated.  Output bytes depend only on the
 input graph.
+
+Layout sizes each node once, bottom up, then places each node from those
+sizes, top down: linear in nodes, except that a scroll with loops grows its
+radius in 2-unit steps until the loops fit beside its outer area.
 """
 
 from __future__ import annotations
@@ -38,43 +42,40 @@ class GeometryNode:
 
 
 # sizing ---------------------------------------------------------------------
-
-
-def _item_extent(item: Item) -> tuple[float, float]:
-    if isinstance(item, Atom):
-        return (CHAR_W * len(item.name), TEXT_H)
-    r = _scroll_radius(item)
-    return (2 * r, 2 * r)
-
-
-def _area_extent(g: Graph) -> tuple[float, float]:
-    if not g.items:
-        return (0.0, 0.0)
-    sizes = [_item_extent(i) for i in g.items]
-    width = sum(w for w, _ in sizes) + PAD * (len(sizes) - 1)
-    height = max(h for _, h in sizes)
-    return (width, height)
+#
+# One bottom-up pass sizes every node once and records, under the node's
+# id(), an area's extent (width, height), an atom's extent, and a scroll's
+# extent followed by its radius, loop radii and loop column height.
+# Placement only reads these records.  They live for one layout call, while
+# every node they name is alive, so no id is reused among them.
 
 
 def _circumradius(width: float, height: float) -> float:
     return max(MIN_R, math.hypot(width, height) / 2.0 + PAD / 2.0)
 
 
-def _loop_radius(loop: Graph) -> float:
-    return _circumradius(*_area_extent(loop))
+def _size_area(g: Graph, sizes: dict) -> tuple[float, float]:
+    extents = [_size_item(i, sizes) for i in g.items]
+    width = sum(w for w, _ in extents) + PAD * (len(extents) - 1) if extents else 0.0
+    sizes[id(g)] = (width, max((h for _, h in extents), default=0.0))
+    return sizes[id(g)]
 
 
-def _scroll_radius(item: Scroll) -> float:
-    content_r = _circumradius(*_area_extent(item.outer)) if item.outer.items else MIN_R
-    if not item.loops:
-        return content_r + PAD
-    radii = [_loop_radius(l) for l in item.loops]
-    column = sum(2 * r for r in radii) + PAD * (len(radii) - 1)
-    r = max(content_r + PAD, max(radii) + PAD, column / 2.0 + PAD)
-    cw, _ = _area_extent(item.outer)
-    while not _loops_fit(r, radii, column, cw):
-        r += 2.0
-    return r
+def _size_item(item: Item, sizes: dict) -> tuple[float, float]:
+    if isinstance(item, Atom):
+        sizes[id(item)] = (CHAR_W * len(item.name), TEXT_H)
+        return sizes[id(item)]
+    cw, ch = _size_area(item.outer, sizes)
+    content_r = _circumradius(cw, ch) if item.outer.items else MIN_R
+    radii = [_circumradius(*_size_area(l, sizes)) for l in item.loops]
+    r, column = content_r + PAD, 0.0
+    if radii:
+        column = sum(2 * ri for ri in radii) + PAD * (len(radii) - 1)
+        r = max(r, max(radii) + PAD, column / 2.0 + PAD)
+        while not _loops_fit(r, radii, column, cw):
+            r += 2.0
+    sizes[id(item)] = (2 * r, 2 * r, r, radii, column)
+    return (2 * r, 2 * r)
 
 
 def _loop_centres(r: float, radii: list[float], column: float) -> list[tuple[float, float]]:
@@ -108,38 +109,34 @@ def _loops_fit(r: float, radii: list[float], column: float, content_w: float) ->
 def layout(g: Graph) -> GeometryNode:
     """Geometry tree mirroring the graph's nesting tree; the root is the
     sheet."""
-    width, height = _area_extent(g)
+    sizes: dict = {}
+    width, height = _size_area(g, sizes)
     root = GeometryNode("sheet", rx=width / 2.0, ry=height / 2.0)
-    root.children = _place_area(g, 0.0, 0.0)
+    root.children = _place_area(g, 0.0, 0.0, sizes)
     return root
 
 
-def _place_area(g: Graph, cx: float, cy: float) -> list[GeometryNode]:
-    width, _ = _area_extent(g)
+def _place_area(g: Graph, cx: float, cy: float, sizes: dict) -> list[GeometryNode]:
     nodes = []
-    x = cx - width / 2.0
+    x = cx - sizes[id(g)][0] / 2.0
     for item in g.items:
-        w, _ = _item_extent(item)
-        nodes.append(_place_item(item, x + w / 2.0, cy))
+        w = sizes[id(item)][0]
+        nodes.append(_place_item(item, x + w / 2.0, cy, sizes))
         x += w + PAD
     return nodes
 
 
-def _place_item(item: Item, cx: float, cy: float) -> GeometryNode:
+def _place_item(item: Item, cx: float, cy: float, sizes: dict) -> GeometryNode:
     if isinstance(item, Atom):
-        return GeometryNode("text", cx=cx, cy=cy,
-                            rx=CHAR_W * len(item.name) / 2.0, ry=TEXT_H / 2.0,
-                            text=item.name)
-    r = _scroll_radius(item)
+        w, h = sizes[id(item)]
+        return GeometryNode("text", cx=cx, cy=cy, rx=w / 2.0, ry=h / 2.0, text=item.name)
+    _, _, r, radii, column = sizes[id(item)]
     node = GeometryNode("ellipse", cx=cx, cy=cy, rx=r, ry=r)
-    node.children = _place_area(item.outer, cx, cy)
-    if item.loops:
-        radii = [_loop_radius(l) for l in item.loops]
-        column = sum(2 * ri for ri in radii) + PAD * (len(radii) - 1)
-        for (dx, dy), ri, loop in zip(_loop_centres(r, radii, column), radii, item.loops):
-            loop_node = GeometryNode("ellipse", cx=cx + dx, cy=cy + dy, rx=ri, ry=ri)
-            loop_node.children = _place_area(loop, cx + dx, cy + dy)
-            node.children.append(loop_node)
+    node.children = _place_area(item.outer, cx, cy, sizes)
+    for (dx, dy), ri, loop in zip(_loop_centres(r, radii, column), radii, item.loops):
+        loop_node = GeometryNode("ellipse", cx=cx + dx, cy=cy + dy, rx=ri, ry=ri)
+        loop_node.children = _place_area(loop, cx + dx, cy + dy, sizes)
+        node.children.append(loop_node)
     return node
 
 

@@ -111,7 +111,10 @@ def _parse_step(keyword: str, rest: str, system: System, lineno: int) -> RuleIns
         head, sep, tail = rest.partition(" items")
         if not sep:
             raise ScriptError(f"{keyword} needs 'items <i,j,...>'", lineno)
-        indices = frozenset(int(i) for i in tail.strip().split(",") if i.strip())
+        try:
+            indices = frozenset(int(i) for i in tail.strip().split(",") if i.strip())
+        except ValueError:
+            raise ScriptError(f"{keyword} items must be integers", lineno) from None
         path = Path.parse(head)
         return DoubleCutIntro(path, indices) if keyword == "dcadd" else ScrollWrap(path, indices)
     if keyword == "dcremove":
@@ -123,7 +126,7 @@ def _parse_step(keyword: str, rest: str, system: System, lineno: int) -> RuleIns
         return LoopAdd(Path.parse(head), parse_graph(graph_text, system.dialect))
     if keyword == "loopremove":
         head, _, k = rest.partition(" ")
-        if not k.strip().isdigit():
+        if not k.strip().isdecimal():
             raise ScriptError("loopremove needs '<item> <k>'", lineno)
         return LoopRemove(Path.parse(head), int(k))
     if keyword == "detach":

@@ -200,3 +200,30 @@ class TestDeepNesting:
         src.write_text(f"system classical\ngraph {NESTED}\n")
         code, _, err = run(capsys, "check", str(src))
         assert (code, err) == (2, "eg: input nested too deeply\n")
+
+
+class TestNonIntegerInput:
+    """Digits that ``int`` rejects, such as the superscript two, and items
+    lists that are not integers, are input errors: exit 2, one diagnostic."""
+
+    @pytest.mark.parametrize("step", [
+        "erase ²",
+        "loopremove 0 ²",
+        "erase 0.loop²",
+        "dcadd / items x",
+        "wrap / items 1,a",
+    ])
+    def test_script_step(self, capsys, tmp_path, step):
+        script = tmp_path / "s.eg"
+        script.write_text(f"system intuitionistic\ngraph [p | q]\n{step}\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(script))
+        assert (code, out) == (2, "")
+        assert err.startswith("eg: line 3: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("element", ["[²:1]", "[w*²:1]", "[w^²:1]"])
+    def test_continuum_element(self, capsys, element):
+        code, out, err = run(capsys, "continuum", "domain", element)
+        assert (code, out) == (2, "")
+        assert err.startswith("eg: ") and err.count("\n") == 1
+        assert "Traceback" not in err

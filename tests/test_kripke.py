@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from peirce import formulas as fm
+from peirce import kripke
 from peirce.errors import CertificationError
 from peirce.graphs import Dialect
 from peirce.kripke import (KripkeModel, _build_model, _posets, forces, kripke_countermodel,
@@ -136,6 +137,20 @@ class TestRootedSearch:
         done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                               text=True, timeout=60)
         assert (done.returncode, done.stdout) == (0, "caught\n"), done.stderr
+
+
+class TestRootedFrames:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_shifted_posets_are_the_rooted_posets(self, n):
+        full = (1 << n) - 1
+        shifted = [((full,) + tuple(u << 1 for u in up), [u << 1 for u in upsets] + [full])
+                   for up, upsets in _posets(n - 1)]
+        assert shifted == [(up, upsets) for up, upsets in _posets(n) if up[0] == full]
+
+    def test_largest_posets_never_built(self, monkeypatch):
+        monkeypatch.setattr(kripke, "_POSET_CACHE", {})
+        assert kripke_countermodel(f("(p -> q) -> (~q -> ~p)"), 5) is None
+        assert sorted(kripke._POSET_CACHE) == [0, 1, 2, 3, 4]
 
 
 class TestModelPrinting:

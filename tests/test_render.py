@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import time
 import xml.etree.ElementTree as ET
 
 from peirce.graphs import Atom, Dialect, Graph, Scroll
@@ -7,6 +9,7 @@ from peirce.notation import parse_graph
 from peirce.render import GeometryNode, emit_svg, layout, render_svg
 
 from genutil import random_graph
+from test_acceptance import _render_corpus
 
 I = Dialect.INTUITIONISTIC
 
@@ -130,6 +133,54 @@ class TestLayout:
                 dist = math.hypot(outer.cx - loop.cx, outer.cy - loop.cy)
                 assert abs(dist + loop.rx - outer.rx) < 1e-6
             checked += 1
+
+
+def _ladders():
+    """Scrolls nested 3 to 9 levels deep, through the loop and through the
+    outer area."""
+    out = []
+    for n in range(3, 10):
+        right = left = Graph((Atom("p"),))
+        for _ in range(n):
+            right = Graph((Scroll(Graph((Atom("p"),)), (right,)),))
+            left = Graph((Scroll(left, (Graph((Atom("p"),)),)),))
+        out += [right, left]
+    return out
+
+
+def _outer_nested(levels):
+    """[[...[p | q]... | q] | q]"""
+    return g("[" * levels + "p" + " | q]" * levels)
+
+
+class TestLayoutBytesAndCost:
+    def test_pinned_bytes(self):
+        # taken from the layout that re-sized each scroll at every use, so a
+        # match means the single sizing pass emits the same bytes
+        rng = random.Random(20261018)
+        graphs = _render_corpus() + _ladders() + [
+            random_graph(rng, depth=rng.randint(1, 6), width=rng.randint(1, 4),
+                         dialect=rng.choice(list(Dialect)))
+            for _ in range(200)]
+        digest = hashlib.sha256()
+        for graph in graphs:
+            digest.update(render_svg(graph).encode())
+        assert digest.hexdigest() == (
+            "ef4a537b7aabce38f0003aca4cc2a4b2697418eccdb0ff1e928f216924f3e542")
+
+    def test_outer_nested_16_levels_within_a_second(self):
+        start = time.perf_counter()
+        svg = render_svg(_outer_nested(16))
+        assert time.perf_counter() - start < 1.0
+        assert len(ellipses_of(svg)) == 32
+
+    def test_outer_nested_40_levels(self):
+        graph = _outer_nested(40)
+        svg = render_svg(graph)
+        assert len(ellipses_of(svg)) == 80
+        for outer, loop in _loop_pairs(layout(graph), graph):
+            dist = math.hypot(outer.cx - loop.cx, outer.cy - loop.cy)
+            assert abs(dist + loop.rx - outer.rx) < 1e-6
 
 
 def _loop_pairs(node, graph):
