@@ -10,10 +10,12 @@ one-way detachment ``[g0 | g1]``  ->  ``(g0 (g1))`` in even areas.
 
 Every rule is stated once, as an entry of one table (``RULES``): its side
 conditions (shape, polarity, scope, and the dialect of a graph it draws),
-the nodes it adds, its rewrite, and its dual.  apply_rule evaluates the
-conditions and raises the first failing one's reason,
-enumerate_rule_instances lists the candidate operands that the same
-conditions accept, and search.predecessors undoes each rule by its dual.
+the nodes it adds, its rewrite as an edit of one area, and its dual.
+apply_rule evaluates the conditions and raises the first failing one's
+reason, enumerate_rule_instances lists the candidate operands that the
+same conditions accept (``edits`` gives their edits, for a search that
+keys a successor before building it), and search.predecessors undoes each
+rule by its dual.  Every graph a rule gives is built from its edit.
 
 Iteration scope is a test on paths.  An area is in scope of an item when
 it lies in the item's area or, if that is a scroll's outer area, in one of
@@ -36,13 +38,11 @@ from .graphs import (
     Graph,
     Path,
     Scroll,
+    edited,
     equals,
-    locate_item,
     node_count,
-    rebuild,
     resolve_area,
-    splice_item,
-    splice_located,
+    resolve_item,
     walk_areas,
     walk_items,
     well_formed,
@@ -145,19 +145,25 @@ def in_scope(source_item: Path, target_area: Path) -> bool:
 # A rule's operands are its instance's fields in order, each path followed
 # by the node it addresses: an Iterate's are (source, item, target, area).
 # Conditions take the operands and give the checker's reason, or None when
-# they hold.  Rewrites take the graph, the area that holds the first
-# operand's item (None when it is an area) and the operands.
+# they hold.  Edits take the operands and give the rewrite as an edit of
+# one area: its path's parts and ``contents``, a function from that area to
+# its new items (graphs.edited builds the graph, graphs.edited_key gives
+# its key without building it).
 
 
 class Walk:
     """A graph's candidate operands: its items, areas and scrolls in walk
-    order, and (as 1-tuples) the vocabulary graphs in the system's dialect."""
+    order, its items grouped by key (each group in walk order), and (as
+    1-tuples) the vocabulary graphs in the system's dialect."""
 
     def __init__(self, system: System, g: Graph, vocabulary: tuple[Graph, ...]):
         self.items = list(walk_items(g))
         self.areas = list(walk_areas(g))
         self.scrolls = [site for site in self.items if isinstance(site[1], Scroll)]
         self.drawn = [(v,) for v in vocabulary if not v.violations[system.dialect]]
+        self.by_key: dict[str, list] = {}
+        for site in self.items:
+            self.by_key.setdefault(site[1].key, []).append(site)
 
 
 @dataclass(frozen=True)
@@ -179,12 +185,13 @@ class Rule:
     (None: the site is all).  Side conditions, checked in this order: the
     shape and scope ``condition``, the ``polarity`` (EVEN or ODD) of the
     first operand's area, and, where ``drawn`` names a graph operand, its
-    dialect.  ``growth``: the nodes the rewrite adds, a number or a function
-    of the operands (None: none, and no bound drops it)."""
+    dialect.  ``edit``: the rewrite, as the edit the operands give.
+    ``growth``: the nodes the rewrite adds, a number or a function of the
+    operands (None: none, and no bound drops it)."""
 
     name: str
     site: str
-    rewrite: Callable[..., Graph]
+    edit: Callable[..., tuple]
     dual: Dual
     more: Optional[Callable[..., list]] = None
     growth: Union[int, Callable[..., int], None] = None
@@ -220,7 +227,8 @@ def _target_scope(source, item, target, area) -> Optional[str]:
 
 
 def _witness(path, item, witness_path, witness) -> Optional[str]:
-    # unequal items lie at different paths, so the cheap test goes first
+    # the enumeration offers equal items only (Walk.by_key); the checker
+    # needs the key test, and unequal items lie at different paths
     if witness.key != item.key:
         return "bad witness: items are not equal"
     if witness_path == path:
@@ -272,27 +280,33 @@ def _choices(walk, path, area) -> list:
     return [(frozenset(),)] + [(frozenset((i,)),) for i in range(len(area.items))]
 
 
-def _remove(g, holder, path, *_) -> Graph:
-    return splice_located(g, path, holder, ())
+def _splice(path: Path, replacement: tuple) -> tuple:
+    """The edit that puts ``replacement`` in place of the item at ``path``."""
+    i = path.parts[-1]
+    return path.parts[:-1], lambda area: area.items[:i] + replacement + area.items[i + 1:]
 
 
-def _wrapping(wrapper: Callable[[Graph], Scroll]) -> Callable[..., Graph]:
-    """The rewrite that puts an area's chosen items in ``wrapper(chosen)``."""
-    def rewrite(g, holder, path, area, indices) -> Graph:
+def _wrapping(wrapper: Callable[[Graph], Scroll]) -> Callable[..., tuple]:
+    """The edit that puts an area's chosen items in ``wrapper(chosen)``."""
+    def edit(path, area, indices) -> tuple:
         chosen = Graph(tuple(area.items[i] for i in sorted(indices)))
         rest = [item for i, item in enumerate(area.items) if i not in indices]
         rest.insert(min(indices, default=len(rest)), wrapper(chosen))
-        return rebuild(g, path, Graph(tuple(rest)))
-    return rewrite
+        rest = tuple(rest)
+        return path.parts, lambda _: rest
+    return edit
 
 
-def _splicing(replacement: Callable[..., tuple]) -> Callable[..., Graph]:
-    """The rewrite that puts ``replacement(item, *rest)`` in its place."""
-    return lambda g, holder, path, *ops: splice_located(g, path, holder, replacement(*ops))
+def _splicing(replacement: Callable[..., tuple]) -> Callable[..., tuple]:
+    """The edit that puts ``replacement(item, *rest)`` in the item's place."""
+    return lambda path, *ops: _splice(path, replacement(*ops))
+
+
+_removal = _splicing(lambda *_: ())
 
 
 def _unerase(g, walk, path, area, limit) -> list[Graph]:
-    return [RULES[Insert].rewrite(g, None, path, area, v) for (v,) in walk.drawn
+    return [edited(g, *RULES[Insert].edit(path, area, v)) for (v,) in walk.drawn
             if len(v.items) == 1 and node_count(v) <= limit]
 
 
@@ -306,41 +320,42 @@ def _uninsert(g, walk, path, area, limit) -> list[Graph]:
                 break
             del rest[match]
         else:
-            out.append(rebuild(g, path, Graph(tuple(rest))))
+            out.append(edited(g, path.parts, lambda _: tuple(rest)))
     return out
 
 
 def _unadd_loop(g, walk, path, item, limit) -> list[Graph]:
     keys = {v.key for (v,) in walk.drawn}
-    return [rewrite(g, LoopRemove(path, k)) for k, loop in enumerate(item.loops)
-            if loop.key in keys]
+    return [edited(g, *RULES[LoopRemove].edit(path, item, k))
+            for k, loop in enumerate(item.loops) if loop.key in keys]
 
 
 def _unremove_loop(g, walk, path, item, limit) -> list[Graph]:
-    return [rewrite(g, LoopAdd(path, v)) for (v,) in walk.drawn if node_count(v) <= limit]
+    return [edited(g, *RULES[LoopAdd].edit(path, item, v))
+            for (v,) in walk.drawn if node_count(v) <= limit]
 
 
 def _undetach(g, walk, path, item, limit) -> list[Graph]:
     items = item.outer.items if item.is_cut else ()
-    return [splice_item(g, path, (Scroll(Graph(items[:i] + items[i + 1:]), (inner.outer,)),))
+    return [edited(g, *_splice(path, (Scroll(Graph(items[:i] + items[i + 1:]), (inner.outer,)),)))
             for i, inner in enumerate(items) if _is_cut(inner)]
 
 
 RULES: dict[type, Rule] = {
-    Erase: Rule("erasure", "items", _remove, Dual(at="areas", undo=_unerase), polarity=EVEN),
+    Erase: Rule("erasure", "items", _removal, Dual(at="areas", undo=_unerase), polarity=EVEN),
     Insert: Rule("insertion", "areas",
-                 lambda g, holder, path, area, graph: rebuild(g, path, Graph(area.items + graph.items)),
+                 lambda path, area, graph: (path.parts, lambda _: area.items + graph.items),
                  Dual(at="areas", undo=_uninsert), more=lambda walk, *site: walk.drawn,
                  growth=lambda path, area, graph: node_count(graph), polarity=ODD,
                  drawn="inserted"),
     Iterate: Rule("iteration", "items",
-                  lambda g, holder, source, item, target, area:
-                      rebuild(g, target, Graph(area.items + (item,))),
+                  lambda source, item, target, area:
+                      (target.parts, lambda _: area.items + (item,)),
                   Dual(Deiterate), more=lambda walk, *site: walk.areas,
                   growth=lambda source, item, target, area: node_count(item),
                   condition=_target_scope),
-    Deiterate: Rule("deiteration", "items", _remove, Dual(Iterate),
-                    more=lambda walk, *site: walk.items, condition=_witness),
+    Deiterate: Rule("deiteration", "items", _removal, Dual(Iterate),
+                    more=lambda walk, path, item: walk.by_key[item.key], condition=_witness),
     DoubleCutIntro: Rule("double-cut introduction", "areas",
                          _wrapping(lambda chosen: Scroll(Graph((Scroll(chosen),)))),
                          Dual(DoubleCutElim,
@@ -379,29 +394,26 @@ SYSTEM_RULES = {
 }
 
 
-def _operands(g: Graph, rule: RuleInstance) -> tuple[Optional[Graph], tuple]:
-    """The area holding the rule's first item (None when its first path
-    addresses an area), and its operands in ``g``."""
-    holder, ops = None, []
+def _operands(g: Graph, rule: RuleInstance) -> tuple:
+    """The rule's operands in ``g``."""
+    ops = []
     try:
         for name, value in vars(rule).items():
             ops.append(value)
             if name in ("area", "target"):
                 ops.append(resolve_area(g, value))
             elif isinstance(value, Path):
-                area, item = locate_item(g, value)
-                ops.append(item)
-                holder = area if holder is None else holder
+                ops.append(resolve_item(g, value))
     except InvalidPathError as exc:
         raise IllegalRuleError(f"invalid path: {exc}") from exc
-    return holder, tuple(ops)
+    return tuple(ops)
 
 
 def apply_rule(system: System, g: Graph, rule: RuleInstance) -> Graph:
     """The rewritten graph, or IllegalRuleError with the reason."""
     if type(rule) not in SYSTEM_RULES[system]:
         raise IllegalRuleError(f"{type(rule).__name__} is not a rule of the {system.value} system")
-    holder, ops = _operands(g, rule)
+    ops = _operands(g, rule)
     entry = RULES[type(rule)]
     reason = entry.condition and entry.condition(*ops)
     if not reason and not entry.fits(ops[0]):
@@ -411,18 +423,17 @@ def apply_rule(system: System, g: Graph, rule: RuleInstance) -> Graph:
         reason = f"{entry.drawn} graph not in dialect: {bad[0].reason}"
     if reason:
         raise IllegalRuleError(reason)
-    result = entry.rewrite(g, holder, *ops)
+    result = edited(g, *entry.edit(*ops))
     bad = well_formed(result, system.dialect)
     if bad:
         raise IllegalRuleError(f"result not well-formed: {bad[0].reason} at {bad[0].path}")
     return result
 
 
-def rewrite(g: Graph, rule: RuleInstance) -> Graph:
-    """The rewrite of ``rule``, its side conditions unchecked: for instances
-    that enumerate_rule_instances listed."""
-    holder, ops = _operands(g, rule)
-    return RULES[type(rule)].rewrite(g, holder, *ops)
+def rule_edit(g: Graph, rule: RuleInstance) -> tuple:
+    """The edit of ``rule`` at ``g``, its side conditions unchecked: for
+    instances that enumerate_rule_instances listed."""
+    return RULES[type(rule)].edit(*_operands(g, rule))
 
 
 def enumerate_rule_instances(system: System, g: Graph,
@@ -444,6 +455,18 @@ def enumerate_rule_instances(system: System, g: Graph,
     limit = float("inf") if max_growth is None else max_growth
     return [kind(*ops[::2]) for kind in SYSTEM_RULES[system]
             for ops in accepted(RULES[kind], walk, limit)]
+
+
+def edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),
+          max_growth: Optional[int] = None) -> Iterator[tuple]:
+    """The edits of the instances enumerate_rule_instances lists, in its
+    order, with no instance built."""
+    walk = Walk(system, g, vocabulary)
+    limit = float("inf") if max_growth is None else max_growth
+    for kind in SYSTEM_RULES[system]:
+        rule = RULES[kind]
+        for ops in accepted(rule, walk, limit):
+            yield rule.edit(*ops)
 
 
 # ---------------------------------------------------------------------------

@@ -331,7 +331,11 @@ def parse_element(text: str) -> ContinuumElement:
         if ":" not in body:
             raise ParseError("piece needs '<ordinal>:<rational>'", pos)
         ord_text, _, val_text = body.partition(":")
-        length = parse_ordinal(ord_text.strip())
+        try:
+            length = parse_ordinal(ord_text)
+        except ParseError as exc:
+            # the position in the whole element, as for the other errors
+            raise ParseError(exc.message, pos + 1 + exc.position) from None
         try:
             value = Fraction(val_text.strip())
         except (ValueError, ZeroDivisionError) as exc:

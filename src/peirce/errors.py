@@ -10,6 +10,7 @@ class ParseError(PeirceError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import InvalidPathError
 
@@ -121,10 +121,14 @@ def node_count(node: Union[Item, Graph]) -> int:
     return node._size
 
 
+def key_size(key: str) -> int:
+    """The node count of the node with this key: its ATOM and SCROLL codes."""
+    return key.count(_ATOM) + key.count(_SCROLL)
+
+
 @_cached
 def _size(node) -> int:
-    # the key holds one code of either per node
-    return node.key.count(_ATOM) + node.key.count(_SCROLL)
+    return key_size(node.key)
 
 
 # one cached attribute serves the three node types
@@ -254,50 +258,35 @@ SHEET = Path()
 
 def resolve(g: Graph, path: Path) -> Union[Item, Graph]:
     """The item or area (as a Graph) addressed by ``path``."""
-    return _walk(g, path.parts)[1]
-
-
-def _walk(g: Graph, parts: tuple) -> tuple[Graph, Union[Item, Graph]]:
-    """The area the last item step selects from (``g`` for the sheet), and
-    the addressed node."""
-    node: Graph = g
-    area = g
-    pos = 0
-    while pos < len(parts):
-        index = parts[pos]
-        if index >= len(node.items):
-            raise InvalidPathError(f"item index {index} out of range at {Path(parts[:pos + 1])}")
-        area, item = node, node.items[index]
-        pos += 1
-        if pos == len(parts):
-            return area, item
-        region = parts[pos]
-        pos += 1
-        if not isinstance(item, Scroll):
-            raise InvalidPathError(f"atom at {Path(parts[:pos - 1])} has no regions")
-        if region == OUTER:
-            node = item.outer
+    parts = path.parts
+    node: Union[Item, Graph] = g
+    for pos, step in enumerate(parts):
+        if pos % 2 == 0:
+            if step >= len(node.items):
+                raise InvalidPathError(
+                    f"item index {step} out of range at {Path(parts[:pos + 1])}")
+            node = node.items[step]
+        elif not isinstance(node, Scroll):
+            raise InvalidPathError(f"atom at {Path(parts[:pos])} has no regions")
+        elif step == OUTER:
+            node = node.outer
+        elif step[1] < len(node.loops):
+            node = node.loops[step[1]]
         else:
-            k = region[1]
-            if k >= len(item.loops):
-                raise InvalidPathError(f"loop {k} out of range at {Path(parts[:pos])}")
-            node = item.loops[k]
-    return area, node
+            raise InvalidPathError(f"loop {step[1]} out of range at {Path(parts[:pos + 1])}")
+    return node
 
 
 def resolve_area(g: Graph, path: Path) -> Graph:
     if not path.is_area:
         raise InvalidPathError(f"{path} addresses an item, not an area")
-    area = resolve(g, path)
-    assert isinstance(area, Graph)
-    return area
+    return resolve(g, path)
 
 
-def locate_item(g: Graph, path: Path) -> tuple[Graph, Item]:
-    """The area holding the addressed item, and the item."""
+def resolve_item(g: Graph, path: Path) -> Item:
     if not path.is_item:
         raise InvalidPathError(f"{path} addresses an area, not an item")
-    return _walk(g, path.parts)  # type: ignore[return-value]
+    return resolve(g, path)
 
 
 def polarity(g: Graph, area: Path) -> str:
@@ -309,44 +298,55 @@ def polarity(g: Graph, area: Path) -> str:
 def replace_at(g: Graph, area: Path, new_contents: Graph) -> Graph:
     """``g`` with the addressed area's contents replaced."""
     resolve_area(g, area)
-    return rebuild(g, area, new_contents)
+    return edited(g, area.parts, lambda _: new_contents.items)
 
 
-def rebuild(g: Graph, area: Path, new_contents: Graph) -> Graph:
-    """replace_at for an area path already resolved in ``g``: unchecked."""
-    return _rebuild(g, area.parts, new_contents)
+# An edit is the area parts of a path and ``contents``, a function from
+# that area to its new items: every rule rewrites one area.  ``edited``
+# builds the graph an edit gives; ``edited_key`` gives its key without
+# building a node.  Both are unchecked: ``parts`` must address an area.
 
-
-def _rebuild(node: Graph, parts: tuple, new_contents: Graph) -> Graph:
+def edited(g: Graph, parts: tuple, contents: Callable[[Graph], tuple],
+           key: Optional[str] = None) -> Graph:
+    """``g`` with the area at ``parts`` holding ``contents(area)``; ``key``,
+    if given, is the result's key, stored so that it is not computed again."""
     if not parts:
-        return new_contents
-    index, region = parts[0], parts[1]
-    item = node.items[index]
-    assert isinstance(item, Scroll)
-    if region == OUTER:
-        new_item = Scroll(_rebuild(item.outer, parts[2:], new_contents), item.loops)
+        new = Graph(contents(g))
     else:
-        k = region[1]
-        loops = list(item.loops)
-        loops[k] = _rebuild(loops[k], parts[2:], new_contents)
-        new_item = Scroll(item.outer, tuple(loops))
-    items = list(node.items)
-    items[index] = new_item
-    return Graph(tuple(items))
+        index, region = parts[0], parts[1]
+        scroll = g.items[index]
+        if region == OUTER:
+            scroll = Scroll(edited(scroll.outer, parts[2:], contents), scroll.loops)
+        else:
+            k = region[1]
+            scroll = Scroll(scroll.outer, scroll.loops[:k] + (edited(
+                scroll.loops[k], parts[2:], contents),) + scroll.loops[k + 1:])
+        new = Graph(g.items[:index] + (scroll,) + g.items[index + 1:])
+    if key is not None:
+        new.__dict__["key"] = key
+    return new
 
 
-def splice_item(g: Graph, item_path: Path, replacement: tuple[Item, ...]) -> Graph:
-    """Replace the addressed item by zero or more items, in place."""
-    return splice_located(g, item_path, locate_item(g, item_path)[0], replacement)
-
-
-def splice_located(g: Graph, item_path: Path, area: Graph,
-                   replacement: tuple[Item, ...]) -> Graph:
-    """splice_item for an item path already located in ``g``, with ``area``
-    the area that holds it: unchecked."""
-    index = item_path.parts[-1]
-    items = area.items[:index] + replacement + area.items[index + 1:]
-    return _rebuild(g, item_path.parts[:-1], Graph(items))
+def edited_key(g: Graph, parts: tuple, contents: Callable[[Graph], tuple]) -> str:
+    """The key of ``edited(g, parts, contents)``, with no node built.  At
+    the area it joins the sorted keys of the new contents; at each level up
+    it takes the parent's child keys, replaces the one that changed and
+    joins them again."""
+    if not parts:
+        return "".join(sorted([item.key for item in contents(g)])) + _END_AREA
+    index, region = parts[0], parts[1]
+    scroll = g.items[index]
+    if region == OUTER:
+        # SCROLL, the outer area's key, then the loops' keys, kept as they are
+        key = (_SCROLL + edited_key(scroll.outer, parts[2:], contents)
+               + scroll.key[len(scroll.outer.key) + 1:])
+    else:
+        loops = [loop.key for loop in scroll.loops]
+        loops[region[1]] = edited_key(scroll.loops[region[1]], parts[2:], contents)
+        key = _SCROLL + scroll.outer.key + "".join(sorted(loops)) + _END_LOOPS
+    keys = [item.key for item in g.items]
+    keys[index] = key
+    return "".join(sorted(keys)) + _END_AREA
 
 
 # ---------------------------------------------------------------------------

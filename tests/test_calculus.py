@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+from peirce import calculus, graphs
 from peirce.calculus import (
     Deiterate,
     Detach,
@@ -18,7 +20,9 @@ from peirce.calculus import (
     System,
     apply_rule,
     check_script,
+    edits,
     enumerate_rule_instances,
+    rule_edit,
 )
 from peirce.errors import IllegalRuleError
 from peirce.graphs import (
@@ -430,3 +434,68 @@ class TestWrapPlacement:
     ])
     def test_wrapper_takes_the_place_of_the_first_chosen_item(self, system, rule, expected):
         assert print_graph(apply_rule(system, g("p q r", system), rule)) == expected
+
+
+def _reference_key(node):
+    # the canonical key, recomputed from the structure: no cached key read
+    if isinstance(node, Atom):
+        return graphs._ATOM + node.name + graphs._END_NAME
+    if isinstance(node, Scroll):
+        return (graphs._SCROLL + _reference_key(node.outer)
+                + "".join(sorted(_reference_key(loop) for loop in node.loops)) + graphs._END_LOOPS)
+    return "".join(sorted(_reference_key(item) for item in node.items)) + graphs._END_AREA
+
+
+def _reference_size(node):
+    if isinstance(node, Atom):
+        return 1
+    if isinstance(node, Scroll):
+        return 1 + sum(map(_reference_size, (node.outer,) + node.loops))
+    return sum(map(_reference_size, node.items))
+
+
+class TestEdits:
+    def test_spliced_key_is_the_built_graphs_key(self):
+        # every listed instance of random graphs of both systems, with
+        # vocabularies of either dialect: the key spliced up the spine is
+        # the built graph's, and the built graph is apply_rule's
+        rng = random.Random(127)
+        checked = nested = 0
+        for _ in range(320):
+            system = rng.choice([CL, IN])
+            graph = random_graph(rng, depth=4, dialect=system.dialect)
+            vocab = tuple(random_graph(rng, depth=2, dialect=rng.choice(list(Dialect)))
+                          for _ in range(rng.randint(0, 3)))
+            listed = enumerate_rule_instances(system, graph, vocab)
+            assert len(list(edits(system, graph, vocab))) == len(listed)
+            for rule, edit in zip(listed, edits(system, graph, vocab)):
+                parts, contents = rule_edit(graph, rule)
+                assert parts == edit[0]
+                key = graphs.edited_key(graph, parts, contents)
+                built = graphs.edited(graph, parts, contents)
+                assert key == _reference_key(built), (print_graph(graph), rule)
+                assert graphs.key_size(key) == _reference_size(built)
+                assert built == apply_rule(system, graph, rule)
+                assert graphs.edited(graph, parts, contents, key).key == key
+                checked += 1
+                nested += len(parts) >= 4
+        assert checked > 9_000 and nested > 4_000
+
+    def test_deiteration_tries_equal_items_only(self, monkeypatch):
+        # the witnesses offered are the removed item's equals, in walk order
+        rule = calculus.RULES[Deiterate]
+        pairs = []
+
+        def witness(path, item, witness_path, other):
+            pairs.append(item.key == other.key)
+            return rule.condition(path, item, witness_path, other)
+        monkeypatch.setitem(calculus.RULES, Deiterate,
+                            dataclasses.replace(rule, condition=witness))
+        rng = random.Random(131)
+        listed = 0
+        for _ in range(100):
+            system = rng.choice([CL, IN])
+            graph = random_graph(rng, depth=4, atoms=2, dialect=system.dialect)
+            listed += sum(isinstance(r, Deiterate)
+                          for r in enumerate_rule_instances(system, graph))
+        assert all(pairs) and len(pairs) > listed > 100

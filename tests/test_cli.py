@@ -227,3 +227,13 @@ class TestNonIntegerInput:
         assert (code, out) == (2, "")
         assert err.startswith("eg: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("element,error", [
+        ("[1:3][w*²:1]", "coefficient expected after '*' (at position 8)"),
+        ("[1:3][ w + x :1]", "unexpected 'x' in ordinal (at position 11)"),
+        ("[1:3][ :1]", "ordinal expected (at position 7)"),
+        ("[1:3][w:x]", "bad rational 'x' (at position 5)"),
+    ])
+    def test_continuum_error_position_is_in_the_element(self, capsys, element, error):
+        # an ordinal's error gives its position in the whole element text
+        assert run(capsys, "continuum", "domain", element) == (2, "", f"eg: {error}\n")

@@ -1,9 +1,11 @@
 import collections
+import hashlib
 import random
 
 import pytest
 
 from peirce import calculus, graphs, search
+from peirce.cli import main
 from peirce.calculus import ProofScript, Report, System, apply_rule, check_script, enumerate_rule_instances
 from peirce.errors import BoundsExceededError, CertificationError
 from peirce.graphs import Dialect, Graph, canonicalize, equals, node_count
@@ -261,3 +263,50 @@ class TestVocabularyCheck:
                       for v in default_vocabulary(Graph(), goal))
         assert derive(IN, Graph(), goal, SearchBounds(vocabulary=vocab)) is not None
         assert [checked[id(v), Dialect.INTUITIONISTIC] for v in vocab] == [1] * len(vocab)
+
+
+class TestKeyFirst:
+    def test_exhaustion_builds_only_the_states_it_keeps(self, monkeypatch):
+        # successors are keyed first: a graph is built once per new key
+        # within the cap (4 nodes), 555 of them at depth 5, where building
+        # every successor built 2,700
+        built = []
+        build = search._apply_fast
+
+        def counting(*args):
+            graph = build(*args)
+            built.append(graph.key)
+            return graph
+        monkeypatch.setattr(search, "_apply_fast", counting)
+        goal = goal_graph("p | ~p", IN)
+        assert derive(IN, Graph(), goal, SearchBounds(max_depth=5)) is None
+        assert len(built) == len(set(built)) == 555
+        assert Graph().key not in built and max(map(graphs.key_size, built)) <= 4
+
+    # sha256 of `eg prove` stdout: the C6 goals and the depth-5 exhaustion
+    @pytest.mark.parametrize("argv,code,digest", [
+        (["--system", "classical", "--goal", "(p (p))"], 0,
+         "991b353052ffb89c38b46d3d19dd031fe4cfbc940d07292fa1bb78bc290afe23"),
+        (["--system", "classical", "--goal", "(((p (q)) (p)) (p))"], 0,
+         "23f027fffea014d6f207143e0ef1ac6e888f747d2f1611e2648c4836f91b3323"),
+        (["--system", "classical", "--goal", "(((p)) (p))"], 0,
+         "e8c683849f7f5e85b2e28877ee574f6b51ae325f13817ae40cfb23d4cfe39b2d"),
+        (["--system", "classical", "--goal", "(p q (p))"], 0,
+         "87baa06a3aab8e796474c0eef4a0fbcc17ee72d9d8d02031ae33953c97b86679"),
+        (["--system", "intuitionistic", "--goal", "[p | p]"], 0,
+         "718c90f3e0accf06943d48fc2d77a21c580dcbc81708e1d97b738eaf6c666aba"),
+        (["--system", "intuitionistic", "--goal", "[p | [q | p]]"], 0,
+         "a5d3197e00af6af205b1beb05460b9db3d3917986e17776d86b0938e85b114ff"),
+        (["--system", "intuitionistic", "--goal", "[p | ((p))]"], 0,
+         "4f862e3156fcf55c799d6b0e06c2c919ba323c7250c4c4e2ea920598cd8b2d36"),
+        (["--system", "intuitionistic", "--goal", "[() | q]"], 0,
+         "bf4d3b174cc9e689a6bf5ebfa67ff9c6653330709602a056f7fb316f789d284c"),
+        (["--system", "intuitionistic", "--goal", "[ | p | (p)]", "--depth", "5"], 1,
+         "76a4c4ab680eded20cb5032dff6e96422a6eb9a0633dadbe9119f66714cf091c"),
+    ])
+    def test_prove_output_is_pinned(self, capsys, argv, code, digest):
+        if "--depth" not in argv:
+            argv = argv + ["--depth", "12", "--max-visited", "10000"]
+        assert main(["prove"] + argv) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
