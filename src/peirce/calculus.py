@@ -14,8 +14,9 @@ the nodes it adds, its rewrite as an edit of one area, and its dual.
 apply_rule evaluates the conditions and raises the first failing one's
 reason, enumerate_rule_instances lists the candidate operands that the
 same conditions accept (``edits`` gives their edits, for a search that
-keys a successor before building it), and search.predecessors undoes each
-rule by its dual.  Every graph a rule gives is built from its edit.
+keys a successor before building it), and ``predecessor_edits`` undoes
+each rule by its dual, as edits too.  Every graph a rule gives or undoes
+is built from its edit.
 
 Iteration scope is a test on paths.  An area is in scope of an item when
 it lies in the item's area or, if that is a scroll's outer area, in one of
@@ -168,14 +169,14 @@ class Walk:
 
 @dataclass(frozen=True)
 class Dual:
-    """How the backward search undoes a rule: by the instances of the table
-    rule ``rule`` that ``keep`` passes, or by ``undo(g, walk, path, node,
-    limit)`` at each ``at`` site of the rule's polarity: earlier graphs."""
+    """How a rule is undone: by the instances of the table rule ``rule``
+    that ``keep`` passes, or by ``undo(walk, path, node, limit)`` at each
+    ``at`` site of the rule's polarity: edits adding at most ``limit``."""
 
     rule: Optional[type] = None
     keep: Optional[Callable[..., bool]] = None
     at: str = ""
-    undo: Optional[Callable[..., list[Graph]]] = None
+    undo: Optional[Callable[..., Iterator[tuple]]] = None
 
 
 @dataclass(frozen=True)
@@ -305,13 +306,12 @@ def _splicing(replacement: Callable[..., tuple]) -> Callable[..., tuple]:
 _removal = _splicing(lambda *_: ())
 
 
-def _unerase(g, walk, path, area, limit) -> list[Graph]:
-    return [edited(g, *RULES[Insert].edit(path, area, v)) for (v,) in walk.drawn
-            if len(v.items) == 1 and node_count(v) <= limit]
+def _unerase(walk, path, area, limit) -> Iterator[tuple]:
+    return (RULES[Insert].edit(path, area, v) for (v,) in walk.drawn
+            if len(v.items) == 1 and node_count(v) <= limit)
 
 
-def _uninsert(g, walk, path, area, limit) -> list[Graph]:
-    out = []
+def _uninsert(walk, path, area, limit) -> Iterator[tuple]:
     for (v,) in walk.drawn:
         rest = list(area.items)
         for item in v.items:
@@ -320,25 +320,23 @@ def _uninsert(g, walk, path, area, limit) -> list[Graph]:
                 break
             del rest[match]
         else:
-            out.append(edited(g, path.parts, lambda _: tuple(rest)))
-    return out
+            yield path.parts, lambda _, rest=tuple(rest): rest
 
 
-def _unadd_loop(g, walk, path, item, limit) -> list[Graph]:
+def _unadd_loop(walk, path, item, limit) -> Iterator[tuple]:
     keys = {v.key for (v,) in walk.drawn}
-    return [edited(g, *RULES[LoopRemove].edit(path, item, k))
-            for k, loop in enumerate(item.loops) if loop.key in keys]
+    return (RULES[LoopRemove].edit(path, item, k)
+            for k, loop in enumerate(item.loops) if loop.key in keys)
 
 
-def _unremove_loop(g, walk, path, item, limit) -> list[Graph]:
-    return [edited(g, *RULES[LoopAdd].edit(path, item, v))
-            for (v,) in walk.drawn if node_count(v) <= limit]
+def _unremove_loop(walk, path, item, limit) -> Iterator[tuple]:
+    return (RULES[LoopAdd].edit(path, item, v) for (v,) in walk.drawn if node_count(v) <= limit)
 
 
-def _undetach(g, walk, path, item, limit) -> list[Graph]:
+def _undetach(walk, path, item, limit) -> Iterator[tuple]:
     items = item.outer.items if item.is_cut else ()
-    return [edited(g, *_splice(path, (Scroll(Graph(items[:i] + items[i + 1:]), (inner.outer,)),)))
-            for i, inner in enumerate(items) if _is_cut(inner)]
+    return (_splice(path, (Scroll(Graph(items[:i] + items[i + 1:]), (inner.outer,)),))
+            for i, inner in enumerate(items) if _is_cut(inner))
 
 
 RULES: dict[type, Rule] = {
@@ -467,6 +465,31 @@ def edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),
         rule = RULES[kind]
         for ops in accepted(rule, walk, limit):
             yield rule.edit(*ops)
+
+
+def predecessor_edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),
+                      max_growth: Optional[int] = None) -> Iterator[tuple]:
+    """The edits of ``g`` into its predecessors: graphs with an instance that
+    enumerate_rule_instances lists (same vocabulary) rewriting to ``g`` up
+    to multiset equality, less those adding over ``max_growth`` nodes.
+    First the instances ``g`` admits of the rules undoing another (iteration
+    and deiteration, wrap and unwrap, the double-cut rules), in enumeration
+    order; then the other duals, area by area and scroll by scroll, at the
+    sites of their rules' polarity."""
+    walk = Walk(system, g, vocabulary)
+    limit = float("inf") if max_growth is None else max_growth
+    rules = [RULES[kind] for kind in SYSTEM_RULES[system]]
+    undoing = {rule.dual.rule: rule.dual for rule in rules if rule.dual.rule}
+    for kind, rule in zip(SYSTEM_RULES[system], rules):
+        dual = undoing.get(kind)
+        if dual:
+            yield from (rule.edit(*ops) for ops in accepted(rule, walk, limit)
+                        if dual.keep is None or dual.keep(*ops))
+    for at in ("areas", "scrolls"):
+        for path, node in getattr(walk, at):
+            for rule in rules:
+                if rule.dual.at == at and rule.fits(path):
+                    yield from rule.dual.undo(walk, path, node, limit)
 
 
 # ---------------------------------------------------------------------------

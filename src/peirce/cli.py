@@ -90,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _dispatch(args)
-    except (PeirceError, OSError) as exc:
+    except (PeirceError, OSError, UnicodeDecodeError) as exc:
         print(f"eg: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

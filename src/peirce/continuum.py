@@ -113,6 +113,12 @@ def ord_sub_left(b: Ordinal, d: Ordinal) -> Ordinal:
 # ---------------------------------------------------------------------------
 
 
+# Integer literals, and a rational's numerator and denominator, have at most
+# MAX_DIGITS digits: below the 4,300 that str() prints, so sums of them print.
+MAX_DIGITS = 4000
+_PAST_DIGITS = 10 ** MAX_DIGITS
+
+
 def parse_ordinal(text: str) -> Ordinal:
     value, pos = _parse_ordinal_sum(text, 0)
     pos = _skip_ws(text, pos)
@@ -137,10 +143,8 @@ def _parse_ordinal_term(text: str, pos: int, allow_coeff: bool = True) -> tuple[
     if pos == len(text):
         raise ParseError("ordinal expected", pos)
     if text[pos].isdecimal():
-        end = pos
-        while end < len(text) and text[end].isdecimal():
-            end += 1
-        return from_int(int(text[pos:end])), end
+        n, end = _integer(text, pos)
+        return from_int(n), end
     if text[pos] != "w":
         raise ParseError(f"unexpected {text[pos]!r} in ordinal", pos)
     pos += 1
@@ -162,16 +166,23 @@ def _parse_ordinal_term(text: str, pos: int, allow_coeff: bool = True) -> tuple[
         pos = _skip_ws(text, pos)
         if pos < len(text) and text[pos] == "*":
             pos = _skip_ws(text, pos + 1)
-            end = pos
-            while end < len(text) and text[end].isdecimal():
-                end += 1
+            coeff, end = _integer(text, pos)
             if end == pos:
                 raise ParseError("coefficient expected after '*'", pos)
-            coeff = int(text[pos:end])
             pos = end
     if coeff < 1:
         raise ParseError("coefficients must be positive", pos)
     return w_pow(exponent, coeff), pos
+
+
+def _integer(text: str, pos: int) -> tuple[int, int]:
+    """The decimal literal at ``pos`` (0 if there is none) and its end."""
+    end = pos
+    while end < len(text) and text[end].isdecimal():
+        end += 1
+    if end - pos > MAX_DIGITS:
+        raise ParseError(f"integer of more than {MAX_DIGITS} digits", pos)
+    return int(text[pos:end] or 0), end
 
 
 def print_ordinal(a: Ordinal) -> str:
@@ -336,10 +347,7 @@ def parse_element(text: str) -> ContinuumElement:
         except ParseError as exc:
             # the position in the whole element, as for the other errors
             raise ParseError(exc.message, pos + 1 + exc.position) from None
-        try:
-            value = Fraction(val_text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational {val_text.strip()!r}", pos) from exc
+        value = _rational(val_text.strip(), pos)
         if length.is_zero():
             raise ParseError("piece lengths must be positive", pos)
         pieces.append((length, value))
@@ -347,6 +355,20 @@ def parse_element(text: str) -> ContinuumElement:
     if not pieces:
         raise ParseError("element expected", 0)
     return elem_canonicalize(ContinuumElement(tuple(pieces)))
+
+
+def _rational(text: str, pos: int) -> Fraction:
+    """The rational literal ``text`` of the piece at ``pos``."""
+    if len(text.lower().partition("e")[2]) > 5:
+        # Fraction's time grows with the exponent's value
+        raise ParseError("rational exponent longer than five characters", pos)
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {text!r}", pos) from exc
+    if max(abs(value.numerator), value.denominator) >= _PAST_DIGITS:
+        raise ParseError(f"rational with more than {MAX_DIGITS} digits", pos)
+    return value
 
 
 def print_element(e: ContinuumElement) -> str:

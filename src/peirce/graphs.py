@@ -142,6 +142,14 @@ Atom._size = Scroll._size = Graph._size = _size
 OUTER = "outer"
 
 
+def parse_index(digits: str) -> int:
+    """A decimal index; InvalidPathError past int()'s digit limit (4,300)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise InvalidPathError(f"index of {len(digits)} digits is too long") from None
+
+
 def loop_region(k: int) -> tuple[str, int]:
     return ("loop", k)
 
@@ -218,11 +226,11 @@ class Path:
             if pos % 2 == 0:
                 if not chunk.isdecimal():
                     raise InvalidPathError(f"bad item index {chunk!r} in path {text!r}")
-                parts.append(int(chunk))
+                parts.append(parse_index(chunk))
             elif chunk == OUTER:
                 parts.append(OUTER)
             elif chunk.startswith("loop") and chunk[4:].isdecimal():
-                parts.append(loop_region(int(chunk[4:])))
+                parts.append(loop_region(parse_index(chunk[4:])))
             else:
                 raise InvalidPathError(f"bad region {chunk!r} in path {text!r}")
         return Path(tuple(parts))

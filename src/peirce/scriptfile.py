@@ -41,7 +41,7 @@ from .calculus import (
     System,
 )
 from .errors import DialectError, InvalidPathError, ParseError, PeirceError, ScriptError
-from .graphs import Graph, Path
+from .graphs import Graph, Path, parse_index
 from .notation import parse_graph, print_graph
 
 
@@ -128,7 +128,7 @@ def _parse_step(keyword: str, rest: str, system: System, lineno: int) -> RuleIns
         head, _, k = rest.partition(" ")
         if not k.strip().isdecimal():
             raise ScriptError("loopremove needs '<item> <k>'", lineno)
-        return LoopRemove(Path.parse(head), int(k))
+        return LoopRemove(Path.parse(head), parse_index(k))
     if keyword == "detach":
         return Detach(Path.parse(rest))
     raise ScriptError(f"unknown step {keyword!r}", lineno)

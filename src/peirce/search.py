@@ -25,29 +25,25 @@ contains the original one.
 
 In the widened space the search runs from both ends (bidirectional BFS,
 Pohl 1971).  The forward side is the BFS above.  The backward side expands
-:func:`predecessors`, the exact duals of the instances the forward side
-enumerates, and keeps only states the start entails (a truth table first,
-then the intuitionistic oracle).  Each round expands one whole layer of
-the side with the smaller frontier, and the sides join on canonical keys.
-A joined derivation need not be the shallowest.  A negative verdict comes
-from the forward side alone (exhausted space or full depth), never from an
-oracle.  Without widening the backward side is the goal alone, and the
-search is the plain BFS.
+the predecessors (calculus.predecessor_edits), the exact duals of the
+instances the forward side enumerates, and keeps only states the start
+entails (a truth table first, then the intuitionistic oracle).  Each round
+expands one whole layer of the side with the smaller frontier, and the
+sides join on canonical keys.  A joined derivation need not be the
+shallowest.  A negative verdict comes from the forward side alone
+(exhausted space or full depth), never from an oracle.  Without widening
+the backward side is the goal alone, and the search is the plain BFS.
 
-No state over the cap is built.  The forward side takes the instances
-that add at most ``cap - node_count(g)`` nodes (or up to the goal's size,
-should the goal exceed the cap), the backward side asks predecessors for
-those within the cap.  Such a state was always discarded, since every key
-it could meet lies within that size, so the states expanded, their order
-and the scripts found are those of building every one.  The ``~~(p |
-~p)`` search builds 124,064 predecessors; built unbounded, 112,077 more
-were over the cap.
-
-Nor is a forward successor built before its key is known to be new.  Each
-instance's edit (calculus.edits, in enumeration order) gives the key by
-splicing it up the edited area's spine (graphs.edited_key); that key is
-tested against both sides and the cap, and only a new key within the cap
-is built.  Depth-5 ``p | ~p`` builds the 555 states it keeps, not 2,700.
+Both sides expand a layer alike, and build no state that is not kept.  A
+state's edits, in enumeration order, are only those that add at most
+``cap - node_count(g)`` nodes (forward, up to the goal's size should the
+goal exceed the cap).  Each edit's key is spliced up the edited area's
+spine (graphs.edited_key); a key the side has seen is skipped, one the
+other side holds joins them, and a graph is built only for a new key
+within the cap.  The states expanded, their order and the scripts found
+are those of building every successor.  Depth-5 ``p | ~p`` builds the 555
+states it keeps, not 2,700; the ``~~(p | ~p)`` search builds 80,563,
+54,086 of them backward.
 
 ``max_visited`` bounds the states expanded, on both sides together.
 Every script found is re-checked through check_script before being
@@ -61,16 +57,13 @@ from typing import Callable, Optional
 
 from . import formulas as fm
 from .calculus import (
-    RULES,
-    SYSTEM_RULES,
     ProofScript,
     RuleInstance,
     System,
-    Walk,
-    accepted,
     check_script,
     edits,
     enumerate_rule_instances,
+    predecessor_edits,
     rule_edit,
 )
 from .errors import BoundsExceededError, CertificationError, DialectError, TooManyAtomsError
@@ -78,7 +71,7 @@ from .graphs import (
     Graph,
     canonicalize,
     edited,
-    # the forward side's builds, under a name of their own so they can be counted
+    # the search's builds, under a name of their own so they can be counted
     edited as _apply_fast,
     edited_key,
     equals,
@@ -167,9 +160,8 @@ def size_cap(system: System, start: Graph, goal: Graph,
             return cap
     except TooManyAtomsError:
         return cap
-    for g in predecessors(system, goal, vocabulary, cap - node_count(goal)):
-        if node_count(g) <= cap and entailed(g):
-            return cap
+    if any(map(entailed, predecessors(system, goal, vocabulary, cap - node_count(goal)))):
+        return cap
     return cap + max((node_count(item)
                       for g in (start, goal) for path, item in walk_items(g)
                       if path.is_odd), default=0)
@@ -177,31 +169,8 @@ def size_cap(system: System, start: Graph, goal: Graph,
 
 def predecessors(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),
                  max_growth: Optional[int] = None) -> list[Graph]:
-    """Graphs from which one instance that enumerate_rule_instances lists
-    (with the same vocabulary) rewrites to ``g`` up to multiset equality,
-    less those with more than ``max_growth`` nodes over ``g``'s.  Each rule
-    is undone by its dual in the rule table: first come the instances that
-    ``g`` admits of the rules that undo another one (iteration and
-    deiteration, wrap and unwrap, the two double-cut rules), in the
-    enumeration's order; then the other duals, area by area and scroll by
-    scroll, where their rules' polarity holds."""
-    walk = Walk(system, g, vocabulary)
-    limit = float("inf") if max_growth is None else max_growth
-    rules = [RULES[kind] for kind in SYSTEM_RULES[system]]
-    undoing = {rule.dual.rule: rule.dual for rule in rules if rule.dual.rule}
-    out: list[Graph] = []
-    for kind in SYSTEM_RULES[system]:
-        dual = undoing.get(kind)
-        if dual is not None:
-            out.extend(edited(g, *RULES[kind].edit(*ops))
-                       for ops in accepted(RULES[kind], walk, limit)
-                       if dual.keep is None or dual.keep(*ops))
-    for at in ("areas", "scrolls"):
-        for path, node in getattr(walk, at):
-            for rule in rules:
-                if rule.dual.at == at and rule.fits(path):
-                    out.extend(rule.dual.undo(g, walk, path, node, limit))
-    return out
+    """The graphs that calculus.predecessor_edits gives, in its order."""
+    return [edited(g, *edit) for edit in predecessor_edits(system, g, vocabulary, max_growth)]
 
 
 def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, ...],
@@ -209,79 +178,68 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
             entailed: Optional[Callable[[Graph], bool]] = None,
             ) -> Optional[list[RuleInstance]]:
     """Rule instances from ``start`` to ``goal``.  The backward side runs
-    when ``entailed`` is given and expands only the states it accepts; it
-    tests them when their layer is expanded, so frontier sizes count
-    states not yet tested.  ``ahead`` maps each key the forward side
-    reached to the key it came from; ``behind`` maps each key the backward
-    side reached to the key it leads to and its distance from the goal."""
-    goal_key = goal.key
-    if start.key == goal_key:
+    when ``entailed`` is given and expands only the states it accepts,
+    tested as their layer is expanded (frontier sizes count untested
+    states).  ``ahead`` and ``behind`` map each key a side reached to the
+    key it came from and its distance from that side's end."""
+    if start.key == goal.key:
         return []
     # every key the forward side can meet or keep, the goal's included,
     # has at most ``limit`` nodes, so no successor over it is built
     limit = max(cap, node_count(goal))
-    ahead: dict[str, Optional[str]] = {start.key: None}
-    behind: dict[str, tuple[Optional[str], int]] = {goal_key: (None, 0)}
-    frontier = [start]
-    back_frontier = [goal] if entailed else []
+    ahead: dict[str, tuple[Optional[str], int]] = {start.key: (None, 0)}
+    behind: dict[str, tuple[Optional[str], int]] = {goal.key: (None, 0)}
     budget = bounds.max_visited
-    depth = back_depth = 0
 
-    def spend():
+    def layer(states, seen, other, distance, successors, most, accept=None):
+        """The layer after ``states`` and None, or None and the key where
+        an edit into a graph of at most ``most`` nodes meets ``other``."""
         nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise BoundsExceededError("visited-state budget exhausted")
+        found = []
+        for g in states:
+            if accept and not accept(g):
+                continue
+            budget -= 1
+            if budget < 0:
+                raise BoundsExceededError("visited-state budget exhausted")
+            for parts, contents in successors(system, g, vocabulary, most - node_count(g)):
+                key = edited_key(g, parts, contents)
+                if key in seen:
+                    continue
+                meet = other.get(key)
+                if meet is not None and distance + 1 + meet[1] <= bounds.max_depth:
+                    seen[key] = (g.key, distance + 1)
+                    return None, key
+                if key_size(key) > cap:
+                    continue
+                seen[key] = (g.key, distance + 1)
+                found.append(_apply_fast(g, parts, contents, key))
+        return found, None
 
+    frontier, back_frontier = [start], [goal] if entailed else []
+    depth = back_depth = 0
     while depth < bounds.max_depth:
         if (back_frontier and len(back_frontier) < len(frontier)
                 and depth + back_depth < bounds.max_depth):
-            next_back: list[Graph] = []
-            for g in back_frontier:
-                if not entailed(g):
-                    continue
-                spend()
-                for prev in predecessors(system, g, vocabulary, cap - node_count(g)):
-                    key = prev.key
-                    if key in behind or node_count(prev) > cap:
-                        continue
-                    behind[key] = (g.key, back_depth + 1)
-                    if key in ahead:
-                        return _replay(system, start, _chain(ahead, behind, key),
-                                       vocabulary, limit)
-                    next_back.append(prev)
-            back_frontier = next_back
+            back_frontier, meeting = layer(back_frontier, behind, ahead, back_depth,
+                                           predecessor_edits, cap, entailed)
             back_depth += 1
-            continue
-        next_frontier: list[Graph] = []
-        for g in frontier:
-            spend()
-            for parts, contents in edits(system, g, vocabulary, limit - node_count(g)):
-                key = edited_key(g, parts, contents)
-                meet = behind.get(key)
-                if meet is not None and depth + 1 + meet[1] <= bounds.max_depth:
-                    ahead[key] = g.key
-                    return _replay(system, start, _chain(ahead, behind, key),
-                                   vocabulary, limit)
-                if key in ahead or key_size(key) > cap:
-                    continue
-                ahead[key] = g.key
-                next_frontier.append(_apply_fast(g, parts, contents, key))
-        if not next_frontier:
+        else:
+            frontier, meeting = layer(frontier, ahead, behind, depth, edits, limit)
+            depth += 1
+        if meeting is not None:
+            keys = _trail(ahead, meeting)[::-1] + _trail(behind, meeting)[1:]
+            return _replay(system, start, keys, vocabulary, limit)
+        if not frontier:
             return None
-        frontier = next_frontier
-        depth += 1
     return None
 
 
-def _chain(ahead: dict, behind: dict, meeting: str) -> list[str]:
-    """The keys from the start through ``meeting`` to the goal."""
-    keys = [meeting]
-    while ahead[keys[-1]] is not None:
-        keys.append(ahead[keys[-1]])
-    keys.reverse()
-    while behind[keys[-1]][0] is not None:
-        keys.append(behind[keys[-1]][0])
+def _trail(side: dict, key: str) -> list[str]:
+    """``key`` and the keys it came from, back to that side's end."""
+    keys = [key]
+    while side[keys[-1]][0] is not None:
+        keys.append(side[keys[-1]][0])
     return keys
 
 

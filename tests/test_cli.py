@@ -237,3 +237,63 @@ class TestNonIntegerInput:
     def test_continuum_error_position_is_in_the_element(self, capsys, element, error):
         # an ordinal's error gives its position in the whole element text
         assert run(capsys, "continuum", "domain", element) == (2, "", f"eg: {error}\n")
+
+
+class TestUndecodableInput:
+    """A file that is not UTF-8 text is an input error: exit 2, one line."""
+
+    @pytest.mark.parametrize("argv", [
+        ("parse", "--dialect", "classical", "--file"),
+        ("taut", "--logic", "classical", "--file"),
+        ("check",),
+    ])
+    def test_exit_2_without_traceback(self, capsys, tmp_path, argv):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\x7fELF\x02\x01\x01\x00\xd0\xff\xfe")
+        code, out, err = run(capsys, *argv, str(binary))
+        assert (code, out) == (2, "")
+        assert err.startswith("eg: ") and "decode" in err and err.count("\n") == 1
+
+
+LONG = "9" * 5000
+LONGEST = "9" * 4000
+
+
+class TestOversizedLiterals:
+    """Integers past the digit limit, and rationals whose exponent or
+    digits run past it, are input errors at the literal: exit 2, one line."""
+
+    @pytest.mark.parametrize("step,error", [
+        (f"erase {LONG}", "index of 5000 digits is too long"),
+        (f"erase 0.loop{LONG}.0", "index of 5000 digits is too long"),
+        (f"loopremove 0 {LONG}", "index of 5000 digits is too long"),
+        (f"wrap / items {LONG}", "wrap items must be integers"),
+        (f"dcadd / items 0,{LONG}", "dcadd items must be integers"),
+    ], ids=["item", "loop", "loopremove", "wrap", "dcadd"])
+    def test_script_step(self, capsys, tmp_path, step, error):
+        script = tmp_path / "s.eg"
+        script.write_text(f"system intuitionistic\ngraph [p | q]\n{step}\n", encoding="utf-8")
+        assert run(capsys, "check", str(script)) == (2, "", f"eg: line 3: {error}\n")
+
+    @pytest.mark.parametrize("argv,error", [
+        (("domain", f"[{LONG}:1]"), "integer of more than 4000 digits (at position 1)"),
+        (("domain", f"[1:2][w*{LONG}:1]"), "integer of more than 4000 digits (at position 8)"),
+        (("domain", f"[w^{LONG}:1]"), "integer of more than 4000 digits (at position 3)"),
+        (("concat", "[1:1e5000]", "[1:2]"), "rational with more than 4000 digits (at position 0)"),
+        (("tail", "[1:2]", "[1:2][1:1e-5000]"),
+         "rational with more than 4000 digits (at position 5)"),
+        (("domain", f"[1:{LONG}/7]"), f"bad rational '{LONG}/7' (at position 0)"),
+        (("domain", "[1:1e10000000]"),
+         "rational exponent longer than five characters (at position 0)"),
+    ], ids=["integer", "coefficient", "exponent", "numerator", "denominator",
+            "digits", "rational-exponent"])
+    def test_continuum(self, capsys, argv, error):
+        assert run(capsys, "continuum", *argv) == (2, "", f"eg: {error}\n")
+
+    def test_continuum_at_the_limit_prints(self, capsys):
+        # a sum of literals at the limit still prints, as do rationals at it
+        code, out, _ = run(capsys, "continuum", "concat", f"[w*{LONGEST}+{LONGEST}:1/{LONGEST}]",
+                           f"[{LONGEST}:1/{LONGEST}][1:1e-3999]")
+        assert code == 0
+        assert out == (f"[w*{LONGEST}+{int(LONGEST) * 2}:1/{LONGEST}]"
+                       f"[1:1/1{'0' * 3999}]\n")

@@ -310,3 +310,80 @@ class TestKeyFirst:
         assert main(["prove"] + argv) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+class TestKeyFirstBackward:
+    def test_each_side_builds_only_new_keys_within_the_cap(self, monkeypatch):
+        # the random two-sided searches of TestPredecessors: on each side a
+        # graph is built once per key that side had not reached, within the
+        # cap, and never for the side's own end; the backward side's
+        # predecessors are keyed first like the forward side's successors
+        built = {"ahead": [], "behind": [], "replay": []}
+        offered = collections.Counter()
+        side = []
+
+        def tagging(name, edits):
+            def tagged(*args):
+                for edit in edits(*args):
+                    side[:] = [name]
+                    offered[name] += 1
+                    yield edit
+            return tagged
+
+        def counting(g, parts, contents, key):
+            built[side[0]].append(key)
+            return build(g, parts, contents, key)
+        def replaying(*args):
+            side[:] = ["replay"]
+            return replay(*args)
+        build, replay = search._apply_fast, search._replay
+        monkeypatch.setattr(search, "_replay", replaying)
+        monkeypatch.setattr(search, "edits", tagging("ahead", search.edits))
+        monkeypatch.setattr(search, "predecessor_edits",
+                            tagging("behind", search.predecessor_edits))
+        monkeypatch.setattr(search, "_apply_fast", counting)
+        rng = random.Random(89)
+        backward = 0
+        for case in range(40):
+            system = rng.choice([CL, IN])
+            start = random_graph(rng, depth=2, atoms=2, dialect=system.dialect, width=2)
+            if case % 2:
+                goal = random_graph(rng, depth=3, atoms=2, dialect=system.dialect, width=2)
+            else:
+                goal = start
+                for _ in range(rng.randint(1, 3)):
+                    rules = enumerate_rule_instances(system, goal, _vocabulary(rng, system))
+                    goal = apply_rule(system, goal, rng.choice(rules))
+            vocab = default_vocabulary(start, goal)
+            cap = node_count(start) + node_count(goal)
+            for keys in built.values():
+                keys.clear()
+            search._search(system, start, goal, vocab, cap,
+                           SearchBounds(max_depth=3, max_visited=100_000),
+                           search._entailed_by(system, start))
+            for name, end in (("ahead", start), ("behind", goal)):
+                keys = built[name]
+                assert len(keys) == len(set(keys)) and end.key not in keys
+                assert all(graphs.key_size(key) <= cap for key in keys)
+            backward += len(built["behind"])
+        assert backward > 100 and offered["behind"] > backward + 100
+
+
+class TestPredecessorEdits:
+    def test_edits_listed_first_build_the_predecessors(self):
+        # each edit holds its own contents, so edits kept and built later
+        # (as the search keys them first) give the predecessors, in order
+        rng = random.Random(113)
+        listed = 0
+        for _ in range(150):
+            system = rng.choice([CL, IN])
+            graph = random_graph(rng, depth=3, atoms=2, dialect=system.dialect, width=3)
+            vocab = _vocabulary(rng, system)
+            edits = list(calculus.predecessor_edits(system, graph, vocab))
+            built = [graphs.edited(graph, *edit) for edit in edits]
+            assert [print_graph(g) for g in built] == [
+                print_graph(g) for g in predecessors(system, graph, vocab)]
+            assert [graphs.edited_key(graph, *edit) for edit in edits] == [
+                g.key for g in built]
+            listed += len(edits)
+        assert listed > 2000
