@@ -60,14 +60,6 @@ def atoms(f: Formula) -> set[str]:
     return atoms(f.left) | atoms(f.right)
 
 
-def size(f: Formula) -> int:
-    if isinstance(f, (Atom, Top, Bot)):
-        return 1
-    if isinstance(f, Not):
-        return 1 + size(f.body)
-    return 1 + size(f.left) + size(f.right)
-
-
 def strip_not(f: Formula) -> Formula:
     """``f`` with every ``~a`` rewritten as ``a -> F``."""
     if isinstance(f, Not):

@@ -13,7 +13,8 @@ single-space-separated items, cuts as ``( ... )``, loopful scrolls as
 
 Formula grammar: atoms, ``T``, ``F``, ``~``, ``&``, ``|``, ``->`` and
 parentheses, with precedence ``~ > & > | > ->``; ``->`` associates right,
-``&`` and ``|`` left.
+``&`` and ``|`` left.  The binary connectives are stated once, in the table
+``_BINARY``, which both the parser and the minimal-parenthesis printer read.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ def _parse_item(text: str, pos: int) -> tuple[Item, int]:
     end = pos
     while end < len(text) and (text[end].isalnum() or text[end] == "_"):
         end += 1
+    if end == pos:
+        raise ParseError(f"unexpected {ch!r}", pos)
     name = text[pos:end]
     if not ATOM_NAME.match(name):
         raise ParseError(f"bad atom name {name!r}", pos)
@@ -104,6 +107,11 @@ def _print_item(item: Item) -> str:
 
 _FORMULA_KEYWORDS = {"T": fm.TOP, "F": fm.BOT}
 
+# The binary connectives, loosest first: a connective's precedence is its
+# index, and ``~`` binds tighter than all of them.  (node, sign, right-assoc)
+_BINARY = ((fm.Imp, "->", True), (fm.Or, "|", False), (fm.And, "&", False))
+_NOT = len(_BINARY)
+
 
 class _FormulaParser:
     def __init__(self, text: str):
@@ -111,7 +119,7 @@ class _FormulaParser:
         self.pos = 0
 
     def parse(self) -> fm.Formula:
-        f = self.imp()
+        f = self.binary(0)
         self.skip_ws()
         if self.pos != len(self.text):
             raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
@@ -125,26 +133,18 @@ class _FormulaParser:
         self.skip_ws()
         return self.text[self.pos:self.pos + 1]
 
-    def imp(self) -> fm.Formula:
-        left = self.disj()
+    def binary(self, level: int) -> fm.Formula:
+        if level == _NOT:
+            return self.unary()
+        node, sign, right_assoc = _BINARY[level]
+        f = self.binary(level + 1)
         self.skip_ws()
-        if self.text.startswith("->", self.pos):
-            self.pos += 2
-            return fm.Imp(left, self.imp())
-        return left
-
-    def disj(self) -> fm.Formula:
-        f = self.conj()
-        while self.peek() == "|":
-            self.pos += 1
-            f = fm.Or(f, self.conj())
-        return f
-
-    def conj(self) -> fm.Formula:
-        f = self.unary()
-        while self.peek() == "&":
-            self.pos += 1
-            f = fm.And(f, self.unary())
+        while self.text.startswith(sign, self.pos):
+            self.pos += len(sign)
+            if right_assoc:
+                return node(f, self.binary(level))
+            f = node(f, self.binary(level + 1))
+            self.skip_ws()
         return f
 
     def unary(self) -> fm.Formula:
@@ -152,13 +152,9 @@ class _FormulaParser:
         if ch == "~":
             self.pos += 1
             return fm.Not(self.unary())
-        return self.primary()
-
-    def primary(self) -> fm.Formula:
-        ch = self.peek()
         if ch == "(":
             self.pos += 1
-            f = self.imp()
+            f = self.binary(0)
             if self.peek() != ")":
                 raise ParseError("unclosed '('", self.pos)
             self.pos += 1
@@ -182,41 +178,21 @@ def parse_formula(text: str) -> fm.Formula:
     return _FormulaParser(text).parse()
 
 
-_LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_NOT, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _formula_level(f: fm.Formula) -> int:
-    if isinstance(f, fm.Imp):
-        return _LEVEL_IMP
-    if isinstance(f, fm.Or):
-        return _LEVEL_OR
-    if isinstance(f, fm.And):
-        return _LEVEL_AND
-    if isinstance(f, fm.Not):
-        return _LEVEL_NOT
-    return _LEVEL_ATOM
-
-
 def print_formula(f: fm.Formula) -> str:
-    return _print_formula(f, _LEVEL_IMP)
+    return _print_formula(f, 0)
 
 
 def _print_formula(f: fm.Formula, minimum: int) -> str:
-    level = _formula_level(f)
+    """``f`` parenthesised when its precedence is below ``minimum``."""
     if isinstance(f, fm.Atom):
-        body = f.name
-    elif isinstance(f, fm.Top):
-        body = "T"
-    elif isinstance(f, fm.Bot):
-        body = "F"
-    elif isinstance(f, fm.Not):
-        body = "~" + _print_formula(f.body, _LEVEL_NOT)
-    elif isinstance(f, fm.Imp):
-        body = _print_formula(f.left, _LEVEL_OR) + " -> " + _print_formula(f.right, _LEVEL_IMP)
-    elif isinstance(f, fm.Or):
-        body = _print_formula(f.left, _LEVEL_OR) + " | " + _print_formula(f.right, _LEVEL_AND)
-    else:
-        body = _print_formula(f.left, _LEVEL_AND) + " & " + _print_formula(f.right, _LEVEL_NOT)
-    if level < minimum:
-        return f"({body})"
-    return body
+        return f.name
+    if isinstance(f, fm.Not):
+        return "~" + _print_formula(f.body, _NOT)
+    for level, (node, sign, right_assoc) in enumerate(_BINARY):
+        if isinstance(f, node):
+            # the operand on the associating side may be as loose as f
+            left = _print_formula(f.left, level + 1 if right_assoc else level)
+            right = _print_formula(f.right, level if right_assoc else level + 1)
+            body = f"{left} {sign} {right}"
+            return f"({body})" if level < minimum else body
+    return "T" if isinstance(f, fm.Top) else "F"

@@ -20,9 +20,15 @@ Format (UTF-8, ``#`` comments)::
 Paths are dot-separated (``1.outer.0``, ``2.loop0``); the empty path is
 ``/``.  ``expect`` attaches to the step before it.  An empty ``items``
 list is written as the bare keyword.
+
+The steps are stated once, in the table ``_STEPS``, which both the reader
+and the writer read: each keyword's rule, the text between its operands,
+and the usage quoted when a line lacks them.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 from .calculus import (
     Deiterate,
@@ -91,47 +97,51 @@ def parse_script(text: str) -> ProofScript:
     return ProofScript(system, start, tuple(steps))
 
 
+# keyword: (rule, text written between its operands, text the reader splits
+# them at, usage quoted when that split or the index is missing, or "" where
+# the split may fail).  An operand's kind is its field's annotation.
+_STEPS = {
+    "erase": (Erase, "", "", ""),
+    "insert": (Insert, " ", " ", ""),
+    "iterate": (Iterate, " -> ", "->", "<item> -> <area>"),
+    "deiterate": (Deiterate, " witness ", " witness ", "<item> witness <item>"),
+    "dcadd": (DoubleCutIntro, " items ", " items", "items <i,j,...>"),
+    "dcremove": (DoubleCutElim, "", "", ""),
+    "wrap": (ScrollWrap, " items ", " items", "items <i,j,...>"),
+    "unwrap": (ScrollUnwrap, "", "", ""),
+    "loopadd": (LoopAdd, " ", " ", ""),
+    "loopremove": (LoopRemove, " ", " ", "<item> <k>"),
+    "detach": (Detach, "", "", ""),
+}
+_KEYWORDS = {rule: keyword for keyword, (rule, *_) in _STEPS.items()}
+_FIELDS = {rule: fields(rule) for rule in _KEYWORDS}
+
+
 def _parse_step(keyword: str, rest: str, system: System, lineno: int) -> RuleInstance:
-    if keyword == "erase":
-        return Erase(Path.parse(rest))
-    if keyword == "insert":
-        head, _, graph_text = rest.partition(" ")
-        return Insert(Path.parse(head), parse_graph(graph_text, system.dialect))
-    if keyword == "iterate":
-        src, sep, tgt = rest.partition("->")
-        if not sep:
-            raise ScriptError("iterate needs '<item> -> <area>'", lineno)
-        return Iterate(Path.parse(src), Path.parse(tgt))
-    if keyword == "deiterate":
-        item, sep, witness = rest.partition(" witness ")
-        if not sep:
-            raise ScriptError("deiterate needs '<item> witness <item>'", lineno)
-        return Deiterate(Path.parse(item), Path.parse(witness))
-    if keyword in ("dcadd", "wrap"):
-        head, sep, tail = rest.partition(" items")
-        if not sep:
-            raise ScriptError(f"{keyword} needs 'items <i,j,...>'", lineno)
+    if keyword not in _STEPS:
+        raise ScriptError(f"unknown step {keyword!r}", lineno)
+    rule, _, split, usage = _STEPS[keyword]
+    operands = _FIELDS[rule]  # the first operand is always a path
+    if len(operands) == 1:
+        return rule(Path.parse(rest))
+    kind = operands[1].type
+    head, sep, tail = rest.partition(split)
+    # the split, an index and an items list are checked before the path is read
+    if (usage and not sep) or (kind == "int" and not tail.strip().isdecimal()):
+        raise ScriptError(f"{keyword} needs '{usage}'", lineno)
+    if kind == "frozenset[int]":
         try:
-            indices = frozenset(int(i) for i in tail.strip().split(",") if i.strip())
+            operand = frozenset(int(i) for i in tail.strip().split(",") if i.strip())
         except ValueError:
             raise ScriptError(f"{keyword} items must be integers", lineno) from None
-        path = Path.parse(head)
-        return DoubleCutIntro(path, indices) if keyword == "dcadd" else ScrollWrap(path, indices)
-    if keyword == "dcremove":
-        return DoubleCutElim(Path.parse(rest))
-    if keyword == "unwrap":
-        return ScrollUnwrap(Path.parse(rest))
-    if keyword == "loopadd":
-        head, _, graph_text = rest.partition(" ")
-        return LoopAdd(Path.parse(head), parse_graph(graph_text, system.dialect))
-    if keyword == "loopremove":
-        head, _, k = rest.partition(" ")
-        if not k.strip().isdecimal():
-            raise ScriptError("loopremove needs '<item> <k>'", lineno)
-        return LoopRemove(Path.parse(head), parse_index(k))
-    if keyword == "detach":
-        return Detach(Path.parse(rest))
-    raise ScriptError(f"unknown step {keyword!r}", lineno)
+    path = Path.parse(head)
+    if kind == "Path":
+        operand = Path.parse(tail)
+    elif kind == "Graph":
+        operand = parse_graph(tail, system.dialect)
+    elif kind == "int":
+        operand = parse_index(tail)
+    return rule(path, operand)
 
 
 def format_script(script: ProofScript) -> str:
@@ -144,30 +154,16 @@ def format_script(script: ProofScript) -> str:
 
 
 def _format_step(rule: RuleInstance) -> str:
-    if isinstance(rule, Erase):
-        return f"erase {rule.item}"
-    if isinstance(rule, Insert):
-        return f"insert {rule.area} {print_graph(rule.graph)}".rstrip()
-    if isinstance(rule, Iterate):
-        return f"iterate {rule.source} -> {rule.target}"
-    if isinstance(rule, Deiterate):
-        return f"deiterate {rule.item} witness {rule.witness}"
-    if isinstance(rule, DoubleCutIntro):
-        return f"dcadd {rule.area} items {_indices(rule.indices)}".rstrip()
-    if isinstance(rule, DoubleCutElim):
-        return f"dcremove {rule.item}"
-    if isinstance(rule, ScrollWrap):
-        return f"wrap {rule.area} items {_indices(rule.indices)}".rstrip()
-    if isinstance(rule, ScrollUnwrap):
-        return f"unwrap {rule.item}"
-    if isinstance(rule, LoopAdd):
-        return f"loopadd {rule.item} {print_graph(rule.graph)}".rstrip()
-    if isinstance(rule, LoopRemove):
-        return f"loopremove {rule.item} {rule.loop}"
-    if isinstance(rule, Detach):
-        return f"detach {rule.item}"
-    raise PeirceError(f"unknown rule {rule!r}")
-
-
-def _indices(indices: frozenset[int]) -> str:
-    return ",".join(str(i) for i in sorted(indices))
+    keyword = _KEYWORDS.get(type(rule))
+    if keyword is None:
+        raise PeirceError(f"unknown rule {rule!r}")
+    operands = []
+    for field in _FIELDS[type(rule)]:
+        value = getattr(rule, field.name)
+        if field.type == "Graph":
+            operands.append(print_graph(value))
+        elif field.type == "frozenset[int]":
+            operands.append(",".join(str(i) for i in sorted(value)))
+        else:
+            operands.append(str(value))
+    return f"{keyword} {_STEPS[keyword][1].join(operands)}".rstrip()

@@ -85,19 +85,9 @@ def _encode(f: fm.Formula, d: Dialect) -> tuple[Item, ...]:
 
 
 def eval_classical(f: fm.Formula, assignment: dict[str, bool]) -> bool:
-    if isinstance(f, fm.Atom):
-        return assignment[f.name]
-    if isinstance(f, fm.Top):
-        return True
-    if isinstance(f, fm.Bot):
-        return False
-    if isinstance(f, fm.Not):
-        return not eval_classical(f.body, assignment)
-    if isinstance(f, fm.And):
-        return eval_classical(f.left, assignment) and eval_classical(f.right, assignment)
-    if isinstance(f, fm.Or):
-        return eval_classical(f.left, assignment) or eval_classical(f.right, assignment)
-    return (not eval_classical(f.left, assignment)) or eval_classical(f.right, assignment)
+    """``f`` under one assignment: a truth table of one row."""
+    row = {name: 1 if value else 0 for name, value in assignment.items()}
+    return fm.eval_mask(f, row, 1) == 1
 
 
 def taut_classical(f: fm.Formula) -> bool:

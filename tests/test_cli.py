@@ -1,6 +1,11 @@
+import io
+import re
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from peirce.cli import main
 
@@ -29,6 +34,17 @@ class TestParse:
         src.write_text("q p\n")
         code, out, _ = run(capsys, "parse", "--dialect", "classical", "--file", str(src))
         assert (code, out) == (0, "p q\n")
+
+
+class TestGraphSyntaxErrors:
+    @pytest.mark.parametrize("text,error", [
+        ("p $", "unexpected '$' (at position 2)"),
+        ("(p -)", "unexpected '-' (at position 3)"),
+        ("p 9q", "bad atom name '9q' (at position 2)"),
+    ])
+    def test_message_names_the_character(self, capsys, text, error):
+        # a character that is neither a sign nor part of a name is named
+        assert run(capsys, "parse", "--dialect", "classical", text) == (2, "", f"eg: {error}\n")
 
 
 class TestTaut:
@@ -297,3 +313,82 @@ class TestOversizedLiterals:
         assert code == 0
         assert out == (f"[w*{LONGEST}+{int(LONGEST) * 2}:1/{LONGEST}]"
                        f"[1:1/1{'0' * 3999}]\n")
+
+
+FRAGMENTS = ("p", "q", "r", "~", "&", "|", "->", "(", ")", "[", "]", "T", "F", " ", "$", "9")
+LITERALS = ("[1:3]", "[w:7]", "[w^2*3+1:1/2]", "[1:3][w:-1]", "[1:3][1:5]", "[0:1]", "[w:x]", "[",
+            "[1:1e3]", "")
+SCRIPT_LINES = ("system classical", "system intuitionistic", "erase 0", "iterate 0 -> 1.outer",
+                "dcadd / items 0", "dcremove 0", "wrap / items", "unwrap 0", "loopremove 0 1",
+                "detach 0", "insert / p", "bogus 0")
+JUNK = ("--bogus", "-x", "", "--depth", "--file", "classical", "9")
+
+WELL_FORMED = ("p", "p | ~p", "~~p -> p", "p -> q -> p", "(p (q))", "[p | q]", "p q", "((p)) r")
+
+texts = st.one_of(st.sampled_from(WELL_FORMED),
+                  st.lists(st.sampled_from(FRAGMENTS), max_size=8).map("".join))
+systems = st.sampled_from(("classical", "intuitionistic", "intuitionistic", "modal"))
+flags = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(("x", "0", "9")))
+
+
+@st.composite
+def command_lines(draw, folder):
+    """A small argv for one subcommand, sometimes mangled, and the text of
+    the script and input files it may name."""
+    command = draw(st.sampled_from(("parse", "taut", "translate", "prove", "render",
+                                    "check", "continuum")))
+    text = draw(texts)
+    source = ["--file", str(folder / "input.txt")] if draw(st.booleans()) else [text]
+    if command == "parse":
+        argv = ["parse", "--dialect", draw(systems), *source]
+    elif command == "taut":
+        argv = ["taut", "--logic", draw(systems), *source]
+        if draw(st.booleans()):
+            argv += ["--countermodel", "--max-worlds", draw(flags)]
+    elif command == "translate":
+        to = draw(st.sampled_from(("formula", "graph")))
+        argv = ["translate", "--to", to, "--dialect", draw(systems), *source]
+    elif command == "prove":
+        argv = ["prove", "--system", draw(systems), "--goal", text, "--depth", draw(flags)]
+        if draw(st.booleans()):
+            argv += ["--from", draw(texts)]
+        if draw(st.booleans()):
+            argv += ["--max-visited", draw(flags)]
+    elif command == "render":
+        argv = ["render", "-o", str(folder / "out.svg"), *source]
+    elif command == "check":
+        argv = ["check", str(folder / "script.eg")]
+    else:
+        operation = draw(st.sampled_from(("cmp", "extends", "tail", "concat", "domain")))
+        arity = draw(st.sampled_from((1 if operation == "domain" else 2,) * 3 + (0, 3)))
+        argv = ["continuum", operation, *(draw(st.sampled_from(LITERALS)) for _ in range(arity))]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(JUNK)))
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    lines = draw(st.lists(st.one_of(st.sampled_from(SCRIPT_LINES),
+                                    texts.map("graph {}".format),
+                                    texts.map("expect {}".format)), max_size=4))
+    if draw(st.booleans()):
+        lines[:0] = ["system intuitionistic", "graph p (q)"]
+    return argv, text, "\n".join(lines)
+
+
+class TestFuzzedCommandLines:
+    """The exit-code contract on random small command lines: every run
+    ends in 0, 1 or 2 without raising, and exit 2 comes with an ``eg:``
+    line on stderr (``eg <command>:`` for a subcommand's usage error)."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_contract(self, tmp_path, data):
+        argv, text, script = data.draw(command_lines(tmp_path))
+        (tmp_path / "input.txt").write_text(text, encoding="utf-8")
+        (tmp_path / "script.eg").write_text(script, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert re.search(r"^eg( [a-z]+)?: ", err.getvalue(), re.M), argv

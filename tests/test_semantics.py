@@ -132,6 +132,38 @@ def _row_by_row(formula):
                for values in product((False, True), repeat=len(names)))
 
 
+def _recursive_eval(formula, assignment):
+    """A recursive evaluator local to the tests, sharing no code with
+    the bitset one."""
+    if isinstance(formula, fm.Atom):
+        return assignment[formula.name]
+    if isinstance(formula, (fm.Top, fm.Bot)):
+        return isinstance(formula, fm.Top)
+    if isinstance(formula, fm.Not):
+        return not _recursive_eval(formula.body, assignment)
+    left = _recursive_eval(formula.left, assignment)
+    right = _recursive_eval(formula.right, assignment)
+    if isinstance(formula, fm.And):
+        return left and right
+    if isinstance(formula, fm.Or):
+        return left or right
+    return not left or right
+
+
+def test_eval_classical_agrees_with_recursive_evaluator():
+    rng = random.Random(59)
+    rows = 0
+    for _ in range(300):
+        formula = _formula_over(rng, ["p", "q", "r"], rng.randint(0, 10))
+        names = sorted(fm.atoms(formula))
+        for values in product((False, True), repeat=len(names)):
+            assignment = dict(zip(names, values))
+            expected = _recursive_eval(formula, assignment)
+            assert eval_classical(formula, assignment) is expected, print_formula(formula)
+            rows += 1
+    assert rows > 1000
+
+
 def _formula_over(rng, names, connectives):
     if connectives <= 0:
         roll = rng.random()
