@@ -3,9 +3,9 @@
 Ordinals below epsilon-0 live in Cantor normal form: a finite list of
 (exponent, coefficient) terms with strictly decreasing exponents, the
 exponents again ordinals.  Elements are finitely-piecewise-constant
-functions from an ordinal domain to exact rationals; adjacent pieces of
-equal value merge under ordinal addition of lengths, which makes equality
-and lexicographic comparison decidable.
+functions from an ordinal domain to exact rationals, canonical by
+construction: adjacent pieces of equal value merge under ordinal addition
+of lengths, which makes equality and lexicographic comparison decidable.
 
 ``extends`` is the inversion relation (x extends y when y is a strict
 initial restriction of x), monads are the collections of proper
@@ -222,10 +222,24 @@ class LexRelation(Enum):
 @dataclass(frozen=True)
 class ContinuumElement:
     """Pieces (length, value): a piecewise-constant map from the ordinal
-    interval [0, domain) to rationals.  Construct through ``element`` or
-    ``elem_canonicalize`` to get the canonical merged form."""
+    interval [0, domain) to rationals.  Canonical by construction: adjacent
+    pieces of equal value merge (lengths add as ordinals), and no piece, or a
+    piece of length zero, is an EmptyElementError."""
 
     pieces: tuple[tuple[Ordinal, Fraction], ...]
+
+    def __post_init__(self):
+        if not self.pieces:
+            raise EmptyElementError("an element needs at least one piece")
+        merged: list[tuple[Ordinal, Fraction]] = []
+        for length, value in self.pieces:
+            if length.is_zero():
+                raise EmptyElementError("piece lengths must be positive ordinals")
+            if merged and merged[-1][1] == value:
+                merged[-1] = (ord_add(merged[-1][0], length), value)
+            else:
+                merged.append((length, value))
+        object.__setattr__(self, "pieces", tuple(merged))
 
     def __str__(self) -> str:
         return print_element(self)
@@ -236,22 +250,13 @@ def element(*pieces: tuple[Ordinal | int, Fraction | int | str]) -> ContinuumEle
         (p if isinstance(p, Ordinal) else from_int(p), Fraction(v))
         for p, v in pieces
     )
-    return elem_canonicalize(ContinuumElement(normalized))
+    return ContinuumElement(normalized)
 
 
 def elem_canonicalize(e: ContinuumElement) -> ContinuumElement:
-    """Merge adjacent pieces of equal value (lengths add as ordinals)."""
-    if not e.pieces:
-        raise EmptyElementError("an element needs at least one piece")
-    merged: list[tuple[Ordinal, Fraction]] = []
-    for length, value in e.pieces:
-        if length.is_zero() or ord_cmp(length, ZERO) < 0:
-            raise EmptyElementError("piece lengths must be positive ordinals")
-        if merged and merged[-1][1] == value:
-            merged[-1] = (ord_add(merged[-1][0], length), value)
-        else:
-            merged.append((length, value))
-    return ContinuumElement(tuple(merged))
+    """The canonical form of ``e``: ``e`` itself, since every element is
+    canonical from its construction."""
+    return e
 
 
 def elem_domain(e: ContinuumElement) -> Ordinal:
@@ -261,33 +266,32 @@ def elem_domain(e: ContinuumElement) -> Ordinal:
     return total
 
 
-def lex_compare(x: ContinuumElement, y: ContinuumElement) -> LexRelation:
+def _walk(x: ContinuumElement, y: ContinuumElement) -> tuple[LexRelation, tuple]:
     """Walk both piece lists in lockstep; decide at the first ordinal
-    position where the values differ, otherwise by domain."""
-    x = elem_canonicalize(x)
-    y = elem_canonicalize(y)
-    i = j = 0
-    rem_x = rem_y = None
-    while i < len(x.pieces) and j < len(y.pieces):
-        len_x = rem_x if rem_x is not None else x.pieces[i][0]
-        len_y = rem_y if rem_y is not None else y.pieces[j][0]
-        val_x, val_y = x.pieces[i][1], y.pieces[j][1]
+    position where the values differ, otherwise by domain.  Returns the
+    relation of x to y and the pieces of the longer element beyond the
+    shorter one's domain (none unless one is a proper prefix of the other)."""
+    xs, ys = list(reversed(x.pieces)), list(reversed(y.pieces))
+    while xs and ys:
+        # the two first pieces; the longer one's remainder goes back
+        (len_x, val_x), (len_y, val_y) = xs.pop(), ys.pop()
         if val_x != val_y:
-            return LexRelation.LESS if val_x < val_y else LexRelation.GREATER
+            return (LexRelation.LESS if val_x < val_y else LexRelation.GREATER), ()
         c = ord_cmp(len_x, len_y)
-        if c == 0:
-            i, j, rem_x, rem_y = i + 1, j + 1, None, None
-        elif c < 0:
-            rem_y = ord_sub_left(len_x, len_y)
-            i, rem_x = i + 1, None
-        else:
-            rem_x = ord_sub_left(len_y, len_x)
-            j, rem_y = j + 1, None
-    if i < len(x.pieces):
-        return LexRelation.PROPER_EXTENSION
-    if j < len(y.pieces):
-        return LexRelation.PROPER_PREFIX
-    return LexRelation.EQUAL
+        if c < 0:
+            ys.append((ord_sub_left(len_x, len_y), val_y))
+        elif c > 0:
+            xs.append((ord_sub_left(len_y, len_x), val_x))
+    if xs:
+        return LexRelation.PROPER_EXTENSION, tuple(reversed(xs))
+    if ys:
+        return LexRelation.PROPER_PREFIX, tuple(reversed(ys))
+    return LexRelation.EQUAL, ()
+
+
+def lex_compare(x: ContinuumElement, y: ContinuumElement) -> LexRelation:
+    """The lexicographic relation of x to y."""
+    return _walk(x, y)[0]
 
 
 def extends(x: ContinuumElement, y: ContinuumElement) -> bool:
@@ -298,30 +302,16 @@ def extends(x: ContinuumElement, y: ContinuumElement) -> bool:
 def tail(x: ContinuumElement, y: ContinuumElement) -> ContinuumElement:
     """The monad isomorphism applied to y: the part of y beyond dom(x).
     Requires y E x (y properly extends x)."""
-    if not extends(y, x):
+    relation, rest = _walk(y, x)
+    if relation is not LexRelation.PROPER_EXTENSION:
         raise NotInMonadError("tail(x, y) needs y to properly extend x")
-    y = elem_canonicalize(y)
-    consume = elem_domain(elem_canonicalize(x))
-    pieces = list(y.pieces)
-    out: list[tuple[Ordinal, Fraction]] = []
-    for idx, (length, value) in enumerate(pieces):
-        if consume.is_zero():
-            out.extend(pieces[idx:])
-            break
-        if ord_cmp(length, consume) <= 0:
-            consume = ord_sub_left(length, consume)
-            continue
-        out.append((ord_sub_left(consume, length), value))
-        consume = ZERO
-    return elem_canonicalize(ContinuumElement(tuple(out)))
+    return ContinuumElement(rest)
 
 
 def concat(x: ContinuumElement, z: ContinuumElement) -> ContinuumElement:
     """The inverse isomorphism: x followed by z.  Always a proper
     extension of x."""
-    x = elem_canonicalize(x)
-    z = elem_canonicalize(z)
-    return elem_canonicalize(ContinuumElement(x.pieces + z.pieces))
+    return ContinuumElement(x.pieces + z.pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +344,7 @@ def parse_element(text: str) -> ContinuumElement:
         pos = _skip_ws(text, close + 1)
     if not pieces:
         raise ParseError("element expected", 0)
-    return elem_canonicalize(ContinuumElement(tuple(pieces)))
+    return ContinuumElement(tuple(pieces))
 
 
 def _rational(text: str, pos: int) -> Fraction:
@@ -372,5 +362,4 @@ def _rational(text: str, pos: int) -> Fraction:
 
 
 def print_element(e: ContinuumElement) -> str:
-    e = elem_canonicalize(e)
     return "".join(f"[{print_ordinal(l)}:{v}]" for l, v in e.pieces)

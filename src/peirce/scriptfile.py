@@ -130,8 +130,10 @@ def _parse_step(keyword: str, rest: str, system: System, lineno: int) -> RuleIns
     if (usage and not sep) or (kind == "int" and not tail.strip().isdecimal()):
         raise ScriptError(f"{keyword} needs '{usage}'", lineno)
     if kind == "frozenset[int]":
+        items = [i.strip() for i in tail.split(",") if i.strip()]
         try:
-            operand = frozenset(int(i) for i in tail.strip().split(",") if i.strip())
+            # parse_index names an all-digit item past int()'s digit limit
+            operand = frozenset(parse_index(i) if i.isdecimal() else int(i) for i in items)
         except ValueError:
             raise ScriptError(f"{keyword} items must be integers", lineno) from None
     path = Path.parse(head)

@@ -153,6 +153,15 @@ class TestElements:
         with pytest.raises(EmptyElementError):
             elem_canonicalize(ContinuumElement(()))
 
+    @pytest.mark.parametrize("pieces", [(), ((ZERO, 1),), ((ONE, 1), (ZERO, 2))])
+    def test_empty_rejected_at_construction(self, pieces):
+        with pytest.raises(EmptyElementError):
+            ContinuumElement(pieces)
+
+    def test_canonical_by_construction(self):
+        assert ContinuumElement(((ONE, 1), (ONE, 1))) == element((2, 1))
+        assert ContinuumElement(((ONE, 1), (OMEGA, 1), (ONE, 2))).pieces == ((OMEGA, 1), (ONE, 2))
+
     def test_canonicalize_idempotent_random(self):
         rng = random.Random(103)
         for _ in range(300):
