@@ -44,8 +44,7 @@ from .graphs import (
     node_count,
     resolve_area,
     resolve_item,
-    walk_areas,
-    walk_items,
+    walk,
     well_formed,
 )
 
@@ -158,8 +157,9 @@ class Walk:
     1-tuples) the vocabulary graphs in the system's dialect."""
 
     def __init__(self, system: System, g: Graph, vocabulary: tuple[Graph, ...]):
-        self.items = list(walk_items(g))
-        self.areas = list(walk_areas(g))
+        self.items, self.areas = [], []
+        for site in walk(g):
+            (self.areas if isinstance(site[1], Graph) else self.items).append(site)
         self.scrolls = [site for site in self.items if isinstance(site[1], Scroll)]
         self.drawn = [(v,) for v in vocabulary if not v.violations[system.dialect]]
         self.by_key: dict[str, list] = {}

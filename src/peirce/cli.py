@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.run(args)
     except SystemExit:
         # only --help exits, after printing the help
@@ -199,6 +199,10 @@ def _continuum(args: argparse.Namespace) -> int:
     line, code = run(*[ct.parse_element(e) for e in args.elements])
     print(line)
     return code
+
+
+# built once: parse_args leaves the parser as it was, so calls share it
+_PARSER = build_parser()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,6 +8,10 @@ tree representation gives for free.
 
 Areas are stored in author order so paths stay stable; equality is by
 multiset, via each node's canonical ``key``.
+
+A scroll's regions are numbered: region ``OUTER`` (0) is its outer area
+and region ``k + 1`` its loop ``k``, so ``scroll.regions[r]`` is region
+``r`` and a path is a tuple of integers.
 """
 
 from __future__ import annotations
@@ -76,6 +80,11 @@ class Scroll:
         return not self.loops
 
     @_cached
+    def regions(self) -> tuple["Graph", ...]:
+        """The outer area, then the loops: region ``r`` is ``regions[r]``."""
+        return (self.outer,) + self.loops
+
+    @_cached
     def key(self) -> str:
         return (_SCROLL + self.outer.key
                 + "".join(sorted([loop.key for loop in self.loops])) + _END_LOOPS)
@@ -139,7 +148,8 @@ Atom._size = Scroll._size = Graph._size = _size
 # Paths
 # ---------------------------------------------------------------------------
 
-OUTER = "outer"
+# the region number of a scroll's outer area; loop k is region k + 1
+OUTER = 0
 
 
 def parse_index(digits: str) -> int:
@@ -150,34 +160,25 @@ def parse_index(digits: str) -> int:
         raise InvalidPathError(f"index of {len(digits)} digits is too long") from None
 
 
-def loop_region(k: int) -> tuple[str, int]:
-    return ("loop", k)
-
-
 @dataclass(frozen=True)
 class Path:
     """An address into a graph.
 
-    ``parts`` alternates item indices (int) and region selectors, starting
-    with an index.  A path ending after an index addresses an item; a path
-    ending after a region addresses an area.  The empty path addresses the
-    sheet.  Text form is dot-separated (``1.outer.0``, ``2.loop0``), with
-    the empty path written ``/``.
+    ``parts`` alternates item indices and region numbers (``OUTER`` for
+    a scroll's outer area, ``k + 1`` for its loop ``k``), all non-negative
+    ints, starting with an index.  A path ending after an index addresses
+    an item; a path ending after a region addresses an area.  The empty
+    path addresses the sheet.  Text form is dot-separated (``1.outer.0``,
+    ``2.loop0``), with the empty path written ``/``; ``Path.parse`` builds
+    a path from it.
     """
 
     parts: tuple = ()
 
     def __post_init__(self):
         for pos, part in enumerate(self.parts):
-            if pos % 2 == 0:
-                if not isinstance(part, int) or part < 0:
-                    raise InvalidPathError(f"step {pos}: expected item index, got {part!r}")
-            else:
-                if part != OUTER and not (
-                    isinstance(part, tuple) and len(part) == 2 and part[0] == "loop"
-                    and isinstance(part[1], int) and part[1] >= 0
-                ):
-                    raise InvalidPathError(f"step {pos}: expected region selector, got {part!r}")
+            if not isinstance(part, int) or part < 0:
+                raise InvalidPathError(f"step {pos}: expected a non-negative int, got {part!r}")
 
     @property
     def is_area(self) -> bool:
@@ -191,16 +192,6 @@ class Path:
         if not self.is_area:
             raise InvalidPathError("can only select an item inside an area")
         return Path(self.parts + (index,))
-
-    def outer(self) -> "Path":
-        if not self.is_item:
-            raise InvalidPathError("outer region belongs to an item")
-        return _trusted(self.parts + (OUTER,))
-
-    def loop(self, k: int) -> "Path":
-        if not self.is_item:
-            raise InvalidPathError("loop region belongs to an item")
-        return Path(self.parts + (loop_region(k),))
 
     def parent_area(self) -> "Path":
         if not self.is_item:
@@ -227,26 +218,17 @@ class Path:
                 if not chunk.isdecimal():
                     raise InvalidPathError(f"bad item index {chunk!r} in path {text!r}")
                 parts.append(parse_index(chunk))
-            elif chunk == OUTER:
+            elif chunk == "outer":
                 parts.append(OUTER)
             elif chunk.startswith("loop") and chunk[4:].isdecimal():
-                parts.append(loop_region(parse_index(chunk[4:])))
+                parts.append(parse_index(chunk[4:]) + 1)
             else:
                 raise InvalidPathError(f"bad region {chunk!r} in path {text!r}")
         return Path(tuple(parts))
 
     def __str__(self) -> str:
-        if not self.parts:
-            return "/"
-        chunks = []
-        for part in self.parts:
-            if isinstance(part, int):
-                chunks.append(str(part))
-            elif part == OUTER:
-                chunks.append(OUTER)
-            else:
-                chunks.append(f"loop{part[1]}")
-        return ".".join(chunks)
+        return ".".join(str(part) if pos % 2 == 0 else "outer" if part == OUTER
+                        else f"loop{part - 1}" for pos, part in enumerate(self.parts)) or "/"
 
 
 def _trusted(parts: tuple) -> Path:
@@ -255,9 +237,6 @@ def _trusted(parts: tuple) -> Path:
     path = object.__new__(Path)
     path.__dict__["parts"] = parts
     return path
-
-
-SHEET = Path()
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +255,11 @@ def resolve(g: Graph, path: Path) -> Union[Item, Graph]:
             node = node.items[step]
         elif not isinstance(node, Scroll):
             raise InvalidPathError(f"atom at {Path(parts[:pos])} has no regions")
-        elif step == OUTER:
-            node = node.outer
-        elif step[1] < len(node.loops):
-            node = node.loops[step[1]]
+        elif step < len(node.regions):
+            node = node.regions[step]
         else:
-            raise InvalidPathError(f"loop {step[1]} out of range at {Path(parts[:pos + 1])}")
+            # region 0 always exists, so only a loop is out of range
+            raise InvalidPathError(f"loop {step - 1} out of range at {Path(parts[:pos + 1])}")
     return node
 
 
@@ -322,14 +300,10 @@ def edited(g: Graph, parts: tuple, contents: Callable[[Graph], tuple],
         new = Graph(contents(g))
     else:
         index, region = parts[0], parts[1]
-        scroll = g.items[index]
-        if region == OUTER:
-            scroll = Scroll(edited(scroll.outer, parts[2:], contents), scroll.loops)
-        else:
-            k = region[1]
-            scroll = Scroll(scroll.outer, scroll.loops[:k] + (edited(
-                scroll.loops[k], parts[2:], contents),) + scroll.loops[k + 1:])
-        new = Graph(g.items[:index] + (scroll,) + g.items[index + 1:])
+        regions = g.items[index].regions
+        regions = (regions[:region] + (edited(regions[region], parts[2:], contents),)
+                   + regions[region + 1:])
+        new = Graph(g.items[:index] + (Scroll(regions[0], regions[1:]),) + g.items[index + 1:])
     if key is not None:
         new.__dict__["key"] = key
     return new
@@ -343,17 +317,11 @@ def edited_key(g: Graph, parts: tuple, contents: Callable[[Graph], tuple]) -> st
     if not parts:
         return "".join(sorted([item.key for item in contents(g)])) + _END_AREA
     index, region = parts[0], parts[1]
-    scroll = g.items[index]
-    if region == OUTER:
-        # SCROLL, the outer area's key, then the loops' keys, kept as they are
-        key = (_SCROLL + edited_key(scroll.outer, parts[2:], contents)
-               + scroll.key[len(scroll.outer.key) + 1:])
-    else:
-        loops = [loop.key for loop in scroll.loops]
-        loops[region[1]] = edited_key(scroll.loops[region[1]], parts[2:], contents)
-        key = _SCROLL + scroll.outer.key + "".join(sorted(loops)) + _END_LOOPS
+    regions = g.items[index].regions
+    areas = [area.key for area in regions]
+    areas[region] = edited_key(regions[region], parts[2:], contents)
     keys = [item.key for item in g.items]
-    keys[index] = key
+    keys[index] = _SCROLL + areas[0] + "".join(sorted(areas[1:])) + _END_LOOPS
     return "".join(sorted(keys)) + _END_AREA
 
 
@@ -387,26 +355,27 @@ def equals(g1: Graph, g2: Graph) -> bool:
 # Walks and well-formedness
 # ---------------------------------------------------------------------------
 
-def walk_areas(g: Graph, prefix: Path = SHEET) -> Iterator[tuple[Path, Graph]]:
+def walk(g: Graph, prefix: tuple = ()) -> Iterator[tuple[Path, Union[Graph, Item]]]:
+    """The (path, node) pairs of ``g``, the area at ``prefix``, in
+    depth-first order: the area, then each of its items, each followed by
+    the walks of its regions in region order."""
+    yield _trusted(prefix), g
+    for index, item in enumerate(g.items):
+        item_parts = prefix + (index,)
+        yield _trusted(item_parts), item
+        if isinstance(item, Scroll):
+            for region, area in enumerate(item.regions):
+                yield from walk(area, item_parts + (region,))
+
+
+def walk_areas(g: Graph) -> Iterator[tuple[Path, Graph]]:
     """All (area path, area) pairs in depth-first order, sheet first."""
-    yield prefix, g
-    for index, item in enumerate(g.items):
-        if isinstance(item, Scroll):
-            item_parts = prefix.parts + (index,)
-            yield from walk_areas(item.outer, _trusted(item_parts + (OUTER,)))
-            for k, loop in enumerate(item.loops):
-                yield from walk_areas(loop, _trusted(item_parts + (loop_region(k),)))
+    return (site for site in walk(g) if isinstance(site[1], Graph))
 
 
-def walk_items(g: Graph, prefix: Path = SHEET) -> Iterator[tuple[Path, Item]]:
+def walk_items(g: Graph) -> Iterator[tuple[Path, Item]]:
     """All (item path, item) pairs in depth-first order."""
-    for index, item in enumerate(g.items):
-        item_path = _trusted(prefix.parts + (index,))
-        yield item_path, item
-        if isinstance(item, Scroll):
-            yield from walk_items(item.outer, item_path.outer())
-            for k, loop in enumerate(item.loops):
-                yield from walk_items(loop, _trusted(item_path.parts + (loop_region(k),)))
+    return (site for site in walk(g) if not isinstance(site[1], Graph))
 
 
 @dataclass(frozen=True)

@@ -55,28 +55,23 @@ def _parse_area(text: str, pos: int) -> tuple[Graph, int]:
         items.append(item)
 
 
+_CLOSING = {"(": ")", "[": "]"}
+
+
 def _parse_item(text: str, pos: int) -> tuple[Item, int]:
     ch = text[pos]
-    if ch == "(":
-        inner, pos = _parse_area(text, pos + 1)
-        if pos < len(text) and text[pos] == "|":
-            raise ParseError("'|' is only valid inside '[ ]'", pos)
-        if pos == len(text) or text[pos] != ")":
-            raise ParseError("unclosed '('", pos)
-        return Scroll(inner), pos + 1
-    if ch == "[":
-        outer, pos = _parse_area(text, pos + 1)
-        loops: list[Graph] = []
+    if ch in _CLOSING:
+        # a scroll's regions: the outer area, then a loop after each '|'
+        area, pos = _parse_area(text, pos + 1)
+        regions = [area]
         while pos < len(text) and text[pos] == "|":
-            loop, pos = _parse_area(text, pos + 1)
-            loops.append(loop)
-        if pos == len(text) or text[pos] != "]":
-            raise ParseError("unclosed '['", pos)
-        return Scroll(outer, tuple(loops)), pos + 1
-    if ch == "|":
-        raise ParseError("'|' is only valid inside '[ ]'", pos)
-    if ch in ")]":
-        raise ParseError(f"unmatched {ch!r}", pos)
+            if ch == "(":
+                raise ParseError("'|' is only valid inside '[ ]'", pos)
+            area, pos = _parse_area(text, pos + 1)
+            regions.append(area)
+        if pos == len(text) or text[pos] != _CLOSING[ch]:
+            raise ParseError(f"unclosed {ch!r}", pos)
+        return Scroll(regions[0], tuple(regions[1:])), pos + 1
     end = pos
     while end < len(text) and (text[end].isalnum() or text[end] == "_"):
         end += 1
@@ -97,8 +92,7 @@ def _print_item(item: Item) -> str:
         return item.name
     if item.is_cut:
         return f"({print_graph(item.outer)})"
-    areas = [print_graph(item.outer)] + [print_graph(l) for l in item.loops]
-    return "[" + " | ".join(areas) + "]"
+    return "[" + " | ".join(map(print_graph, item.regions)) + "]"
 
 
 # ---------------------------------------------------------------------------

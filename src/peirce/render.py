@@ -10,17 +10,23 @@ classical cuts stay strictly separated.  Output bytes depend only on the
 input graph.
 
 Layout sizes each node once, bottom up, then places each node from those
-sizes, top down: linear in nodes, except that a scroll with loops grows its
-radius in 2-unit steps until the loops fit beside its outer area.
+sizes, top down: linear in nodes.  A scroll with loops takes the first
+radius, in 2-unit steps, at which its loops fit beside its outer area,
+found in log time.  That radius grows about 2.8x per level of loop
+nesting, and one of ``MAX_RADIUS`` (2**53) or more, where a step no longer
+moves it, raises PeirceError: ``[p | [p | ... [p | p]]]`` renders up to 32
+levels.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 from xml.sax.saxutils import escape
 
+from .errors import PeirceError
 from .graphs import Atom, Graph, Item, Scroll
 
 PAD = 8.0
@@ -28,6 +34,7 @@ CHAR_W = 10.0
 TEXT_H = 16.0
 MIN_R = 12.0
 MARGIN = 10.0
+MAX_RADIUS = 2.0 ** 53
 
 
 @dataclass
@@ -72,10 +79,23 @@ def _size_item(item: Item, sizes: dict) -> tuple[float, float]:
     if radii:
         column = sum(2 * ri for ri in radii) + PAD * (len(radii) - 1)
         r = max(r, max(radii) + PAD, column / 2.0 + PAD)
-        while not _loops_fit(r, radii, column, cw):
-            r += 2.0
+        # the loops fit by radius 3r, so the steps cross at most two powers
+        # of two, and below MAX_RADIUS a step is whole ulps: r + 2.0 * k
+        # rounds as k additions of 2.0 do
+        r += 2.0 * _first_step(lambda k: _loops_fit(r + 2.0 * k, radii, column, cw))
+    if r >= MAX_RADIUS:
+        raise PeirceError(f"graph too large to render: a scroll's radius reaches {r:.0f}")
     sizes[id(item)] = (2 * r, 2 * r, r, radii, column)
     return (2 * r, 2 * r)
+
+
+def _first_step(fits) -> int:
+    """The least k >= 0 with ``fits(k)``, for a ``fits`` false below some
+    k and true from it on: doubling a bound until it fits, then bisecting."""
+    bound = 1
+    while not fits(bound):
+        bound *= 2
+    return bisect_left(range(bound), True, key=fits)
 
 
 def _loop_centres(r: float, radii: list[float], column: float) -> list[tuple[float, float]]:
@@ -95,9 +115,8 @@ def _loop_centres(r: float, radii: list[float], column: float) -> list[tuple[flo
 def _loops_fit(r: float, radii: list[float], column: float, content_w: float) -> bool:
     if r <= column / 2.0 + max(radii):
         return False
-    for (cx, cy), ri in zip(_loop_centres(r, radii, column), radii):
-        if (r - ri) ** 2 - cy ** 2 <= 0:
-            return False
+    # a loop with no room to sit on the right has centre x 0, failing this
+    for (cx, _), ri in zip(_loop_centres(r, radii, column), radii):
         if cx - ri < content_w / 2.0 + PAD / 2.0:
             return False
     return True

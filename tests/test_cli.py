@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from peirce import cli
 from peirce.cli import main
 
 
@@ -141,12 +142,25 @@ class TestTranslate:
         assert (code, out) == (0, "(p (q))\n")
 
 
+def loop_ladder(levels):
+    """[p | [p | ... [p | p]]]"""
+    return "[p | " * levels + "p" + "]" * levels
+
+
 class TestRender:
     def test_writes_svg(self, capsys, tmp_path):
         out_file = tmp_path / "g.svg"
         code, _, _ = run(capsys, "render", "-o", str(out_file), "[p | q]")
         assert code == 0
         ET.fromstring(out_file.read_text())
+
+    def test_radius_past_the_limit_exits_2(self, capsys, tmp_path):
+        # the 33rd level of the loop ladder takes the radius past 2**53
+        out_file = tmp_path / "g.svg"
+        assert run(capsys, "render", "-o", str(out_file), loop_ladder(32))[0] == 0
+        code, out, err = run(capsys, "render", "-o", str(out_file), loop_ladder(33))
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"eg: graph too large to render: .*\n", err)
 
 
 class TestContinuum:
@@ -234,6 +248,13 @@ class TestUsage:
     def test_help_exits_0(self, capsys):
         code, out, err = run(capsys, "--help")
         assert (code, err) == (0, "") and out.startswith("usage: eg ")
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        def build_parser():
+            raise AssertionError("the parser is built again")
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        code, out, _ = run(capsys, "continuum", "cmp", "[1:3]", "[1:3][1:5]")
+        assert (code, out) == (0, "proper_prefix\n")
 
 
 NESTED = "(" * 3000 + "p" + ")" * 3000

@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
-from peirce.errors import InvalidPathError
+from peirce.calculus import Erase, System, apply_rule
+from peirce.errors import IllegalRuleError, InvalidPathError
 from peirce.graphs import (
     BLANK,
     EVEN,
@@ -20,6 +22,7 @@ from peirce.graphs import (
     replace_at,
     resolve,
     walk_areas,
+    walk_items,
     well_formed,
 )
 from peirce.notation import parse_graph, print_graph
@@ -222,3 +225,101 @@ class TestPathText:
     def test_rejects_garbage(self):
         with pytest.raises(InvalidPathError):
             Path.parse("0.sideways")
+
+
+def _walk_texts(graph, prefix=""):
+    """The (area text, area) and (item text, item) pairs in depth-first
+    order, spelled as path text: the walks' meaning, stated recursively."""
+    areas, items = [(prefix or "/", graph)], []
+    for index, item in enumerate(graph.items):
+        path = f"{prefix}.{index}" if prefix else str(index)
+        items.append((path, item))
+        if isinstance(item, Scroll):
+            regions = [("outer", item.outer)] + [
+                (f"loop{k}", loop) for k, loop in enumerate(item.loops)]
+            for name, area in regions:
+                more_areas, more_items = _walk_texts(area, f"{path}.{name}")
+                areas += more_areas
+                items += more_items
+    return areas, items
+
+
+def test_walks_match_the_recursive_reference():
+    rng = random.Random(811)
+    pairs = 0
+    for _ in range(300):
+        graph = random_graph(rng, depth=rng.randint(1, 5), dialect=rng.choice([C, I]))
+        areas, items = _walk_texts(graph)
+        for walked, expected in ((list(walk_areas(graph)), areas),
+                                 (list(walk_items(graph)), items)):
+            assert [str(path) for path, _ in walked] == [text for text, _ in expected]
+            assert all(node is other for (_, node), (_, other) in zip(walked, expected))
+            pairs += len(walked)
+    assert pairs > 1500
+
+
+def _path_text(rng):
+    """A path text, most of them well formed; some with out-of-range or
+    over-long indices, bad regions and stray characters."""
+    if rng.random() < 0.04:
+        return rng.choice(["", "/", " / ", " 0 ", "0.", ".0"])
+    chunks = []
+    for pos in range(rng.randint(1, 7)):
+        if pos % 2 == 0:
+            chunks.append(rng.choice(["0", "1", "2", "0", "1", "3", "9", "007",
+                                      "1" + "0" * 30, "7" * 4400, "-1", "x", "", "\u0663"]))
+        else:
+            chunks.append(rng.choice(["outer", "outer", "outer", "loop0", "loop0", "loop1",
+                                      "loop2", "loop9", "loop01", "loop" + "9" * 4400,
+                                      "loop", "loopx", "Outer", "0"]))
+    return ".".join(chunks)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (InvalidPathError, IllegalRuleError) as exc:
+        return f"error: {exc}"
+
+
+def _shown(node):
+    if isinstance(node, Graph):
+        return "area " + print_graph(node)
+    return "item " + print_graph(Graph((node,)))
+
+
+def _path_lines():
+    """Parse-and-print, resolve and erase outcomes of seeded path texts
+    against seeded graphs of both dialects."""
+    rng = random.Random(1213)
+    graphs = [random_graph(rng, depth=rng.randint(2, 5), width=4, dialect=dialect)
+              for dialect in (C, I) for _ in range(6)]
+    lines = []
+    for _ in range(3000):
+        text = _path_text(rng)
+        try:
+            path = Path.parse(text)
+        except InvalidPathError as exc:
+            lines.append(f"error: {exc}")
+            continue
+        lines.append(str(path))
+        for graph in rng.sample(graphs, 4):
+            system = System.INTUITIONISTIC if any(
+                isinstance(item, Scroll) and item.loops for _, item in walk_items(graph)
+            ) else rng.choice(list(System))
+            lines.append(_outcome(lambda: _shown(resolve(graph, path))))
+            lines.append(_outcome(lambda: print_graph(apply_rule(system, graph, Erase(path)))))
+    return lines
+
+
+def test_path_outcomes_are_pinned():
+    # the digest of these outcomes while regions were tagged "outer" and
+    # ("loop", k), so a match means numbering the regions changed no text
+    lines = _path_lines()
+    assert sum(line.startswith("area ") for line in lines) > 300
+    assert sum(line.startswith("item ") for line in lines) > 300
+    assert sum("out of range" in line for line in lines) > 300
+    assert sum("has no regions" in line for line in lines) > 100
+    assert sum("digits is too long" in line for line in lines) > 100
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "43355242076aa181b4034cf68d8bb2cc82146ec657e6d30c60d7f0f3c24ce63e"

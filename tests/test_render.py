@@ -174,6 +174,18 @@ class TestLayoutBytesAndCost:
         assert time.perf_counter() - start < 1.0
         assert len(ellipses_of(svg)) == 32
 
+    def test_loop_nested_24_levels_within_a_second(self):
+        graph = g("[p | " * 24 + "p" + "]" * 24)
+        start = time.perf_counter()
+        svg = render_svg(graph)
+        assert time.perf_counter() - start < 1.0
+        assert len(ellipses_of(svg)) == 48
+        pairs = _loop_pairs(layout(graph), graph)
+        assert len(pairs) == 24
+        for outer, loop in pairs:
+            dist = math.hypot(outer.cx - loop.cx, outer.cy - loop.cy)
+            assert abs(dist + loop.rx - outer.rx) <= 1e-9 * outer.rx
+
     def test_outer_nested_40_levels(self):
         graph = _outer_nested(40)
         svg = render_svg(graph)
