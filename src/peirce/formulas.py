@@ -69,10 +69,24 @@ def strip_not(f: Formula) -> Formula:
     return f
 
 
-def eval_mask(f: Formula, atom_masks: dict[str, int], full: int,
-              up: tuple[int, ...] | None = None) -> int:
-    """The bitmask of the points where ``f`` holds.  ``up[w]`` masks the
-    points above ``w`` in a Kripke order; None is a truth table's order."""
+def eval_mask(f: Formula, atom_masks: dict[str, int], up: tuple[int, ...],
+              width: int) -> int:
+    """The bitmask of the points where ``f`` holds.  Bit ``w * width + v``
+    is world ``w`` in lane ``v``: each world holds one block of ``width``
+    lanes, and ``up[w]`` masks the worlds above ``w`` in a Kripke order,
+    all numbered ``w`` or higher.  A truth table is one world, ``up=(1,)``,
+    with one lane per row."""
+    # for each distance d > 0, the shift that brings world w + d's block
+    # down to world w's, and the blocks of the worlds w with w + d above them
+    steps = []
+    for d in range(1, len(up)):
+        below = sum(1 << w * width for w in range(len(up) - d) if up[w] >> w + d & 1)
+        steps.append((d * width, below * ((1 << width) - 1)))
+    return _holds(f, atom_masks, (1 << len(up) * width) - 1, steps)
+
+
+def _holds(f: Formula, atom_masks: dict[str, int], full: int,
+           steps: list[tuple[int, int]]) -> int:
     if isinstance(f, Atom):
         return atom_masks[f.name]
     if isinstance(f, Top):
@@ -80,18 +94,16 @@ def eval_mask(f: Formula, atom_masks: dict[str, int], full: int,
     if isinstance(f, Bot):
         return 0
     if isinstance(f, And):
-        return eval_mask(f.left, atom_masks, full, up) & eval_mask(f.right, atom_masks, full, up)
+        return _holds(f.left, atom_masks, full, steps) & _holds(f.right, atom_masks, full, steps)
     if isinstance(f, Or):
-        return eval_mask(f.left, atom_masks, full, up) | eval_mask(f.right, atom_masks, full, up)
+        return _holds(f.left, atom_masks, full, steps) | _holds(f.right, atom_masks, full, steps)
     # the points where a -> b (or ~a, that is a -> F) fails: a without b
+    # there or at a point above, which, the order being transitive, the
+    # steps may reach in any order
     if isinstance(f, Not):
-        bad = eval_mask(f.body, atom_masks, full, up)
+        bad = _holds(f.body, atom_masks, full, steps)
     else:
-        bad = eval_mask(f.left, atom_masks, full, up) & ~eval_mask(f.right, atom_masks, full, up)
-    if up is None:
-        return full & ~bad
-    mask = 0
-    for w, above in enumerate(up):
-        if not above & bad:
-            mask |= 1 << w
-    return mask
+        bad = _holds(f.left, atom_masks, full, steps) & ~_holds(f.right, atom_masks, full, steps)
+    for shift, below in steps:
+        bad |= bad >> shift & below
+    return full & ~bad

@@ -7,10 +7,20 @@ construction.  Only rooted posets are tried and only the root is tested:
 the worlds above a failing world form a countermodel too, so a smallest
 countermodel fails at its least world, world 0.  A rooted poset on n worlds
 is a poset on n - 1 worlds, shifted up one, under a new least world 0, so
-the search builds its frames from the posets one world smaller.  Forcing is
-evaluated with ``formulas.eval_mask``; a model found must pass the recursive
-forcing relation, the independent half of the pair, or CertificationError
-is raised.
+the search builds its frames from the posets one world smaller.
+
+A frame's valuations are evaluated together, as bit lanes: world w holds
+bits ``w * width`` to ``(w + 1) * width - 1``, and lane v is the v-th
+valuation in ``product(values, repeat=atoms)`` order, the last atom varying
+fastest.  One ``formulas.eval_mask`` call then evaluates a whole pass, and
+the lowest failing lane of world 0 is the valuation a one-at-a-time search
+would have met first, so the model returned does not depend on the lanes.
+A pass holds at most ``MAX_LANES`` lanes; the first atoms past that take
+their values in an outer loop, in the same order, as masks constant across
+the lanes.  A search that tries more than ``MAX_VALUATIONS`` valuations
+raises BoundsExceededError.  A model found must pass the recursive forcing
+relation, the independent half of the pair, or CertificationError is
+raised.
 """
 
 from __future__ import annotations
@@ -19,9 +29,11 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from . import formulas as fm
-from .errors import CertificationError
+from .errors import BoundsExceededError, CertificationError
 
 MAX_WORLDS = 5
+MAX_LANES = 4096            # valuations evaluated in one pass
+MAX_VALUATIONS = 50_000_000  # valuations one search may try
 
 
 @dataclass(frozen=True)
@@ -148,21 +160,63 @@ def _is_upset(mask: int, up: tuple[int, ...], n: int) -> bool:
 def kripke_countermodel(f: fm.Formula, max_worlds: int) -> KripkeModel | None:
     """A smallest model, of at most ``max_worlds`` worlds, in which ``f``
     fails at the root, or None.  Any returned model is verified against the
-    recursive forcing relation before being handed back."""
+    recursive forcing relation before being handed back.  Raises
+    BoundsExceededError once the search has tried ``MAX_VALUATIONS``
+    valuations."""
     if not 1 <= max_worlds <= MAX_WORLDS:
         raise ValueError(f"max_worlds must be in 1..{MAX_WORLDS}")
     names = sorted(fm.atoms(f))
+    tried = 0
     for n in range(1, max_worlds + 1):
         full = (1 << n) - 1
         for below, upsets in _posets(n - 1):
             up = (full,) + tuple(u << 1 for u in below)
-            for choice in product([u << 1 for u in upsets] + [full], repeat=len(names)):
-                if not fm.eval_mask(f, dict(zip(names, choice)), full, up) & 1:
+            values = [u << 1 for u in upsets] + [full]
+            # the last atoms share the lanes of a pass, the first ones are fixed per pass
+            inner = len(names)
+            while len(values) ** inner > MAX_LANES:
+                inner -= 1
+            width = len(values) ** inner
+            lanes = (1 << width) - 1
+            outer = len(names) - inner
+            masks = dict(zip(names[outer:], _lane_masks(values, inner, n, width)))
+            fixed = [sum(lanes << w * width for w in range(n) if u >> w & 1) for u in values]
+            for prefix in product(fixed, repeat=outer):
+                tried += width
+                if tried > MAX_VALUATIONS:
+                    raise BoundsExceededError(f"the Kripke countermodel search passed its "
+                                              f"budget of {MAX_VALUATIONS:,} valuations")
+                masks.update(zip(names, prefix))
+                failing = lanes & ~fm.eval_mask(f, masks, up, width)
+                if failing:
+                    # the first failing lane, read back world by world
+                    lane = (failing & -failing).bit_length() - 1
+                    choice = tuple(sum(1 << w for w in range(n)
+                                       if masks[name] >> w * width + lane & 1)
+                                   for name in names)
                     model = _build_model(n, up, names, choice)
                     if not persistent(model) or forces(model, 0, f):
                         raise CertificationError(f"model fails the forcing re-check: {model}")
                     return model
     return None
+
+
+def _lane_masks(values: list[int], atoms: int, n: int, width: int) -> list[int]:
+    """Each of the last ``atoms`` atoms' masks on ``n`` worlds, where lane v
+    gives the atoms the values of v's digits in base ``len(values)``, most
+    significant first: the order of ``product(values, repeat=atoms)``."""
+    masks = []
+    for i in range(atoms):
+        stride = len(values) ** (atoms - 1 - i)   # lanes per run of one value
+        period = stride * len(values)
+        repeat = ((1 << width) - 1) // ((1 << period) - 1)   # a bit per period
+        run = (1 << stride) - 1
+        mask = 0
+        for w in range(n):
+            pattern = sum(run << c * stride for c, u in enumerate(values) if u >> w & 1)
+            mask |= pattern * repeat << w * width
+        masks.append(mask)
+    return masks
 
 
 def _build_model(n: int, up: tuple[int, ...], names: list[str],

@@ -87,7 +87,7 @@ def _encode(f: fm.Formula, d: Dialect) -> tuple[Item, ...]:
 def eval_classical(f: fm.Formula, assignment: dict[str, bool]) -> bool:
     """``f`` under one assignment: a truth table of one row."""
     row = {name: 1 if value else 0 for name, value in assignment.items()}
-    return fm.eval_mask(f, row, 1) == 1
+    return fm.eval_mask(f, row, (1,), 1) == 1
 
 
 def taut_classical(f: fm.Formula) -> bool:
@@ -101,7 +101,7 @@ def taut_classical(f: fm.Formula) -> bool:
         masks = [m | m << rows for m in masks] + [((1 << rows) - 1) << rows]
         rows <<= 1
     full = (1 << rows) - 1
-    return fm.eval_mask(f, dict(zip(names, masks)), full) == full
+    return fm.eval_mask(f, dict(zip(names, masks)), (1,), rows) == full
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +133,14 @@ def _prove_uncached(gamma: frozenset, goal: fm.Formula, cache: dict) -> bool:
         return _prove(gamma, goal.left, cache) and _prove(gamma, goal.right, cache)
     if isinstance(goal, fm.Imp):
         return _prove(gamma | {goal.left}, goal.right, cache)
-    # invertible left rules
+    # invertible left rules: the first formula one of them fires on
     for f in gamma:
+        if isinstance(f, fm.Imp):
+            head = f.left
+            if isinstance(head, fm.Imp) or isinstance(head, fm.Atom) and head not in gamma:
+                continue
+        elif not isinstance(f, (fm.Top, fm.And, fm.Or)):
+            continue
         rest = gamma - {f}
         if isinstance(f, fm.Top):
             return _prove(rest, goal, cache)
@@ -143,20 +149,16 @@ def _prove_uncached(gamma: frozenset, goal: fm.Formula, cache: dict) -> bool:
         if isinstance(f, fm.Or):
             return (_prove(rest | {f.left}, goal, cache)
                     and _prove(rest | {f.right}, goal, cache))
-        if isinstance(f, fm.Imp):
-            head = f.left
-            if isinstance(head, fm.Top):
-                return _prove(rest | {f.right}, goal, cache)
-            if isinstance(head, fm.Bot):
-                return _prove(rest, goal, cache)
-            if isinstance(head, fm.And):
-                return _prove(rest | {fm.Imp(head.left, fm.Imp(head.right, f.right))},
-                              goal, cache)
-            if isinstance(head, fm.Or):
-                return _prove(rest | {fm.Imp(head.left, f.right),
-                                      fm.Imp(head.right, f.right)}, goal, cache)
-            if isinstance(head, fm.Atom) and head in gamma:
-                return _prove(rest | {f.right}, goal, cache)
+        if isinstance(head, fm.Bot):
+            return _prove(rest, goal, cache)
+        if isinstance(head, fm.And):
+            return _prove(rest | {fm.Imp(head.left, fm.Imp(head.right, f.right))},
+                          goal, cache)
+        if isinstance(head, fm.Or):
+            return _prove(rest | {fm.Imp(head.left, f.right),
+                                  fm.Imp(head.right, f.right)}, goal, cache)
+        # a true head: T, or an atom in gamma
+        return _prove(rest | {f.right}, goal, cache)
     # non-invertible choices
     if isinstance(goal, fm.Or):
         if _prove(gamma, goal.left, cache) or _prove(gamma, goal.right, cache):

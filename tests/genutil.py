@@ -17,7 +17,7 @@ from peirce.continuum import (
 )
 from peirce.graphs import Atom, Dialect, Graph, Scroll
 
-ATOM_POOL = ("p", "q", "r", "s")
+ATOM_POOL = ("p", "q", "r", "s", "t")
 
 
 def random_graph(rng: random.Random, depth: int = 4, atoms: int = 4,

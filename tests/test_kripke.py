@@ -1,17 +1,20 @@
+import hashlib
 import random
 import subprocess
 import sys
-from itertools import product
+import time
+from itertools import islice, product
 
 import pytest
 
 from peirce import formulas as fm
 from peirce import kripke
-from peirce.errors import CertificationError
+from peirce.cli import main
+from peirce.errors import BoundsExceededError, CertificationError
 from peirce.graphs import Dialect
 from peirce.kripke import (KripkeModel, _build_model, _posets, forces, kripke_countermodel,
                            persistent)
-from peirce.notation import parse_formula
+from peirce.notation import parse_formula, print_formula
 from peirce.semantics import taut_int
 
 from genutil import random_formula
@@ -137,6 +140,86 @@ class TestRootedSearch:
         done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                               text=True, timeout=60)
         assert (done.returncode, done.stdout) == (0, "caught\n"), done.stderr
+
+
+def _pin_corpus():
+    """1,500 formulas of 1-5 atoms, a third of them classical
+    tautologies of the shapes whose countermodels need more than one world,
+    each at 1-4 worlds, and at 5 too when it has at most 3 atoms."""
+    rng = random.Random(131)
+    for i in range(1500):
+        g = random_formula(rng, connectives=rng.randint(0, 6), atoms=1 + i % 5)
+        formula = (g, fm.Or(g, fm.Not(g)), fm.Imp(fm.Not(fm.Not(g)), g))[i % 3]
+        top = 5 if len(fm.atoms(formula)) <= 3 else 4
+        for worlds in range(1, top + 1):
+            yield formula, worlds
+
+
+def bounded_depth(k):
+    """``p1 | (p1 -> (p2 | (p2 -> ... (pk | ~pk))))``: valid on every frame
+    whose chains have at most k worlds, so its least countermodel is a
+    chain of k + 1 worlds."""
+    text = f"p{k} | ~p{k}"
+    for i in range(k - 1, 0, -1):
+        text = f"p{i} | (p{i} -> ({text}))"
+    return f(text)
+
+
+class TestValuationLanes:
+    def test_same_models_as_one_valuation_at_a_time(self):
+        # the digest of the models found when each valuation was evaluated
+        # on its own, in product order
+        digest = hashlib.sha256()
+        calls = found = 0
+        for formula, worlds in _pin_corpus():
+            model = kripke_countermodel(formula, worlds)
+            digest.update(f"{model}\n".encode())
+            calls += 1
+            found += model is not None
+        assert (calls, found) == (7452, 4235)
+        assert digest.hexdigest() == (
+            "ea1e1a6d82e4fa528424adea4ab6b35a960bf56f477d35165304d1c9d9f74c5d")
+
+    @pytest.mark.parametrize("lanes", [1, 10])
+    def test_any_pass_size_finds_the_same_models(self, monkeypatch, lanes):
+        # a pass of one lane is one valuation at a time, in product order;
+        # ten lanes split every frame with more than two atoms into passes
+        corpus = list(islice(_pin_corpus(), 1200))
+        expected = [str(kripke_countermodel(formula, worlds)) for formula, worlds in corpus]
+        monkeypatch.setattr(kripke, "MAX_LANES", lanes)
+        assert [str(kripke_countermodel(formula, worlds)) for formula, worlds in corpus] == expected
+
+    def test_depth_bound(self):
+        model = kripke_countermodel(bounded_depth(4), 5)
+        assert str(model) == ("worlds: 5; order: 0<=1, 0<=2, 0<=3, 0<=4, 1<=2, 1<=3, 1<=4, "
+                              "2<=3, 2<=4, 3<=4; val: 0:{}; 1:{p1}; 2:{p1,p2}; "
+                              "3:{p1,p2,p3}; 4:{p1,p2,p3,p4}")
+        assert kripke_countermodel(bounded_depth(5), 5) is None
+
+
+class TestValuationBudget:
+    def test_model_within_the_budget_is_returned(self, monkeypatch):
+        # the search tries p's 2 valuations on one world, then its 3 on two
+        # worlds, where the last pass holds the countermodel to p | ~p
+        monkeypatch.setattr(kripke, "MAX_VALUATIONS", 5)
+        assert kripke_countermodel(f("p | ~p"), 2) is not None
+        monkeypatch.setattr(kripke, "MAX_VALUATIONS", 4)
+        with pytest.raises(BoundsExceededError):
+            kripke_countermodel(f("p | ~p"), 2)
+
+    def test_six_atoms_complete_within_it(self):
+        assert kripke_countermodel(bounded_depth(6), 5) is None
+
+    def test_seven_atoms_exit_2(self, capsys):
+        start = time.process_time()
+        code = main(["taut", "--logic", "intuitionistic", "--countermodel",
+                     "--max-worlds", "5", print_formula(bounded_depth(7))])
+        elapsed = time.process_time() - start
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "not a theorem\n")
+        assert err == ("eg: the Kripke countermodel search passed its budget of "
+                       "50,000,000 valuations\n")
+        assert elapsed < 15
 
 
 class TestRootedFrames:

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from peirce import formulas as fm
+from peirce import semantics
 from peirce.errors import TooManyAtomsError
 from peirce.graphs import Dialect
 from peirce.notation import parse_formula, parse_graph, print_formula, print_graph
@@ -263,6 +264,102 @@ class TestIntuitionisticOracle:
             formula = random_formula(rng)
             if taut_int(formula):
                 assert taut_classical(formula)
+
+
+def _reference_prove(gamma, goal, cache, proved):
+    """G4ip as it stood before its left rules built ``gamma - {f}`` only
+    for the formula a rule fires on; ``proved`` counts the sequents it
+    proves, that is, its memo misses."""
+    key = (gamma, goal)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    proved[0] += 1
+    result = _reference_prove_uncached(gamma, goal, cache, proved)
+    cache[key] = result
+    return result
+
+
+def _reference_prove_uncached(gamma, goal, cache, proved):
+    prove = _reference_prove
+    if isinstance(goal, fm.Top) or fm.BOT in gamma or goal in gamma:
+        return True
+    if isinstance(goal, fm.And):
+        return (prove(gamma, goal.left, cache, proved)
+                and prove(gamma, goal.right, cache, proved))
+    if isinstance(goal, fm.Imp):
+        return prove(gamma | {goal.left}, goal.right, cache, proved)
+    for f in gamma:
+        rest = gamma - {f}
+        if isinstance(f, fm.Top):
+            return prove(rest, goal, cache, proved)
+        if isinstance(f, fm.And):
+            return prove(rest | {f.left, f.right}, goal, cache, proved)
+        if isinstance(f, fm.Or):
+            return (prove(rest | {f.left}, goal, cache, proved)
+                    and prove(rest | {f.right}, goal, cache, proved))
+        if isinstance(f, fm.Imp):
+            head = f.left
+            if isinstance(head, fm.Top):
+                return prove(rest | {f.right}, goal, cache, proved)
+            if isinstance(head, fm.Bot):
+                return prove(rest, goal, cache, proved)
+            if isinstance(head, fm.And):
+                return prove(rest | {fm.Imp(head.left, fm.Imp(head.right, f.right))},
+                             goal, cache, proved)
+            if isinstance(head, fm.Or):
+                return prove(rest | {fm.Imp(head.left, f.right),
+                                     fm.Imp(head.right, f.right)}, goal, cache, proved)
+            if isinstance(head, fm.Atom) and head in gamma:
+                return prove(rest | {f.right}, goal, cache, proved)
+    if isinstance(goal, fm.Or):
+        if (prove(gamma, goal.left, cache, proved)
+                or prove(gamma, goal.right, cache, proved)):
+            return True
+    for f in gamma:
+        if isinstance(f, fm.Imp) and isinstance(f.left, fm.Imp):
+            rest = gamma - {f}
+            inner = f.left
+            if (prove(rest | {fm.Imp(inner.right, f.right)}, inner, cache, proved)
+                    and prove(rest | {f.right}, goal, cache, proved)):
+                return True
+    return False
+
+
+def pigeonhole(n):
+    """n + 1 pigeons do not fit in n holes: an intuitionistic theorem, by
+    Glivenko's theorem, since it is a negated classical one."""
+    p = [[f"p{i}_{j}" for j in range(n)] for i in range(n + 1)]
+    parts = ["(" + " | ".join(row) + ")" for row in p]
+    parts += [f"~({p[i][j]} & {p[k][j]})"
+              for j in range(n) for i in range(n + 1) for k in range(i + 1, n + 1)]
+    return f("~(" + " & ".join(parts) + ")")
+
+
+class TestG4ipWork:
+    def test_same_sequents_as_the_reference(self, monkeypatch):
+        # one process, one hash order: the set iteration, and so the
+        # sequents visited, are the same for both
+        proved = [0]
+        prove_uncached = semantics._prove_uncached
+
+        def counted(gamma, goal, cache):
+            proved[0] += 1
+            return prove_uncached(gamma, goal, cache)
+
+        monkeypatch.setattr(semantics, "_prove_uncached", counted)
+        rng = random.Random(61)
+        formulas = [random_formula(rng, connectives=rng.randint(0, 10), atoms=rng.randint(1, 4))
+                    for _ in range(2_000)]
+        theorems = 0
+        for formula in formulas + [pigeonhole(n) for n in (2, 3, 4)]:
+            expected = [0]
+            verdict = _reference_prove(frozenset(), fm.strip_not(formula), {}, expected)
+            proved[0] = 0
+            assert taut_int(formula) == verdict, print_formula(formula)
+            assert proved[0] == expected[0], print_formula(formula)
+            theorems += verdict
+        assert theorems > 300
 
 
 class TestEntails:
