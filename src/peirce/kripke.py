@@ -1,13 +1,13 @@
 """Finite Kripke models: forcing, persistence, and countermodel search.
 
-Models are enumerated up to isomorphism: posets are generated as transitive
-subrelations of a fixed linear order and deduplicated by a canonical
-signature, and valuations range over up-sets so persistence holds by
-construction.  Only rooted posets are tried and only the root is tested:
-the worlds above a failing world form a countermodel too, so a smallest
-countermodel fails at its least world, world 0.  A rooted poset on n worlds
-is a poset on n - 1 worlds, shifted up one, under a new least world 0, so
-the search builds its frames from the posets one world smaller.
+Models are enumerated up to isomorphism: frames are built as up-masks (bit b
+of ``up[a]`` set when a <= b) inside the order 0 < 1 < ... < n-1, each kept
+at its least relabelling, and valuations range over up-sets so persistence
+holds by construction.  Only rooted posets are tried and only the root is
+tested: the worlds above a failing world form a countermodel too, so a
+smallest countermodel fails at its least world, world 0.  A rooted poset on
+n worlds is a poset on n - 1 worlds, shifted up one, under a new least world
+0, so the search builds its frames from the posets one world smaller.
 
 A frame's valuations are evaluated together, as bit lanes: world w holds
 bits ``w * width`` to ``(w + 1) * width - 1``, and lane v is the v-th
@@ -102,54 +102,29 @@ def _posets(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[tuple[int, ...], list[int]]] = []
     for bits in range(1 << len(pairs)):
-        rel = {(i, i) for i in range(n)}
+        up = [1 << a for a in range(n)]
         for idx, (a, b) in enumerate(pairs):
             if bits >> idx & 1:
-                rel.add((a, b))
-        if not _transitive(rel):
+                up[a] |= 1 << b
+        # transitive: a world b above a sees nothing that a does not
+        if any(up[a] >> b & 1 and up[b] & ~up[a] for a, b in pairs):
             continue
-        signature = _canonical_signature(rel, n)
+        signature = min(_relabelled(up, perm) for perm in permutations(range(n)))
         if signature in seen:
             continue
         seen.add(signature)
-        up = tuple(sum(1 << b for b in range(n) if (a, b) in rel) for a in range(n))
-        upsets = [mask for mask in range(1 << n) if _is_upset(mask, up, n)]
-        out.append((up, upsets))
+        upsets = [m for m in range(1 << n)
+                  if all(up[w] & ~m == 0 for w in range(n) if m >> w & 1)]
+        out.append((tuple(up), upsets))
     _POSET_CACHE[n] = out
     return out
 
 
-def _transitive(rel: set[tuple[int, int]]) -> bool:
-    return all((a, d) in rel
-               for (a, b) in rel for (c, d) in rel if b == c)
-
-
-def _canonical_signature(rel: set[tuple[int, int]], n: int) -> tuple[int, ...]:
-    best = None
-    for perm in permutations(range(n)):
-        masks = []
-        for a in range(n):
-            mask = 0
-            for b in range(n):
-                if (a, b) in rel:
-                    mask |= 1 << perm[b]
-            masks.append(mask)
-        masks = tuple(masks[p] for p in _inverse(perm))
-        if best is None or masks < best:
-            best = masks
-    return best
-
-
-def _inverse(perm: tuple[int, ...]) -> list[int]:
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return inv
-
-
-def _is_upset(mask: int, up: tuple[int, ...], n: int) -> bool:
-    return all(not (mask >> w & 1) or (up[w] & ~mask & ((1 << n) - 1)) == 0
-               for w in range(n))
+def _relabelled(up: list[int], perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The up-masks with world w renamed perm[w], listed by new name."""
+    return tuple(mask for _, mask in sorted(
+        (perm[a], sum(1 << p for b, p in enumerate(perm) if m >> b & 1))
+        for a, m in enumerate(up)))
 
 
 # ---------------------------------------------------------------------------

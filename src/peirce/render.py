@@ -23,8 +23,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+# the three replacements of xml.sax.saxutils.escape (&, <, >), without the
+# network modules that importing xml.sax loads
+from html import escape
 from typing import Optional
-from xml.sax.saxutils import escape
 
 from .errors import PeirceError
 from .graphs import Atom, Graph, Item, Scroll
@@ -190,7 +192,7 @@ def emit_svg(node: GeometryNode) -> str:
             shapes.append(
                 f'<text x="{_fmt(n.cx)}" y="{_fmt(n.cy + 5.0)}" '
                 f'text-anchor="middle" font-family="monospace" '
-                f'font-size="14">{escape(n.text or "")}</text>'
+                f'font-size="14">{escape(n.text or "", quote=False)}</text>'
             )
             _grow(bounds, n.cx - n.rx, n.cy - n.ry, n.cx + n.rx, n.cy + n.ry)
         for child in n.children:

@@ -1,9 +1,13 @@
 import hashlib
 import io
+import os
 import random
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -140,6 +144,18 @@ class TestTranslate:
         code, out, _ = run(capsys, "translate", "--to", "graph",
                            "--dialect", "classical", "p -> q")
         assert (code, out) == (0, "(p (q))\n")
+
+
+class TestStartup:
+    def test_import_loads_no_network_module(self):
+        # a fresh interpreter, so no other test's imports count
+        code = ("import sys, peirce.cli\n"
+                "print(sorted({'socket', 'ssl', 'http.client', 'urllib.request', 'email',"
+                " 'xml.sax'} & sys.modules.keys()))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def loop_ladder(levels):

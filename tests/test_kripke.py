@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 import time
-from itertools import islice, product
+from itertools import combinations, islice, permutations, product
 
 import pytest
 
@@ -234,6 +234,73 @@ class TestRootedFrames:
         monkeypatch.setattr(kripke, "_POSET_CACHE", {})
         assert kripke_countermodel(f("(p -> q) -> (~q -> ~p)"), 5) is None
         assert sorted(kripke._POSET_CACHE) == [0, 1, 2, 3, 4]
+
+
+def _pair_posets(n):
+    """The frames as first built from sets of (a, b) pairs: every
+    transitive subrelation of 0 < 1 < ... < n-1, kept the first time its
+    canonical signature is met."""
+    pairs = list(combinations(range(n), 2))
+    seen = set()
+    out = []
+    for bits in range(1 << len(pairs)):
+        rel = {(i, i) for i in range(n)}
+        for idx, (a, b) in enumerate(pairs):
+            if bits >> idx & 1:
+                rel.add((a, b))
+        if not _transitive(rel):
+            continue
+        signature = _canonical_signature(rel, n)
+        if signature in seen:
+            continue
+        seen.add(signature)
+        up = tuple(sum(1 << b for b in range(n) if (a, b) in rel) for a in range(n))
+        upsets = [mask for mask in range(1 << n) if _is_upset(mask, up, n)]
+        out.append((up, upsets))
+    return out
+
+
+def _transitive(rel):
+    return all((a, d) in rel for (a, b) in rel for (c, d) in rel if b == c)
+
+
+def _canonical_signature(rel, n):
+    best = None
+    for perm in permutations(range(n)):
+        masks = []
+        for a in range(n):
+            mask = 0
+            for b in range(n):
+                if (a, b) in rel:
+                    mask |= 1 << perm[b]
+            masks.append(mask)
+        masks = tuple(masks[p] for p in _inverse(perm))
+        if best is None or masks < best:
+            best = masks
+    return best
+
+
+def _inverse(perm):
+    inv = [0] * len(perm)
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return inv
+
+
+def _is_upset(mask, up, n):
+    return all(not (mask >> w & 1) or (up[w] & ~mask & ((1 << n) - 1)) == 0
+               for w in range(n))
+
+
+class TestFramesAsUpMasks:
+    @pytest.mark.parametrize("n", range(6))
+    def test_same_frames_as_the_pair_sets(self, n):
+        # the same list, order, representatives and up-sets
+        assert _posets(n) == _pair_posets(n)
+
+    def test_counts_are_the_posets_up_to_isomorphism(self):
+        # OEIS A000112
+        assert [len(_posets(n)) for n in range(6)] == [1, 1, 2, 5, 16, 63]
 
 
 class TestModelPrinting:

@@ -195,6 +195,19 @@ class TestLayoutBytesAndCost:
             assert abs(dist + loop.rx - outer.rx) < 1e-6
 
 
+class TestEscape:
+    def test_markup_in_atom_names(self):
+        # the parser yields no such names, so they are built directly; the
+        # digest was taken when the escape came from xml.sax.saxutils
+        graph = Graph((Atom("a<b&c>d"),
+                       Scroll(Graph((Atom("&amp;"), Atom("x>y"))), (Graph((Atom("\"q'"),)),))))
+        svg = render_svg(graph)
+        assert texts_of(svg) == ["a<b&c>d", "&amp;", "x>y", "\"q'"]
+        assert "a&lt;b&amp;c&gt;d" in svg and "&amp;amp;" in svg
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "334499aed4ddf9497aa4ab19b9a9882ca50e0fe46b7191da2708d327d3aca616")
+
+
 def _loop_pairs(node, graph):
     """(scroll ellipse, loop ellipse) pairs by walking tree and graph together."""
     pairs = []

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from peirce.calculus import (
+    RULES,
+    SYSTEM_RULES,
     Deiterate,
     DoubleCutIntro,
     Erase,
@@ -13,11 +15,14 @@ from peirce.calculus import (
     ScrollWrap,
     System,
     check_script,
+    enumerate_rule_instances,
 )
 from peirce.errors import PeirceError, ScriptError
 from peirce.graphs import Graph, Path, equals
 from peirce.notation import parse_graph
-from peirce.scriptfile import format_script, parse_script
+from peirce.scriptfile import _KEYWORDS, format_script, parse_script
+
+from genutil import random_graph
 
 EXAMPLE = """\
 # iterate p into the cut
@@ -143,3 +148,24 @@ def test_parse_and_format_bytes_are_pinned():
     assert 1500 < errors < 5500
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert digest == "e89e3735b16fe59c54c8b52f63c8c0d3d5b9b2fd0cbb096af553a29ab2a1f1e8"
+
+
+class TestEveryRuleHasAKeyword:
+    def test_keywords_cover_the_rule_table(self):
+        assert set(RULES) == set(_KEYWORDS)
+
+    @pytest.mark.parametrize("system", list(System))
+    def test_one_instance_of_each_rule_round_trips(self, system):
+        # the first instance of each of the system's rules met over a
+        # seeded corpus, each formatted as a one-step script and read back
+        rng = random.Random(16)
+        vocabulary = (parse_graph("p", system.dialect), parse_graph("q r", system.dialect))
+        first = {}
+        for _ in range(200):
+            g = random_graph(rng, depth=rng.randint(1, 4), dialect=system.dialect)
+            for rule in enumerate_rule_instances(system, g, vocabulary):
+                first.setdefault(type(rule), (g, rule))
+        assert set(first) == set(SYSTEM_RULES[system])
+        for g, rule in first.values():
+            script = ProofScript(system, g, ((rule, None),))
+            assert parse_script(format_script(script)) == script
