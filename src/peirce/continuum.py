@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import EmptyElementError, NotInMonadError, OrdinalUnderflowError, ParseError
-from .notation import _skip_ws
+from .notation import read_all, skip_ws
 
 # ---------------------------------------------------------------------------
 # Ordinals in Cantor normal form
@@ -120,17 +120,13 @@ _PAST_DIGITS = 10 ** MAX_DIGITS
 
 
 def parse_ordinal(text: str) -> Ordinal:
-    value, pos = _parse_ordinal_sum(text, 0)
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise ParseError(f"unexpected {text[pos]!r} in ordinal", pos)
-    return value
+    return read_all(text, _parse_ordinal_sum, " in ordinal")
 
 
 def _parse_ordinal_sum(text: str, pos: int) -> tuple[Ordinal, int]:
     value, pos = _parse_ordinal_term(text, pos)
     while True:
-        pos = _skip_ws(text, pos)
+        pos = skip_ws(text, pos)
         if pos < len(text) and text[pos] == "+":
             term, pos = _parse_ordinal_term(text, pos + 1)
             value = ord_add(value, term)
@@ -139,7 +135,7 @@ def _parse_ordinal_sum(text: str, pos: int) -> tuple[Ordinal, int]:
 
 
 def _parse_ordinal_term(text: str, pos: int, allow_coeff: bool = True) -> tuple[Ordinal, int]:
-    pos = _skip_ws(text, pos)
+    pos = skip_ws(text, pos)
     if pos == len(text):
         raise ParseError("ordinal expected", pos)
     if text[pos].isdecimal():
@@ -153,7 +149,7 @@ def _parse_ordinal_term(text: str, pos: int, allow_coeff: bool = True) -> tuple[
         pos += 1
         if pos < len(text) and text[pos] == "(":
             exponent, pos = _parse_ordinal_sum(text, pos + 1)
-            pos = _skip_ws(text, pos)
+            pos = skip_ws(text, pos)
             if pos == len(text) or text[pos] != ")":
                 raise ParseError("unclosed '(' in ordinal exponent", pos)
             pos += 1
@@ -163,9 +159,9 @@ def _parse_ordinal_term(text: str, pos: int, allow_coeff: bool = True) -> tuple[
             exponent, pos = _parse_ordinal_term(text, pos, allow_coeff=False)
     coeff = 1
     if allow_coeff:
-        pos = _skip_ws(text, pos)
+        pos = skip_ws(text, pos)
         if pos < len(text) and text[pos] == "*":
-            pos = _skip_ws(text, pos + 1)
+            pos = skip_ws(text, pos + 1)
             coeff, end = _integer(text, pos)
             if end == pos:
                 raise ParseError("coefficient expected after '*'", pos)
@@ -321,7 +317,7 @@ def concat(x: ContinuumElement, z: ContinuumElement) -> ContinuumElement:
 
 def parse_element(text: str) -> ContinuumElement:
     pieces: list[tuple[Ordinal, Fraction]] = []
-    pos = _skip_ws(text, 0)
+    pos = skip_ws(text, 0)
     while pos < len(text):
         if text[pos] != "[":
             raise ParseError(f"expected '[' in element, got {text[pos]!r}", pos)
@@ -341,7 +337,7 @@ def parse_element(text: str) -> ContinuumElement:
         if length.is_zero():
             raise ParseError("piece lengths must be positive", pos)
         pieces.append((length, value))
-        pos = _skip_ws(text, close + 1)
+        pos = skip_ws(text, close + 1)
     if not pieces:
         raise ParseError("element expected", 0)
     return ContinuumElement(tuple(pieces))

@@ -15,6 +15,10 @@ Formula grammar: atoms, ``T``, ``F``, ``~``, ``&``, ``|``, ``->`` and
 parentheses, with precedence ``~ > & > | > ->``; ``->`` associates right,
 ``&`` and ``|`` left.  The binary connectives are stated once, in the table
 ``_BINARY``, which both the parser and the minimal-parenthesis printer read.
+
+Every recursive notation (graphs and formulas here, ordinals in
+``continuum``) is read by functions over ``(text, pos)`` that return
+``(value, pos)``, and ``read_all`` checks that one read the whole text.
 """
 
 from __future__ import annotations
@@ -24,31 +28,49 @@ from .errors import DialectError, ParseError
 from .graphs import ATOM_NAME, Atom, Dialect, Graph, Item, Scroll, well_formed
 
 # ---------------------------------------------------------------------------
+# Reading: functions over (text, pos) that return (value, pos)
+# ---------------------------------------------------------------------------
+
+
+def skip_ws(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+def _name_end(text: str, pos: int) -> int:
+    """The end of the run of letters, digits and ``_`` at ``pos``."""
+    while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
+        pos += 1
+    return pos
+
+
+def read_all(text: str, read, what: str = ""):
+    """What ``read`` reads from the start of ``text``, if only whitespace follows."""
+    value, pos = read(text, 0)
+    pos = skip_ws(text, pos)
+    if pos != len(text):
+        raise ParseError(f"unexpected {text[pos]!r}{what}", pos)
+    return value
+
+
+# ---------------------------------------------------------------------------
 # Graphs
 # ---------------------------------------------------------------------------
 
 
 def parse_graph(text: str, dialect: Dialect) -> Graph:
-    graph, pos = _parse_area(text, 0)
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise ParseError(f"unexpected {text[pos]!r}", pos)
+    graph = read_all(text, _parse_area)
     bad = well_formed(graph, dialect)
     if bad:
         raise DialectError(f"{bad[0].reason} at {bad[0].path}")
     return graph
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
 def _parse_area(text: str, pos: int) -> tuple[Graph, int]:
     items: list[Item] = []
     while True:
-        pos = _skip_ws(text, pos)
+        pos = skip_ws(text, pos)
         if pos == len(text) or text[pos] in ")]|":
             return Graph(tuple(items)), pos
         item, pos = _parse_item(text, pos)
@@ -72,9 +94,7 @@ def _parse_item(text: str, pos: int) -> tuple[Item, int]:
         if pos == len(text) or text[pos] != _CLOSING[ch]:
             raise ParseError(f"unclosed {ch!r}", pos)
         return Scroll(regions[0], tuple(regions[1:])), pos + 1
-    end = pos
-    while end < len(text) and (text[end].isalnum() or text[end] == "_"):
-        end += 1
+    end = _name_end(text, pos)
     if end == pos:
         raise ParseError(f"unexpected {ch!r}", pos)
     name = text[pos:end]
@@ -107,69 +127,48 @@ _BINARY = ((fm.Imp, "->", True), (fm.Or, "|", False), (fm.And, "&", False))
 _NOT = len(_BINARY)
 
 
-class _FormulaParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def parse(self) -> fm.Formula:
-        f = self.binary(0)
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
-        return f
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos:self.pos + 1]
-
-    def binary(self, level: int) -> fm.Formula:
-        if level == _NOT:
-            return self.unary()
-        node, sign, right_assoc = _BINARY[level]
-        f = self.binary(level + 1)
-        self.skip_ws()
-        while self.text.startswith(sign, self.pos):
-            self.pos += len(sign)
-            if right_assoc:
-                return node(f, self.binary(level))
-            f = node(f, self.binary(level + 1))
-            self.skip_ws()
-        return f
-
-    def unary(self) -> fm.Formula:
-        ch = self.peek()
-        if ch == "~":
-            self.pos += 1
-            return fm.Not(self.unary())
-        if ch == "(":
-            self.pos += 1
-            f = self.binary(0)
-            if self.peek() != ")":
-                raise ParseError("unclosed '('", self.pos)
-            self.pos += 1
-            return f
-        if ch == "":
-            raise ParseError("formula expected", self.pos)
-        end = self.pos
-        while end < len(self.text) and (self.text[end].isalnum() or self.text[end] == "_"):
-            end += 1
-        name = self.text[self.pos:end]
-        if name in _FORMULA_KEYWORDS:
-            self.pos = end
-            return _FORMULA_KEYWORDS[name]
-        if not ATOM_NAME.match(name):
-            raise ParseError(f"bad token {self.text[self.pos:self.pos + 1]!r}", self.pos)
-        self.pos = end
-        return fm.Atom(name)
-
-
 def parse_formula(text: str) -> fm.Formula:
-    return _FormulaParser(text).parse()
+    return read_all(text, _binary)
+
+
+def _binary(text: str, pos: int, level: int = 0) -> tuple[fm.Formula, int]:
+    """The formula at ``pos`` whose connectives bind at ``level`` or tighter."""
+    if level == _NOT:
+        return _unary(text, pos)
+    node, sign, right_assoc = _BINARY[level]
+    f, pos = _binary(text, pos, level + 1)
+    pos = skip_ws(text, pos)
+    while text.startswith(sign, pos):
+        if right_assoc:
+            right, pos = _binary(text, pos + len(sign), level)
+            return node(f, right), pos
+        right, pos = _binary(text, pos + len(sign), level + 1)
+        f = node(f, right)
+        pos = skip_ws(text, pos)
+    return f, pos
+
+
+def _unary(text: str, pos: int) -> tuple[fm.Formula, int]:
+    pos = skip_ws(text, pos)
+    ch = text[pos:pos + 1]
+    if ch == "~":
+        f, pos = _unary(text, pos + 1)
+        return fm.Not(f), pos
+    if ch == "(":
+        f, pos = _binary(text, pos + 1)
+        pos = skip_ws(text, pos)
+        if not text.startswith(")", pos):
+            raise ParseError("unclosed '('", pos)
+        return f, pos + 1
+    if ch == "":
+        raise ParseError("formula expected", pos)
+    end = _name_end(text, pos)
+    name = text[pos:end]
+    if name in _FORMULA_KEYWORDS:
+        return _FORMULA_KEYWORDS[name], end
+    if not ATOM_NAME.match(name):
+        raise ParseError(f"bad token {ch!r}", pos)
+    return fm.Atom(name), end
 
 
 def print_formula(f: fm.Formula) -> str:

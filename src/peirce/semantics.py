@@ -30,11 +30,7 @@ def graph_to_formula(g: Graph) -> fm.Formula:
 def _area_formula(g: Graph) -> fm.Formula:
     if not g.items:
         return fm.TOP
-    parts = [_item_formula(item) for item in g.items]
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = fm.And(part, out)
-    return out
+    return _fold(fm.And, [_item_formula(item) for item in g.items])
 
 
 def _item_formula(item: Item) -> fm.Formula:
@@ -43,11 +39,15 @@ def _item_formula(item: Item) -> fm.Formula:
     antecedent = _area_formula(item.outer)
     if not item.loops:
         return fm.Not(antecedent)
-    disjuncts = [_area_formula(loop) for loop in item.loops]
-    out = disjuncts[-1]
-    for part in reversed(disjuncts[:-1]):
-        out = fm.Or(part, out)
-    return fm.Imp(antecedent, out)
+    return fm.Imp(antecedent, _fold(fm.Or, [_area_formula(loop) for loop in item.loops]))
+
+
+def _fold(node, parts: list[fm.Formula]) -> fm.Formula:
+    """``parts`` joined by the binary ``node``, nested to the right."""
+    out = parts[-1]
+    for part in reversed(parts[:-1]):
+        out = node(part, out)
+    return out
 
 
 def formula_to_graph(f: fm.Formula, dialect: Dialect) -> Graph:

@@ -309,6 +309,25 @@ class TestDeepNesting:
         assert (code, err) == (2, "eg: input nested too deeply\n")
 
 
+FLOOR = 150
+PARENTHESISED = "(" * FLOOR + "p -> p" + ")" * FLOOR
+
+
+class TestNestingFloor:
+    # every reading subcommand still works 150 levels deep, so a change to
+    # a reader that adds frames per level shows here
+    @pytest.mark.parametrize("argv", [
+        ("parse", "--dialect", "classical", "(" * FLOOR + ")" * FLOOR),
+        ("taut", "--logic", "classical", PARENTHESISED),
+        ("taut", "--logic", "classical", "~" * 500 + "T"),
+        ("translate", "--to", "graph", "--dialect", "classical", PARENTHESISED),
+        ("continuum", "domain", "[" + "w^(" * FLOOR + "1" + ")" * FLOOR + ":1]"),
+    ], ids=["parse", "taut-parentheses", "taut-negations", "translate", "continuum-domain"])
+    def test_exit_0(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+
+
 class TestNonIntegerInput:
     """Digits that ``int`` rejects, such as the superscript two, and items
     lists that are not integers, are input errors: exit 2, one diagnostic."""

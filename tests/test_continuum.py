@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -293,3 +294,54 @@ class TestExtendsAndMonad:
         assert len(images) == len(set(rationals))
         for image in images:
             assert extends(image, x)
+
+
+def _ordinal_text(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(["0", "1", "2", "17", "w"])
+    gap = rng.choice(["", " "])
+    if roll < 0.6:
+        exponent = _ordinal_text(rng, depth - 1)
+        text = "w^" + (f"({gap}{exponent}{gap})" if rng.random() < 0.6 else exponent)
+    else:
+        text = _ordinal_text(rng, depth - 1) + gap + "+" + gap + _ordinal_text(rng, depth - 1)
+    if text[0] == "w" and rng.random() < 0.3:
+        text += gap + "*" + gap + rng.choice(["0", "1", "3"])
+    return text
+
+
+def _element_print_or_error_lines():
+    """Print-or-error output on seeded element texts with ordinals up to
+    depth 3, a third of them corrupted by one inserted or deleted
+    character."""
+    rng = random.Random(79)
+    lines = []
+    for _ in range(4000):
+        text = rng.choice(["", " "]).join(
+            f"[{_ordinal_text(rng, rng.randint(0, 3))}:"
+            f"{rng.choice(['0', '1', '-1', '1/2', '-3/4', '0.25', '2e3'])}]"
+            for _ in range(rng.randint(1, 3)))
+        if rng.random() < 0.35:
+            at = rng.randint(0, len(text))
+            if rng.random() < 0.5:
+                text = text[:at] + text[at + 1:]
+            else:
+                text = text[:at] + rng.choice("w^*+()[]:09/x ") + text[at:]
+        try:
+            lines.append(print_element(parse_element(text)))
+        except ParseError as exc:
+            lines.append(f"error: {exc}")
+    return lines
+
+
+def test_element_print_or_error_bytes_are_pinned():
+    # the digest of this output while the ordinal reader checked the end
+    # of its text itself, through the graph reader's private whitespace skip
+    lines = _element_print_or_error_lines()
+    errors = [line for line in lines if line.startswith("error: ")]
+    assert 500 < len(errors) < 3500
+    assert any("in ordinal" in line for line in errors)
+    assert any("unclosed '('" in line for line in errors)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "7fd9630144b58176ae19ccb81207895472d156690a1cd98c6f127076043dc8fe"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -49,6 +50,16 @@ class TestGraphToFormula:
         a = graph_to_formula(parse_graph("q p", C))
         b = graph_to_formula(parse_graph("p q", C))
         assert a == b == fm.And(fm.Atom("p"), fm.Atom("q"))
+
+    def test_translation_bytes_are_pinned(self):
+        # the digest of these formulas while an area's conjunction and a
+        # scroll's disjunction were each folded by a loop of their own
+        rng = random.Random(73)
+        lines = [print_formula(graph_to_formula(random_graph(rng, depth=5, dialect=dialect)))
+                 for _ in range(1500) for dialect in (C, I)]
+        assert any(" | " in line for line in lines) and any(" & " in line for line in lines)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "a6b450624580d33d18850b6c9202d8a1ba14cb98ae0b276fe1799afde584b25c"
 
 
 class TestFormulaToGraph:
