@@ -154,14 +154,18 @@ def in_scope(source_item: Path, target_area: Path) -> bool:
 class Walk:
     """A graph's candidate operands: its items, areas and scrolls in walk
     order, its items grouped by key (each group in walk order), and (as
-    1-tuples) the vocabulary graphs in the system's dialect."""
+    1-tuples) the vocabulary graphs in the system's dialect (``drawn``).
+    The one size bound, ``limit`` (``max_growth``; None: none), is decided
+    here, and ``fitting`` lists the drawn graphs within it."""
 
-    def __init__(self, system: System, g: Graph, vocabulary: tuple[Graph, ...]):
+    def __init__(self, system: System, g: Graph, vocabulary: tuple[Graph, ...], max_growth=None):
         self.items, self.areas = [], []
         for site in walk(g):
             (self.areas if isinstance(site[1], Graph) else self.items).append(site)
         self.scrolls = [site for site in self.items if isinstance(site[1], Scroll)]
         self.drawn = [(v,) for v in vocabulary if not v.violations[system.dialect]]
+        self.limit = float("inf") if max_growth is None else max_growth
+        self.fitting = [site for site in self.drawn if node_count(site[0]) <= self.limit]
         self.by_key: dict[str, list] = {}
         for site in self.items:
             self.by_key.setdefault(site[1].key, []).append(site)
@@ -170,8 +174,8 @@ class Walk:
 @dataclass(frozen=True)
 class Dual:
     """How a rule is undone: by the instances of the table rule ``rule``
-    that ``keep`` passes, or by ``undo(walk, path, node, limit)`` at each
-    ``at`` site of the rule's polarity: edits adding at most ``limit``."""
+    that ``keep`` passes, or by ``undo(walk, path, node)`` at each ``at``
+    site of the rule's polarity: edits adding at most ``walk.limit``."""
 
     rule: Optional[type] = None
     keep: Optional[Callable[..., bool]] = None
@@ -187,15 +191,15 @@ class Rule:
     shape and scope ``condition``, the ``polarity`` (EVEN or ODD) of the
     first operand's area, and, where ``drawn`` names a graph operand, its
     dialect.  ``edit``: the rewrite, as the edit the operands give.
-    ``growth``: the nodes the rewrite adds, a number or a function of the
-    operands (None: none, and no bound drops it)."""
+    ``growth``: the nodes the rewrite adds, a number (None: none, or an
+    operand's size, and ``more`` offers only operands within the bound)."""
 
     name: str
     site: str
     edit: Callable[..., tuple]
     dual: Dual
     more: Optional[Callable[..., list]] = None
-    growth: Union[int, Callable[..., int], None] = None
+    growth: Optional[int] = None
     condition: Optional[Callable[..., Optional[str]]] = None
     polarity: Optional[str] = None
     drawn: Optional[str] = None
@@ -205,21 +209,19 @@ class Rule:
         return self.polarity is None or path.is_odd == (self.polarity == ODD)
 
 
-def accepted(rule: Rule, walk: Walk, limit: float) -> Iterator[tuple]:
+def accepted(rule: Rule, walk: Walk) -> Iterator[tuple]:
     """The candidate operands at the walked graph that satisfy the rule's
-    side conditions and add at most ``limit`` nodes, in walk order."""
-    # the dialect of drawn graphs needs no test: the Walk holds no others
-    more, growth, condition = rule.more, rule.growth, rule.condition
-    if isinstance(growth, int):
-        if growth > limit:
-            return
-        growth = None
+    side conditions and add at most ``walk.limit`` nodes, in walk order."""
+    # the dialect and size of drawn graphs need no test: the Walk lists
+    # only those that pass
+    if rule.growth is not None and rule.growth > walk.limit:
+        return
+    more, condition = rule.more, rule.condition
     for site in getattr(walk, rule.site):
         if rule.fits(site[0]):
             for rest in more(walk, *site) if more else ((),):
                 ops = site + rest
-                if ((growth is None or growth(*ops) <= limit)
-                        and not (condition and condition(*ops))):
+                if not (condition and condition(*ops)):
                     yield ops
 
 
@@ -306,12 +308,11 @@ def _splicing(replacement: Callable[..., tuple]) -> Callable[..., tuple]:
 _removal = _splicing(lambda *_: ())
 
 
-def _unerase(walk, path, area, limit) -> Iterator[tuple]:
-    return (RULES[Insert].edit(path, area, v) for (v,) in walk.drawn
-            if len(v.items) == 1 and node_count(v) <= limit)
+def _unerase(walk, path, area) -> Iterator[tuple]:
+    return (RULES[Insert].edit(path, area, v) for (v,) in walk.fitting if len(v.items) == 1)
 
 
-def _uninsert(walk, path, area, limit) -> Iterator[tuple]:
+def _uninsert(walk, path, area) -> Iterator[tuple]:
     for (v,) in walk.drawn:
         rest = list(area.items)
         for item in v.items:
@@ -323,17 +324,17 @@ def _uninsert(walk, path, area, limit) -> Iterator[tuple]:
             yield path.parts, lambda _, rest=tuple(rest): rest
 
 
-def _unadd_loop(walk, path, item, limit) -> Iterator[tuple]:
+def _unadd_loop(walk, path, item) -> Iterator[tuple]:
     keys = {v.key for (v,) in walk.drawn}
     return (RULES[LoopRemove].edit(path, item, k)
             for k, loop in enumerate(item.loops) if loop.key in keys)
 
 
-def _unremove_loop(walk, path, item, limit) -> Iterator[tuple]:
-    return (RULES[LoopAdd].edit(path, item, v) for (v,) in walk.drawn if node_count(v) <= limit)
+def _unremove_loop(walk, path, item) -> Iterator[tuple]:
+    return (RULES[LoopAdd].edit(path, item, v) for (v,) in walk.fitting)
 
 
-def _undetach(walk, path, item, limit) -> Iterator[tuple]:
+def _undetach(walk, path, item) -> Iterator[tuple]:
     items = item.outer.items if item.is_cut else ()
     return (_splice(path, (Scroll(Graph(items[:i] + items[i + 1:]), (inner.outer,)),))
             for i, inner in enumerate(items) if _is_cut(inner))
@@ -343,15 +344,13 @@ RULES: dict[type, Rule] = {
     Erase: Rule("erasure", "items", _removal, Dual(at="areas", undo=_unerase), polarity=EVEN),
     Insert: Rule("insertion", "areas",
                  lambda path, area, graph: (path.parts, lambda _: area.items + graph.items),
-                 Dual(at="areas", undo=_uninsert), more=lambda walk, *site: walk.drawn,
-                 growth=lambda path, area, graph: node_count(graph), polarity=ODD,
-                 drawn="inserted"),
+                 Dual(at="areas", undo=_uninsert), more=lambda walk, *site: walk.fitting,
+                 polarity=ODD, drawn="inserted"),
     Iterate: Rule("iteration", "items",
                   lambda source, item, target, area:
                       (target.parts, lambda _: area.items + (item,)),
-                  Dual(Deiterate), more=lambda walk, *site: walk.areas,
-                  growth=lambda source, item, target, area: node_count(item),
-                  condition=_target_scope),
+                  Dual(Deiterate), condition=_target_scope,
+                  more=lambda walk, _, item: walk.areas if node_count(item) <= walk.limit else ()),
     Deiterate: Rule("deiteration", "items", _removal, Dual(Iterate),
                     more=lambda walk, path, item: walk.by_key[item.key], condition=_witness),
     DoubleCutIntro: Rule("double-cut introduction", "areas",
@@ -369,9 +368,8 @@ RULES: dict[type, Rule] = {
                        Dual(ScrollWrap), condition=_unwrappable),
     LoopAdd: Rule("loop addition", "scrolls",
                   _splicing(lambda item, graph: (Scroll(item.outer, item.loops + (graph,)),)),
-                  Dual(at="scrolls", undo=_unadd_loop), more=lambda walk, *site: walk.drawn,
-                  growth=lambda path, item, graph: node_count(graph), condition=_scroll,
-                  polarity=EVEN, drawn="loop"),
+                  Dual(at="scrolls", undo=_unadd_loop), more=lambda walk, *site: walk.fitting,
+                  condition=_scroll, polarity=EVEN, drawn="loop"),
     LoopRemove: Rule("loop removal", "scrolls",
                      _splicing(lambda item, k: (Scroll(item.outer,
                                                        item.loops[:k] + item.loops[k + 1:]),)),
@@ -445,25 +443,23 @@ def enumerate_rule_instances(system: System, g: Graph,
     choices are limited to the empty set and singletons; arbitrary subsets
     remain available through apply_rule.
 
-    ``max_growth`` drops, before they are built, the instances whose rule's
-    growth (the nodes it adds) exceeds it; the rest keep their order.
-    Rules that add no nodes are never dropped.
+    ``max_growth`` drops, before they are built, the instances that would
+    add more nodes than it; the rest keep their order.  Rules that add no
+    nodes are never dropped.
     """
-    walk = Walk(system, g, vocabulary)
-    limit = float("inf") if max_growth is None else max_growth
+    walk = Walk(system, g, vocabulary, max_growth)
     return [kind(*ops[::2]) for kind in SYSTEM_RULES[system]
-            for ops in accepted(RULES[kind], walk, limit)]
+            for ops in accepted(RULES[kind], walk)]
 
 
 def edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),
           max_growth: Optional[int] = None) -> Iterator[tuple]:
     """The edits of the instances enumerate_rule_instances lists, in its
     order, with no instance built."""
-    walk = Walk(system, g, vocabulary)
-    limit = float("inf") if max_growth is None else max_growth
+    walk = Walk(system, g, vocabulary, max_growth)
     for kind in SYSTEM_RULES[system]:
         rule = RULES[kind]
-        for ops in accepted(rule, walk, limit):
+        for ops in accepted(rule, walk):
             yield rule.edit(*ops)
 
 
@@ -476,20 +472,19 @@ def predecessor_edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = 
     and deiteration, wrap and unwrap, the double-cut rules), in enumeration
     order; then the other duals, area by area and scroll by scroll, at the
     sites of their rules' polarity."""
-    walk = Walk(system, g, vocabulary)
-    limit = float("inf") if max_growth is None else max_growth
+    walk = Walk(system, g, vocabulary, max_growth)
     rules = [RULES[kind] for kind in SYSTEM_RULES[system]]
     undoing = {rule.dual.rule: rule.dual for rule in rules if rule.dual.rule}
     for kind, rule in zip(SYSTEM_RULES[system], rules):
         dual = undoing.get(kind)
         if dual:
-            yield from (rule.edit(*ops) for ops in accepted(rule, walk, limit)
+            yield from (rule.edit(*ops) for ops in accepted(rule, walk)
                         if dual.keep is None or dual.keep(*ops))
     for at in ("areas", "scrolls"):
         for path, node in getattr(walk, at):
             for rule in rules:
                 if rule.dual.at == at and rule.fits(path):
-                    yield from rule.dual.undo(walk, path, node, limit)
+                    yield from rule.dual.undo(walk, path, node)
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"eg: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the parsers, translations, oracles and layout recurse once per
-        # level of nesting, so input deeper than the stack allows ends here
+        # the readers take two frames per bracket, and the translations,
+        # oracles and layout recurse per level of nesting too, so input
+        # deeper than the stack allows ends here
         print("eg: input nested too deeply", file=sys.stderr)
         return 2
 
@@ -132,8 +133,9 @@ def _check(args: argparse.Namespace) -> int:
 
 
 def _prove(args: argparse.Namespace) -> int:
-    if args.depth < 0:
-        raise PeirceError(f"--depth must be at least 0, not {args.depth}")
+    for flag, value in (("--depth", args.depth), ("--max-visited", args.max_visited)):
+        if value < 0:
+            raise PeirceError(f"{flag} must be at least 0, not {value}")
     system = System(args.system)
     goal = parse_graph(args.goal, system.dialect)
     start = parse_graph(args.start, system.dialect)

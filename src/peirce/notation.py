@@ -19,6 +19,7 @@ parentheses, with precedence ``~ > & > | > ->``; ``->`` associates right,
 Every recursive notation (graphs and formulas here, ordinals in
 ``continuum``) is read by functions over ``(text, pos)`` that return
 ``(value, pos)``, and ``read_all`` checks that one read the whole text.
+Each reader takes two frames per bracket (formulas by precedence climbing).
 """
 
 from __future__ import annotations
@@ -125,27 +126,26 @@ _FORMULA_KEYWORDS = {"T": fm.TOP, "F": fm.BOT}
 # index, and ``~`` binds tighter than all of them.  (node, sign, right-assoc)
 _BINARY = ((fm.Imp, "->", True), (fm.Or, "|", False), (fm.And, "&", False))
 _NOT = len(_BINARY)
+# a connective's precedence by the first character of its sign
+_LEVEL = {sign[0]: level for level, (_, sign, _) in enumerate(_BINARY)}
 
 
 def parse_formula(text: str) -> fm.Formula:
     return read_all(text, _binary)
 
 
-def _binary(text: str, pos: int, level: int = 0) -> tuple[fm.Formula, int]:
-    """The formula at ``pos`` whose connectives bind at ``level`` or tighter."""
-    if level == _NOT:
-        return _unary(text, pos)
-    node, sign, right_assoc = _BINARY[level]
-    f, pos = _binary(text, pos, level + 1)
-    pos = skip_ws(text, pos)
-    while text.startswith(sign, pos):
-        if right_assoc:
-            right, pos = _binary(text, pos + len(sign), level)
-            return node(f, right), pos
-        right, pos = _binary(text, pos + len(sign), level + 1)
-        f = node(f, right)
+def _binary(text: str, pos: int, minimum: int = 0) -> tuple[fm.Formula, int]:
+    """The formula at ``pos`` whose connectives bind at ``minimum`` or
+    tighter: an operand, then each such connective with its right operand."""
+    f, pos = _unary(text, pos)
+    while True:
         pos = skip_ws(text, pos)
-    return f, pos
+        level = _LEVEL.get(text[pos:pos + 1], -1)
+        if level < minimum or not text.startswith(_BINARY[level][1], pos):
+            return f, pos
+        node, sign, right_assoc = _BINARY[level]
+        right, pos = _binary(text, pos + len(sign), level if right_assoc else level + 1)
+        f = node(f, right)
 
 
 def _unary(text: str, pos: int) -> tuple[fm.Formula, int]:

@@ -499,3 +499,22 @@ class TestEdits:
             listed += sum(isinstance(r, Deiterate)
                           for r in enumerate_rule_instances(system, graph))
         assert all(pairs) and len(pairs) > listed > 100
+
+    def test_sizes_once_per_state(self, monkeypatch):
+        # the size bound is decided once per state: one size for each item
+        # (an iteration source) and each drawn graph, not one per target
+        sizes = []
+        monkeypatch.setattr(calculus, "node_count",
+                            lambda node: sizes.append(node) or node_count(node))
+        rng = random.Random(137)
+        for _ in range(300):
+            system = rng.choice([CL, IN])
+            graph = random_graph(rng, depth=4, atoms=2, dialect=system.dialect)
+            # vocabularies of either dialect, empty graphs included
+            vocab = tuple(random_graph(rng, depth=2, dialect=rng.choice(list(Dialect)))
+                          for _ in range(rng.randint(0, 3)))
+            drawn = sum(not well_formed(v, system.dialect) for v in vocab)
+            for k in range(5):
+                sizes.clear()
+                enumerate_rule_instances(system, graph, vocab, k)
+                assert len(sizes) == len(list(walk_items(graph))) + drawn

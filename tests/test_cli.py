@@ -128,6 +128,16 @@ class TestProve:
         assert (code, out) == (2, "")
         assert "--depth must be at least 0" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--goal", "(p (p))", "--max-visited", "-1"),
+        ("--from", "p", "--goal", "p", "--max-visited", "-3"),
+    ], ids=["budget-never-spent", "start-is-goal"])
+    def test_negative_max_visited(self, capsys, argv):
+        # checked before any parsing, like --depth
+        code, out, err = run(capsys, "prove", "--system", "classical", *argv)
+        message = f"eg: --max-visited must be at least 0, not {argv[-1]}\n"
+        assert (code, out, err) == (2, "", message)
+
     def test_from_start(self, capsys):
         code, out, _ = run(capsys, "prove", "--system", "classical",
                            "--goal", "p", "--from", "((p))", "--depth", "2")
@@ -325,6 +335,17 @@ class TestNestingFloor:
     ], ids=["parse", "taut-parentheses", "taut-negations", "translate", "continuum-domain"])
     def test_exit_0(self, capsys, argv):
         code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+
+    # the formula reader takes two frames per parenthesis, so formulas are
+    # read 400 parentheses deep
+    @pytest.mark.parametrize("argv", [
+        ("taut", "--logic", "classical"),
+        ("taut", "--logic", "intuitionistic"),
+        ("translate", "--to", "graph", "--dialect", "classical"),
+    ], ids=["taut-classical", "taut-intuitionistic", "translate"])
+    def test_formula_400_parentheses_deep(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "(" * 400 + "p -> p" + ")" * 400)
         assert (code, err) == (0, "")
 
 
