@@ -36,14 +36,14 @@ the backward side is the goal alone, and the search is the plain BFS.
 
 Both sides expand a layer alike, and build no state that is not kept.  A
 state's edits, in enumeration order, are only those that add at most
-``cap - node_count(g)`` nodes (forward, up to the goal's size should the
-goal exceed the cap).  Each edit's key is spliced up the edited area's
-spine (graphs.edited_key); a key the side has seen is skipped, one the
-other side holds joins them, and a graph is built only for a new key
-within the cap.  The states expanded, their order and the scripts found
-are those of building every successor.  Depth-5 ``p | ~p`` builds the 555
-states it keeps, not 2,700; the ``~~(p | ~p)`` search builds 80,563,
-54,086 of them backward.
+``cap - node_count(g)`` nodes, the cap being raised to the goal's size
+should the goal exceed it.  Each edit's key is spliced up the edited
+area's spine (graphs.edited_key); a key the side has seen is skipped, one
+the other side holds joins them, and a graph is built for every new key,
+since no edit past the cap is offered.  The states expanded, their order
+and the scripts found are those of building every successor.  Depth-5
+``p | ~p`` builds the 555 states it keeps, not 2,700; the ``~~(p | ~p)``
+search builds 80,563, 54,086 of them backward.
 
 ``max_visited`` bounds the states expanded, on both sides together.
 Every script found is re-checked through check_script before being
@@ -75,7 +75,6 @@ from .graphs import (
     edited as _apply_fast,
     edited_key,
     equals,
-    key_size,
     node_count,
     walk_areas,
     walk_items,
@@ -149,10 +148,10 @@ def _entailed_by(system: System, start: Graph) -> Callable[[Graph], bool]:
 
 def size_cap(system: System, start: Graph, goal: Graph,
              vocabulary: tuple[Graph, ...], size_slack: int = 0) -> int:
-    """The largest state the search keeps: ``node_count(goal) +
-    node_count(start) + size_slack``, widened by the size of the largest
-    item in an odd area of either endpoint when the start entails the goal
-    but none of the goal's predecessors within that cap."""
+    """The search's size bound before it is raised to the goal's size:
+    ``node_count(goal) + node_count(start) + size_slack``, widened by the
+    size of the largest item in an odd area of either endpoint when the
+    start entails the goal but none of its predecessors within that cap."""
     cap = node_count(goal) + node_count(start) + size_slack
     entailed = _entailed_by(system, start)
     try:
@@ -184,16 +183,16 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
     key it came from and its distance from that side's end."""
     if start.key == goal.key:
         return []
-    # every key the forward side can meet or keep, the goal's included,
-    # has at most ``limit`` nodes, so no successor over it is built
-    limit = max(cap, node_count(goal))
+    # every key either side can meet or keep, the goal's included, has at
+    # most ``cap`` nodes, and the calculus offers no edit past it
+    cap = max(cap, node_count(goal))
     ahead: dict[str, tuple[Optional[str], int]] = {start.key: (None, 0)}
     behind: dict[str, tuple[Optional[str], int]] = {goal.key: (None, 0)}
     budget = bounds.max_visited
 
-    def layer(states, seen, other, distance, successors, most, accept=None):
+    def layer(states, seen, other, distance, successors, accept=None):
         """The layer after ``states`` and None, or None and the key where
-        an edit into a graph of at most ``most`` nodes meets ``other``."""
+        an edit meets ``other``."""
         nonlocal budget
         found = []
         for g in states:
@@ -202,17 +201,14 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
             budget -= 1
             if budget < 0:
                 raise BoundsExceededError("visited-state budget exhausted")
-            for parts, contents in successors(system, g, vocabulary, most - node_count(g)):
+            for parts, contents in successors(system, g, vocabulary, cap - node_count(g)):
                 key = edited_key(g, parts, contents)
                 if key in seen:
                     continue
+                seen[key] = (g.key, distance + 1)
                 meet = other.get(key)
                 if meet is not None and distance + 1 + meet[1] <= bounds.max_depth:
-                    seen[key] = (g.key, distance + 1)
                     return None, key
-                if key_size(key) > cap:
-                    continue
-                seen[key] = (g.key, distance + 1)
                 found.append(_apply_fast(g, parts, contents, key))
         return found, None
 
@@ -222,14 +218,14 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
         if (back_frontier and len(back_frontier) < len(frontier)
                 and depth + back_depth < bounds.max_depth):
             back_frontier, meeting = layer(back_frontier, behind, ahead, back_depth,
-                                           predecessor_edits, cap, entailed)
+                                           predecessor_edits, entailed)
             back_depth += 1
         else:
-            frontier, meeting = layer(frontier, ahead, behind, depth, edits, limit)
+            frontier, meeting = layer(frontier, ahead, behind, depth, edits)
             depth += 1
         if meeting is not None:
             keys = _trail(ahead, meeting)[::-1] + _trail(behind, meeting)[1:]
-            return _replay(system, start, keys, vocabulary, limit)
+            return _replay(system, start, keys, vocabulary, cap)
         if not frontier:
             return None
     return None
@@ -244,15 +240,15 @@ def _trail(side: dict, key: str) -> list[str]:
 
 
 def _replay(system: System, start: Graph, keys: list[str],
-            vocabulary: tuple[Graph, ...], limit: int) -> list[RuleInstance]:
+            vocabulary: tuple[Graph, ...], cap: int) -> list[RuleInstance]:
     """For each step, the first enumerated instance that reaches the next
     key.  On the forward side that is the instance the search recorded,
     because it expanded the same representatives in the same order.  No
-    key after the start has more than ``limit`` nodes."""
+    key after the start has more than ``cap`` nodes."""
     chain: list[RuleInstance] = []
     g = start
     for key in keys[1:]:
-        for rule in enumerate_rule_instances(system, g, vocabulary, limit - node_count(g)):
+        for rule in enumerate_rule_instances(system, g, vocabulary, cap - node_count(g)):
             parts, contents = rule_edit(g, rule)
             if edited_key(g, parts, contents) == key:
                 break

@@ -188,6 +188,15 @@ class TestRender:
         assert (code, out) == (2, "")
         assert re.fullmatch(r"eg: graph too large to render: .*\n", err)
 
+    def test_nested_cuts_past_the_limit_exit_2(self, capsys, tmp_path):
+        # 95 nested cuts render; the 96th takes the radius past 2**53, long
+        # before the readers' nesting limit
+        out_file = tmp_path / "g.svg"
+        assert run(capsys, "render", "-o", str(out_file), "(" * 95 + ")" * 95) == (0, "", "")
+        code, out, err = run(capsys, "render", "-o", str(out_file), "(" * 96 + ")" * 96)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"eg: graph too large to render: .*\n", err)
+
 
 class TestContinuum:
     def test_tail(self, capsys):
@@ -512,7 +521,9 @@ class TestFuzzedCommandLines:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_exit_code_contract(self, tmp_path, data):
+    def test_exit_code_contract(self, tmp_path, monkeypatch, data):
+        # a mangled argv can name a relative output file (render -o q)
+        monkeypatch.chdir(tmp_path)
         argv, text, script = data.draw(command_lines(tmp_path))
         (tmp_path / "input.txt").write_text(text, encoding="utf-8")
         (tmp_path / "script.eg").write_text(script, encoding="utf-8")

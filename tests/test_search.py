@@ -92,6 +92,21 @@ class TestDerive:
                         SearchBounds(max_depth=2, size_slack=-2))
         assert script is not None and len(script.steps) == 1
 
+    @pytest.mark.parametrize("start,goal,bounds,steps", [
+        ("p", "p p p", SearchBounds(max_depth=3, size_slack=-3), 2),
+        ("", "(p (p))", SearchBounds(max_depth=6, size_slack=-4), 3),
+    ])
+    def test_a_cap_below_the_goal_is_raised_to_it(self, start, goal, bounds, steps):
+        # the slack puts the cap below the goal's size; the search keeps
+        # states up to the goal's size all the same
+        start, goal = (parse_graph(t, Dialect.CLASSICAL) for t in (start, goal))
+        assert size_cap(CL, start, goal, default_vocabulary(start, goal),
+                        bounds.size_slack) < node_count(goal)
+        script = derive(CL, start, goal, bounds)
+        assert script is not None and len(script.steps) == steps
+        report = check_script(script)
+        assert report.ok and equals(report.final, goal)
+
     @pytest.mark.parametrize("depth,expansions", [(5, 317), (7, 1047)])
     def test_excluded_middle_expands_a_fixed_number_of_states(self, depth, expansions):
         # exhausting the space takes exactly this many expansions: building
@@ -282,6 +297,23 @@ class TestKeyFirst:
         assert derive(IN, Graph(), goal, SearchBounds(max_depth=5)) is None
         assert len(built) == len(set(built)) == 555
         assert Graph().key not in built and max(map(graphs.key_size, built)) <= 4
+
+    def test_c6_goals_build_a_fixed_number_of_graphs(self, monkeypatch):
+        # one graph per new key: an edit past the cap would be built and
+        # counted here, so this holds the calculus to the search's cap
+        built = []
+        build = search._apply_fast
+
+        def counting(*args):
+            built[-1] += 1
+            return build(*args)
+        monkeypatch.setattr(search, "_apply_fast", counting)
+        for system, text in C6_PROVABLE:
+            built.append(0)
+            assert derive(system, Graph(), goal_graph(text, system),
+                          SearchBounds(max_depth=12, max_visited=10_000)) is not None
+        assert built == [12, 3557, 20, 46, 11, 1357, 1057, 70]
+        assert sum(built) == 6130
 
     # sha256 of `eg prove` stdout: the C6 goals and the depth-5 exhaustion
     @pytest.mark.parametrize("argv,code,digest", [
