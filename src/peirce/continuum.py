@@ -1,11 +1,12 @@
 """Ordinal-indexed sequences: a desk-scale model of the continuum carrier.
 
-Ordinals below epsilon-0 live in Cantor normal form: a finite list of
+Ordinals below epsilon-0 live in Cantor normal form: a finite tuple of
 (exponent, coefficient) terms with strictly decreasing exponents, the
-exponents again ordinals.  Elements are finitely-piecewise-constant
-functions from an ordinal domain to exact rationals, canonical by
-construction: adjacent pieces of equal value merge under ordinal addition
-of lengths, which makes equality and lexicographic comparison decidable.
+exponents again ordinals; the lexicographic order of the term tuples is
+the ordinal order.  Elements are finitely-piecewise-constant functions
+from an ordinal domain to exact rationals, canonical by construction:
+adjacent pieces of equal value merge under ordinal addition of lengths,
+which makes equality and lexicographic comparison decidable.
 
 ``extends`` is the inversion relation (x extends y when y is a strict
 initial restriction of x), monads are the collections of proper
@@ -27,7 +28,7 @@ from .notation import read_all, skip_ws
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Ordinal:
     terms: tuple[tuple["Ordinal", int], ...] = ()
 
@@ -36,7 +37,7 @@ class Ordinal:
             if coeff < 1:
                 raise ValueError("coefficients must be positive")
         for (e1, _), (e2, _) in zip(self.terms, self.terms[1:]):
-            if ord_cmp(e1, e2) <= 0:
+            if e1 <= e2:
                 raise ValueError("exponents must strictly decrease")
 
     def is_zero(self) -> bool:
@@ -66,16 +67,8 @@ def w_pow(exponent: Ordinal, coeff: int = 1) -> Ordinal:
 
 
 def ord_cmp(a: Ordinal, b: Ordinal) -> int:
-    """-1, 0, or 1: lexicographic comparison of CNF term lists."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = ord_cmp(ea, eb)
-        if c != 0:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
+    """-1, 0 or 1 as ``a`` is below, equal to or above ``b``."""
+    return (a > b) - (a < b)
 
 
 def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -86,8 +79,8 @@ def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
     if a.is_zero():
         return b
     lead = b.terms[0][0]
-    keep = [t for t in a.terms if ord_cmp(t[0], lead) > 0]
-    boundary = [t for t in a.terms if ord_cmp(t[0], lead) == 0]
+    keep = [t for t in a.terms if t[0] > lead]
+    boundary = [t for t in a.terms if t[0] == lead]
     if boundary:
         merged = (lead, boundary[0][1] + b.terms[0][1])
         return Ordinal(tuple(keep) + (merged,) + b.terms[1:])
@@ -96,11 +89,11 @@ def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
 
 def ord_sub_left(b: Ordinal, d: Ordinal) -> Ordinal:
     """The unique g with b + g = d; OrdinalUnderflowError when b > d."""
-    if ord_cmp(b, d) > 0:
+    if b > d:
         raise OrdinalUnderflowError(f"{b} > {d}")
     for i in range(len(b.terms)):
         (be, bc), (de, dc) = b.terms[i], d.terms[i]
-        if ord_cmp(be, de) < 0:
+        if be < de:
             return Ordinal(d.terms[i:])
         if bc < dc:
             return Ordinal(((de, dc - bc),) + d.terms[i + 1:])
@@ -273,10 +266,9 @@ def _walk(x: ContinuumElement, y: ContinuumElement) -> tuple[LexRelation, tuple]
         (len_x, val_x), (len_y, val_y) = xs.pop(), ys.pop()
         if val_x != val_y:
             return (LexRelation.LESS if val_x < val_y else LexRelation.GREATER), ()
-        c = ord_cmp(len_x, len_y)
-        if c < 0:
+        if len_x < len_y:
             ys.append((ord_sub_left(len_x, len_y), val_y))
-        elif c > 0:
+        elif len_x > len_y:
             xs.append((ord_sub_left(len_y, len_x), val_x))
     if xs:
         return LexRelation.PROPER_EXTENSION, tuple(reversed(xs))

@@ -13,14 +13,14 @@ subgraphs of the two endpoint graphs) and intermediate states are capped
 in size relative to the endpoints; both bounds make the search incomplete
 by design for pathological goals.
 
-The size cap is ``node_count(goal) + node_count(start) + size_slack``,
-widened in one case only: when the start entails the goal but entails
-none of the goal's one-step predecessors within that cap.  Every state on
-a derivation from the start is entailed by it (the rules are sound), so
-such a space holds no derivation at all, and the search could only spend
-its budget.  The widened cap adds the size of the largest item in an odd
-area of either endpoint: room for one more copy of a hypothesis, which is
-what deiteration (the calculus's contraction) consumes.  The widened space
+The size cap is ``node_count(goal) + node_count(start)``, widened in one
+case only: when the start entails the goal but entails none of the goal's
+one-step predecessors within that cap.  Every state on a derivation from
+the start is entailed by it (the rules are sound), so such a space holds
+no derivation at all, and the search could only spend its budget.  The
+widened cap adds the size of the largest item in an odd area of either
+endpoint: room for one more copy of a hypothesis, which is what
+deiteration (the calculus's contraction) consumes.  The widened space
 contains the original one.
 
 In the widened space the search runs from both ends (bidirectional BFS,
@@ -36,8 +36,7 @@ the backward side is the goal alone, and the search is the plain BFS.
 
 Both sides expand a layer alike, and build no state that is not kept.  A
 state's edits, in enumeration order, are only those that add at most
-``cap - node_count(g)`` nodes, the cap being raised to the goal's size
-should the goal exceed it.  Each edit's key is spliced up the edited
+``cap - node_count(g)`` nodes.  Each edit's key is spliced up the edited
 area's spine (graphs.edited_key); a key the side has seen is skipped, one
 the other side holds joins them, and a graph is built for every new key,
 since no edit past the cap is offered.  The states expanded, their order
@@ -89,7 +88,6 @@ class SearchBounds:
     max_depth: int = 12
     vocabulary: Optional[tuple[Graph, ...]] = None
     max_visited: int = 500_000
-    size_slack: int = 0
 
 
 def default_vocabulary(*endpoints: Graph) -> tuple[Graph, ...]:
@@ -119,8 +117,8 @@ def derive(system: System, start: Graph, goal: Graph,
     vocabulary = bounds.vocabulary
     if vocabulary is None:
         vocabulary = default_vocabulary(start, goal)
-    cap = size_cap(system, start, goal, vocabulary, bounds.size_slack)
-    widened = cap > node_count(goal) + node_count(start) + bounds.size_slack
+    cap = size_cap(system, start, goal, vocabulary)
+    widened = cap > node_count(goal) + node_count(start)
     chain = _search(system, start, goal, vocabulary, cap, bounds,
                     _entailed_by(system, start) if widened else None)
     if chain is None:
@@ -147,12 +145,13 @@ def _entailed_by(system: System, start: Graph) -> Callable[[Graph], bool]:
 
 
 def size_cap(system: System, start: Graph, goal: Graph,
-             vocabulary: tuple[Graph, ...], size_slack: int = 0) -> int:
-    """The search's size bound before it is raised to the goal's size:
-    ``node_count(goal) + node_count(start) + size_slack``, widened by the
-    size of the largest item in an odd area of either endpoint when the
-    start entails the goal but none of its predecessors within that cap."""
-    cap = node_count(goal) + node_count(start) + size_slack
+             vocabulary: tuple[Graph, ...]) -> int:
+    """The search's size bound: ``node_count(goal) + node_count(start)``,
+    widened by the size of the largest item in an odd area of either
+    endpoint when the start entails the goal but none of its predecessors
+    within that cap.  Past 20 atoms, where the truth table gives up, the
+    cap is not widened."""
+    cap = node_count(goal) + node_count(start)
     entailed = _entailed_by(system, start)
     try:
         if equals(start, goal) or not entailed(goal):
@@ -183,9 +182,6 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
     key it came from and its distance from that side's end."""
     if start.key == goal.key:
         return []
-    # every key either side can meet or keep, the goal's included, has at
-    # most ``cap`` nodes, and the calculus offers no edit past it
-    cap = max(cap, node_count(goal))
     ahead: dict[str, tuple[Optional[str], int]] = {start.key: (None, 0)}
     behind: dict[str, tuple[Optional[str], int]] = {goal.key: (None, 0)}
     budget = bounds.max_visited

@@ -106,6 +106,12 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(script))
         assert code == 2 and "line 3" in err
 
+    def test_duplicate_system_line(self, capsys, tmp_path):
+        script = tmp_path / "s.eg"
+        script.write_text("system classical\nsystem classical\ngraph p\n")
+        code, out, err = run(capsys, "check", str(script))
+        assert (code, out, err) == (2, "", "eg: line 2: duplicate system line\n")
+
 
 class TestProve:
     def test_prove_emits_checkable_script(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import product
 
 import pytest
@@ -61,6 +62,20 @@ def triple_to_ordinal(x):
 TRIPLES = list(product(range(5), repeat=3))
 
 
+def _walk_cmp(a, b):
+    """-1, 0 or 1: the ordinal order as a walk of the two CNF term lists,
+    exponents compared by the same walk."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = _walk_cmp(ea, eb)
+        if c != 0:
+            return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a.terms) != len(b.terms):
+        return -1 if len(a.terms) < len(b.terms) else 1
+    return 0
+
+
 class TestOrdinalsAgainstBruteForce:
     def test_addition_agrees_on_all_pairs(self):
         for x in TRIPLES:
@@ -75,6 +90,17 @@ class TestOrdinalsAgainstBruteForce:
             for y in TRIPLES:
                 want = (x > y) - (x < y)
                 assert ord_cmp(ox, triple_to_ordinal(y)) == want
+
+    def test_comparison_agrees_with_the_term_walk_on_nested_exponents(self):
+        # the triples stay below w^3; depth 3 nests exponents, as w^(w^2+1)
+        rng = random.Random(113)
+        for _ in range(3000):
+            a, b = random_ordinal(rng, depth=3), random_ordinal(rng, depth=3)
+            want = _walk_cmp(a, b)
+            assert ord_cmp(a, b) == want
+            assert ((a < b), (a == b), (a > b)) == (want < 0, want == 0, want > 0)
+        ordinals = [random_ordinal(rng, depth=3) for _ in range(200)]
+        assert sorted(ordinals) == sorted(ordinals, key=cmp_to_key(_walk_cmp))
 
     def test_left_subtraction_agrees(self):
         for x in TRIPLES:

@@ -21,6 +21,8 @@ from peirce.graphs import (
     polarity,
     replace_at,
     resolve,
+    resolve_area,
+    resolve_item,
     walk_areas,
     walk_items,
     well_formed,
@@ -225,6 +227,21 @@ class TestPathText:
     def test_rejects_garbage(self):
         with pytest.raises(InvalidPathError):
             Path.parse("0.sideways")
+
+
+class TestPathGuards:
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Path((-1,)), "step 0: expected a non-negative int, got -1"),
+        (lambda: Path(("0",)), "step 0: expected a non-negative int, got '0'"),
+        (lambda: Path.parse("0").item(1), "can only select an item inside an area"),
+        (lambda: Path().parent_area(), "only item paths have a parent area"),
+        (lambda: resolve_area(g("p"), Path.parse("0")), "0 addresses an item, not an area"),
+        (lambda: resolve_item(g("p"), Path()), "/ addresses an area, not an item"),
+    ])
+    def test_message(self, build, message):
+        with pytest.raises(InvalidPathError) as err:
+            build()
+        assert str(err.value) == message
 
 
 def _walk_texts(graph, prefix=""):

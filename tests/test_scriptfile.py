@@ -85,6 +85,22 @@ class TestParse:
         with pytest.raises(ScriptError):
             parse_script("system classical\ngraph p\nexpect p\n")
 
+    @pytest.mark.parametrize("text,line,message", [
+        ("system classical\nsystem classical\ngraph p", 2, "duplicate system line"),
+        ("system modal", 1, "unknown system 'modal'"),
+        ("system classical\ngraph p\ngraph q", 3, "duplicate graph line"),
+        ("system classical\nerase 0", 2, "a graph line must precede the steps"),
+        ("system classical\ngraph p\nerase 0\nexpect \nexpect ", 5,
+         "duplicate expect for the same step"),
+        ("# a comment and nothing else\n", 1, "empty script"),
+        ("system classical", 1, "missing graph line"),
+    ])
+    def test_structural_errors(self, text, line, message):
+        with pytest.raises(ScriptError) as err:
+            parse_script(text)
+        assert str(err.value) == f"line {line}: {message}"
+        assert err.value.line == line
+
 
 class TestRoundTrip:
     def test_format_then_parse(self):
@@ -96,6 +112,11 @@ class TestRoundTrip:
         ))
         text = format_script(script)
         assert parse_script(text) == script
+
+    def test_a_step_that_is_not_a_rule_is_refused(self):
+        script = ProofScript(System.CLASSICAL, Graph(), (("bogus", None),))
+        with pytest.raises(PeirceError, match="^unknown rule 'bogus'$"):
+            format_script(script)
 
     def test_insert_blank_graph(self):
         script = ProofScript(System.CLASSICAL, parse_graph("(p)", System.CLASSICAL.dialect), (

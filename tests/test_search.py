@@ -7,8 +7,8 @@ import pytest
 from peirce import calculus, graphs, search
 from peirce.cli import main
 from peirce.calculus import ProofScript, Report, System, apply_rule, check_script, enumerate_rule_instances
-from peirce.errors import BoundsExceededError, CertificationError
-from peirce.graphs import Dialect, Graph, canonicalize, equals, node_count
+from peirce.errors import BoundsExceededError, CertificationError, DialectError
+from peirce.graphs import Atom, Dialect, Graph, Scroll, canonicalize, equals, node_count
 from peirce.notation import parse_graph, print_graph
 from peirce.search import SearchBounds, default_vocabulary, derive, predecessors, size_cap
 from peirce.semantics import formula_to_graph, graph_to_formula, taut_classical, taut_int
@@ -84,28 +84,13 @@ class TestDerive:
         with pytest.raises(BoundsExceededError):
             derive(CL, Graph(), goal, SearchBounds(max_depth=12, max_visited=5))
 
-    def test_goal_over_the_cap_is_still_met(self):
-        # with a negative slack the cap (1 node) is below the goal's size;
-        # the goal is met all the same, so its successor is built
-        script = derive(CL, parse_graph("p", Dialect.CLASSICAL),
-                        parse_graph("p p", Dialect.CLASSICAL),
-                        SearchBounds(max_depth=2, size_slack=-2))
-        assert script is not None and len(script.steps) == 1
-
-    @pytest.mark.parametrize("start,goal,bounds,steps", [
-        ("p", "p p p", SearchBounds(max_depth=3, size_slack=-3), 2),
-        ("", "(p (p))", SearchBounds(max_depth=6, size_slack=-4), 3),
-    ])
-    def test_a_cap_below_the_goal_is_raised_to_it(self, start, goal, bounds, steps):
-        # the slack puts the cap below the goal's size; the search keeps
-        # states up to the goal's size all the same
-        start, goal = (parse_graph(t, Dialect.CLASSICAL) for t in (start, goal))
-        assert size_cap(CL, start, goal, default_vocabulary(start, goal),
-                        bounds.size_slack) < node_count(goal)
-        script = derive(CL, start, goal, bounds)
-        assert script is not None and len(script.steps) == steps
-        report = check_script(script)
-        assert report.ok and equals(report.final, goal)
+    @pytest.mark.parametrize("ends", ["goal", "start"])
+    def test_an_endpoint_outside_the_dialect_is_refused(self, ends):
+        # [p | q] built directly, as the classical reader would refuse it
+        g = Graph((Scroll(Graph((Atom("p"),)), (Graph((Atom("q"),)),)),))
+        start, goal = (Graph(), g) if ends == "goal" else (g, Graph())
+        with pytest.raises(DialectError, match=r"^scroll loops are not classical signs at 0$"):
+            derive(CL, start, goal)
 
     @pytest.mark.parametrize("depth,expansions", [(5, 317), (7, 1047)])
     def test_excluded_middle_expands_a_fixed_number_of_states(self, depth, expansions):
@@ -151,10 +136,12 @@ class TestSizeCap:
         # widened by ([ | p | (p)]), the largest item in an odd area
         assert size_cap(IN, Graph(), goal, default_vocabulary(Graph(), goal)) == 11
 
-    def test_slack_adds_to_the_cap(self):
-        goal = goal_graph("p -> p", IN)
-        vocab = default_vocabulary(Graph(), goal)
-        assert size_cap(IN, Graph(), goal, vocab, 2) == node_count(goal) + 2
+    def test_past_the_truth_table_the_cap_is_not_widened(self):
+        # 21 atoms: the entailment test's truth table refuses the goal, so
+        # the cap stays node_count(goal) + node_count(start)
+        goal = parse_graph(" ".join(f"a{i}" for i in range(21)), Dialect.INTUITIONISTIC)
+        assert size_cap(IN, Graph(), goal, default_vocabulary(Graph(), goal)) == 21
+        assert derive(IN, Graph(), goal, SearchBounds(max_depth=1)) is None
 
 
 def _vocabulary(rng, system):
