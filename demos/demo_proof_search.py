@@ -24,7 +24,7 @@ GOALS = [
 
 def main():
     for system, text in GOALS:
-        goal = formula_to_graph(parse_formula(text), system.dialect)
+        goal = formula_to_graph(parse_formula(text), system)
         script = derive(system, Graph(), goal, SearchBounds(max_depth=8))
         print(f"== {system.value}: {text}   (graph {print_graph(goal)!r})")
         if script is None:

@@ -27,7 +27,6 @@ and not inside the item itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import IllegalRuleError, InvalidPathError
@@ -49,15 +48,9 @@ from .graphs import (
 )
 
 
-class System(Enum):
-    CLASSICAL = "classical"
-    INTUITIONISTIC = "intuitionistic"
-
-    @property
-    def dialect(self) -> Dialect:
-        if self is System.CLASSICAL:
-            return Dialect.CLASSICAL
-        return Dialect.INTUITIONISTIC
+# a logic names both its rules and the signs they act on: the classical
+# rules act on cuts, the intuitionistic ones on scrolls with loops
+System = Dialect
 
 
 @dataclass(frozen=True)
@@ -163,7 +156,7 @@ class Walk:
         for site in walk(g):
             (self.areas if isinstance(site[1], Graph) else self.items).append(site)
         self.scrolls = [site for site in self.items if isinstance(site[1], Scroll)]
-        self.drawn = [(v,) for v in vocabulary if not v.violations[system.dialect]]
+        self.drawn = [(v,) for v in vocabulary if not v.violations[system]]
         self.limit = float("inf") if max_growth is None else max_growth
         self.fitting = [site for site in self.drawn if node_count(site[0]) <= self.limit]
         self.by_key: dict[str, list] = {}
@@ -414,13 +407,13 @@ def apply_rule(system: System, g: Graph, rule: RuleInstance) -> Graph:
     reason = entry.condition and entry.condition(*ops)
     if not reason and not entry.fits(ops[0]):
         reason = f"wrong polarity: {entry.name} needs an {entry.polarity} area"
-    bad = not reason and entry.drawn and ops[-1].violations[system.dialect]
+    bad = not reason and entry.drawn and ops[-1].violations[system]
     if bad:
         reason = f"{entry.drawn} graph not in dialect: {bad[0].reason}"
     if reason:
         raise IllegalRuleError(reason)
     result = edited(g, *entry.edit(*ops))
-    bad = well_formed(result, system.dialect)
+    bad = well_formed(result, system)
     if bad:
         raise IllegalRuleError(f"result not well-formed: {bad[0].reason} at {bad[0].path}")
     return result
@@ -465,9 +458,12 @@ def edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),
 
 def predecessor_edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),
                       max_growth: Optional[int] = None) -> Iterator[tuple]:
-    """The edits of ``g`` into its predecessors: graphs with an instance that
-    enumerate_rule_instances lists (same vocabulary) rewriting to ``g`` up
-    to multiset equality, less those adding over ``max_growth`` nodes.
+    """The edits of ``g`` into some of its predecessors: graphs with an
+    instance that enumerate_rule_instances lists (same vocabulary)
+    rewriting to ``g`` up to multiset equality, less those adding over
+    ``max_growth`` nodes.  Not every such graph: the duals of unwrap and
+    double-cut elimination wrap at most one item, so ``[ | p q]`` and
+    ``((p q))`` are not predecessors of ``p q``.
     First the instances ``g`` admits of the rules undoing another (iteration
     and deiteration, wrap and unwrap, the double-cut rules), in enumeration
     order; then the other duals, area by area and scroll by scroll, at the

@@ -34,6 +34,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _text_argument(args: argparse.Namespace) -> str:
     if args.file is not None:
+        if args.text is not None:
+            raise PeirceError("give the text inline or with --file, not both")
         return FsPath(args.file).read_text(encoding="utf-8").strip()
     if args.text is None:
         raise PeirceError("missing text argument (give it inline or with --file)")
@@ -137,8 +139,8 @@ def _prove(args: argparse.Namespace) -> int:
         if value < 0:
             raise PeirceError(f"{flag} must be at least 0, not {value}")
     system = System(args.system)
-    goal = parse_graph(args.goal, system.dialect)
-    start = parse_graph(args.start, system.dialect)
+    goal = parse_graph(args.goal, system)
+    start = parse_graph(args.start, system)
     bounds = SearchBounds(max_depth=args.depth, max_visited=args.max_visited)
     script = derive(system, start, goal, bounds)
     if script is None:

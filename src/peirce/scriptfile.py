@@ -75,7 +75,7 @@ def parse_script(text: str) -> ProofScript:
             if keyword == "graph":
                 if start is not None:
                     raise ScriptError("duplicate graph line", lineno)
-                start = parse_graph(rest, system.dialect)
+                start = parse_graph(rest, system)
                 continue
             if start is None:
                 raise ScriptError("a graph line must precede the steps", lineno)
@@ -85,7 +85,7 @@ def parse_script(text: str) -> ProofScript:
                 rule, old = steps[-1]
                 if old is not None:
                     raise ScriptError("duplicate expect for the same step", lineno)
-                steps[-1] = (rule, parse_graph(rest, system.dialect))
+                steps[-1] = (rule, parse_graph(rest, system))
                 continue
             steps.append((_parse_step(keyword, rest, system, lineno), None))
         except (ParseError, DialectError, InvalidPathError) as exc:
@@ -140,7 +140,7 @@ def _parse_step(keyword: str, rest: str, system: System, lineno: int) -> RuleIns
     if kind == "Path":
         operand = Path.parse(tail)
     elif kind == "Graph":
-        operand = parse_graph(tail, system.dialect)
+        operand = parse_graph(tail, system)
     elif kind == "int":
         operand = parse_index(tail)
     return rule(path, operand)

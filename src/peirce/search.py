@@ -8,31 +8,34 @@ successors up to multiset equality, so one exact representative is
 expanded per canonical key and an empty frontier proves exhaustion of the
 bounded space.
 
-Insertion and loop contents come from the bounds' vocabulary (by default,
-subgraphs of the two endpoint graphs) and intermediate states are capped
-in size relative to the endpoints; both bounds make the search incomplete
-by design for pathological goals.
+Insertion and loop contents are the subgraphs of the two endpoint graphs
+(default_vocabulary) and intermediate states are capped in size relative
+to the endpoints; both bounds make the search incomplete by design for
+pathological goals.
 
-The size cap is ``node_count(goal) + node_count(start)``, widened in one
-case only: when the start entails the goal but entails none of the goal's
-one-step predecessors within that cap.  Every state on a derivation from
-the start is entailed by it (the rules are sound), so such a space holds
-no derivation at all, and the search could only spend its budget.  The
-widened cap adds the size of the largest item in an odd area of either
-endpoint: room for one more copy of a hypothesis, which is what
-deiteration (the calculus's contraction) consumes.  The widened space
-contains the original one.
+size_cap decides the cap and the sides, once per search.  The cap is
+``node_count(goal) + node_count(start)``, widened in one case only: when
+the start entails the goal but entails none of the goal's listed one-step
+predecessors within that cap.  Every state on a derivation from the start
+is entailed by it (the rules are sound), so such a space holds no
+derivation through a listed predecessor.  The widened cap adds the size of
+the largest item in an odd area of either endpoint: room for one more copy
+of a hypothesis, which is what deiteration (the calculus's contraction)
+consumes.  The widened space contains the original one, so widening loses
+no derivation.
 
-In the widened space the search runs from both ends (bidirectional BFS,
-Pohl 1971).  The forward side is the BFS above.  The backward side expands
-the predecessors (calculus.predecessor_edits), the exact duals of the
-instances the forward side enumerates, and keeps only states the start
-entails (a truth table first, then the intuitionistic oracle).  Each round
-expands one whole layer of the side with the smaller frontier, and the
-sides join on canonical keys.  A joined derivation need not be the
-shallowest.  A negative verdict comes from the forward side alone
-(exhausted space or full depth), never from an oracle.  Without widening
-the backward side is the goal alone, and the search is the plain BFS.
+In the widened space, and only there, the search runs from both ends
+(bidirectional BFS, Pohl 1971).  The forward side is the BFS above.  The
+backward side expands the predecessors (calculus.predecessor_edits): a
+subset of the graphs that an instance the forward side enumerates rewrites
+into the state, since the duals of unwrap and double-cut elimination wrap
+at most one item.  It keeps only states the start entails (a truth table
+first, then the intuitionistic oracle).  Each round expands one whole
+layer of the side with the smaller frontier, and the sides join on
+canonical keys.  A joined derivation need not be the shallowest.  A
+negative verdict comes from the forward side alone (exhausted space or
+full depth), never from an oracle.  Without widening the backward side is
+the goal alone, and the search is the plain BFS.
 
 Both sides expand a layer alike, and build no state that is not kept.  A
 state's edits, in enumeration order, are only those that add at most
@@ -86,7 +89,6 @@ from .semantics import graph_to_formula, taut_classical, taut_int
 @dataclass(frozen=True)
 class SearchBounds:
     max_depth: int = 12
-    vocabulary: Optional[tuple[Graph, ...]] = None
     max_visited: int = 500_000
 
 
@@ -111,16 +113,12 @@ def derive(system: System, start: Graph, goal: Graph,
     state budget runs out before the bounded space is exhausted, and
     CertificationError when check_script rejects the script found."""
     for g in (start, goal):
-        bad = well_formed(g, system.dialect)
+        bad = well_formed(g, system)
         if bad:
             raise DialectError(f"{bad[0].reason} at {bad[0].path}")
-    vocabulary = bounds.vocabulary
-    if vocabulary is None:
-        vocabulary = default_vocabulary(start, goal)
-    cap = size_cap(system, start, goal, vocabulary)
-    widened = cap > node_count(goal) + node_count(start)
-    chain = _search(system, start, goal, vocabulary, cap, bounds,
-                    _entailed_by(system, start) if widened else None)
+    vocabulary = default_vocabulary(start, goal)
+    cap, entailed = size_cap(system, start, goal, vocabulary)
+    chain = _search(system, start, goal, vocabulary, cap, bounds, entailed)
     if chain is None:
         return None
     script = ProofScript(system, start, tuple((rule, None) for rule in chain))
@@ -144,25 +142,26 @@ def _entailed_by(system: System, start: Graph) -> Callable[[Graph], bool]:
     return entailed
 
 
-def size_cap(system: System, start: Graph, goal: Graph,
-             vocabulary: tuple[Graph, ...]) -> int:
-    """The search's size bound: ``node_count(goal) + node_count(start)``,
-    widened by the size of the largest item in an odd area of either
-    endpoint when the start entails the goal but none of its predecessors
-    within that cap.  Past 20 atoms, where the truth table gives up, the
-    cap is not widened."""
+def size_cap(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, ...],
+             ) -> tuple[int, Optional[Callable[[Graph], bool]]]:
+    """The search's plan: its size bound, and the backward side's filter
+    (the start's entailment) or None for the plain BFS.  The bound is
+    ``node_count(goal) + node_count(start)``, widened by the size of the
+    largest item in an odd area of either endpoint when the start entails
+    the goal but none of its listed predecessors within that cap; the
+    filter is given exactly when the bound grows.  Past 20 atoms, where
+    the truth table gives up, the cap is not widened."""
     cap = node_count(goal) + node_count(start)
     entailed = _entailed_by(system, start)
     try:
-        if equals(start, goal) or not entailed(goal):
-            return cap
+        if equals(start, goal) or not entailed(goal) or any(
+                map(entailed, predecessors(system, goal, vocabulary, cap - node_count(goal)))):
+            return cap, None
     except TooManyAtomsError:
-        return cap
-    if any(map(entailed, predecessors(system, goal, vocabulary, cap - node_count(goal)))):
-        return cap
-    return cap + max((node_count(item)
-                      for g in (start, goal) for path, item in walk_items(g)
-                      if path.is_odd), default=0)
+        return cap, None
+    growth = max((node_count(item) for g in (start, goal) for path, item in walk_items(g)
+                  if path.is_odd), default=0)
+    return cap + growth, entailed if growth else None
 
 
 def predecessors(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),

@@ -111,11 +111,11 @@ def test_c1_table_corpus():
 def _soundness(system, count, seed, budget):
     start = time.time()
     rng = random.Random(seed)
-    vocab = tuple(parse_graph(t, system.dialect) for t in ("p", "q", "(p)"))
+    vocab = tuple(parse_graph(t, system) for t in ("p", "q", "(p)"))
     checked = 0
     failures = []
     while checked < count:
-        g = random_graph(rng, depth=4, atoms=4, dialect=system.dialect)
+        g = random_graph(rng, depth=4, atoms=4, dialect=system)
         instances = enumerate_rule_instances(system, g, vocab)
         if not instances:
             continue
@@ -235,7 +235,7 @@ def test_c6_prove(system_name, formula_text, capsys):
     # the state budget keeps each run inside the one-minute window;
     # the successful goals all finish well below a thousand expansions
     system = System(system_name)
-    goal = formula_to_graph(parse_formula(formula_text), system.dialect)
+    goal = formula_to_graph(parse_formula(formula_text), system)
     start = time.time()
     code = eg_main(["prove", "--system", system_name, "--goal", print_graph(goal),
                     "--depth", "12", "--max-visited", "10000"])

@@ -50,7 +50,7 @@ IN = System.INTUITIONISTIC
 
 
 def g(text, system=IN):
-    return parse_graph(text, system.dialect)
+    return parse_graph(text, system)
 
 
 def p(text):
@@ -213,11 +213,11 @@ class TestEnumerate:
         rng = random.Random(51)
         for _ in range(120):
             system = rng.choice([CL, IN])
-            graph = random_graph(rng, depth=3, dialect=system.dialect)
+            graph = random_graph(rng, depth=3, dialect=system)
             vocab = (g("p", system), g("(q)", system))
             for rule in enumerate_rule_instances(system, graph, vocab):
                 out = apply_rule(system, graph, rule)
-                assert well_formed(out, system.dialect) == []
+                assert well_formed(out, system) == []
 
     def test_growth_bound_is_exact(self):
         # the bound drops exactly the instances whose result is too large,
@@ -225,7 +225,7 @@ class TestEnumerate:
         rng = random.Random(97)
         for _ in range(150):
             system = rng.choice([CL, IN])
-            graph = random_graph(rng, depth=3, dialect=system.dialect)
+            graph = random_graph(rng, depth=3, dialect=system)
             # vocabularies of either dialect, empty graphs included
             vocab = tuple(random_graph(rng, depth=2, dialect=rng.choice(list(Dialect)))
                           for _ in range(rng.randint(0, 3)))
@@ -248,7 +248,7 @@ class TestSoundness:
         rng = random.Random(seed)
         checked = 0
         while checked < count:
-            graph = random_graph(rng, depth=3, atoms=3, dialect=system.dialect)
+            graph = random_graph(rng, depth=3, atoms=3, dialect=system)
             vocab = (g("p", system), g("q", system))
             instances = enumerate_rule_instances(system, graph, vocab)
             if not instances:
@@ -273,7 +273,7 @@ class TestSoundness:
         done = 0
         while done < 80:
             system = rng.choice([CL, IN])
-            graph = random_graph(rng, depth=3, dialect=system.dialect)
+            graph = random_graph(rng, depth=3, dialect=system)
             iterations = [r for r in enumerate_rule_instances(system, graph, ())
                           if isinstance(r, Iterate)]
             if not iterations:
@@ -367,7 +367,7 @@ class TestScope:
         outer_to_loop = 0
         for _ in range(400):
             system = rng.choice([CL, IN])
-            graph = random_graph(rng, depth=4, dialect=system.dialect)
+            graph = random_graph(rng, depth=4, dialect=system)
             areas = [path for path, _ in walk_areas(graph)]
             for item, _ in walk_items(graph):
                 source = _crossings(item.parts[:-1])
@@ -395,7 +395,7 @@ class TestCheckerAndEnumeratorAgree:
         accepted = rejected = 0
         for _ in range(200):
             system = rng.choice([CL, IN])
-            graph = random_graph(rng, depth=3, dialect=system.dialect)
+            graph = random_graph(rng, depth=3, dialect=system)
             vocab = tuple(random_graph(rng, depth=2, dialect=rng.choice(list(Dialect)))
                           for _ in range(rng.randint(0, 3)))
             items = list(walk_items(graph))
@@ -463,7 +463,7 @@ class TestEdits:
         checked = nested = 0
         for _ in range(320):
             system = rng.choice([CL, IN])
-            graph = random_graph(rng, depth=4, dialect=system.dialect)
+            graph = random_graph(rng, depth=4, dialect=system)
             vocab = tuple(random_graph(rng, depth=2, dialect=rng.choice(list(Dialect)))
                           for _ in range(rng.randint(0, 3)))
             listed = enumerate_rule_instances(system, graph, vocab)
@@ -495,7 +495,7 @@ class TestEdits:
         listed = 0
         for _ in range(100):
             system = rng.choice([CL, IN])
-            graph = random_graph(rng, depth=4, atoms=2, dialect=system.dialect)
+            graph = random_graph(rng, depth=4, atoms=2, dialect=system)
             listed += sum(isinstance(r, Deiterate)
                           for r in enumerate_rule_instances(system, graph))
         assert all(pairs) and len(pairs) > listed > 100
@@ -509,11 +509,11 @@ class TestEdits:
         rng = random.Random(137)
         for _ in range(300):
             system = rng.choice([CL, IN])
-            graph = random_graph(rng, depth=4, atoms=2, dialect=system.dialect)
+            graph = random_graph(rng, depth=4, atoms=2, dialect=system)
             # vocabularies of either dialect, empty graphs included
             vocab = tuple(random_graph(rng, depth=2, dialect=rng.choice(list(Dialect)))
                           for _ in range(rng.randint(0, 3)))
-            drawn = sum(not well_formed(v, system.dialect) for v in vocab)
+            drawn = sum(not well_formed(v, system) for v in vocab)
             for k in range(5):
                 sizes.clear()
                 enumerate_rule_instances(system, graph, vocab, k)

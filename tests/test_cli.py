@@ -286,6 +286,20 @@ class TestUsage:
         # a subcommand's usage error leaves as one ``eg:`` line, no usage dump
         assert run(capsys, *argv) == (2, "", f"eg: {error}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("parse", "--dialect", "classical"),
+        ("taut", "--logic", "classical"),
+        ("translate", "--to", "formula", "--dialect", "classical"),
+        ("render", "-o", "out.svg"),
+    ], ids=["parse", "taut", "translate", "render"])
+    def test_inline_text_with_file_is_refused(self, capsys, tmp_path, monkeypatch, argv):
+        # the inline text is not dropped in favour of the file's
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.txt").write_text("q\n")
+        code, out, err = run(capsys, *argv, "p", "--file", "g.txt")
+        assert (code, out, err) == (2, "", "eg: give the text inline or with --file, not both\n")
+        assert not (tmp_path / "out.svg").exists()
+
     def test_help_exits_0(self, capsys):
         code, out, err = run(capsys, "--help")
         assert (code, err) == (0, "") and out.startswith("usage: eg ")

@@ -39,7 +39,7 @@ class TestParse:
         assert script.system is System.CLASSICAL
         assert script.steps == (
             (Iterate(Path.parse("0"), Path.parse("1.outer")),
-             parse_graph("p (p q)", System.CLASSICAL.dialect)),
+             parse_graph("p (p q)", System.CLASSICAL)),
         )
         assert check_script(script).ok
 
@@ -104,10 +104,10 @@ class TestParse:
 
 class TestRoundTrip:
     def test_format_then_parse(self):
-        script = ProofScript(System.INTUITIONISTIC, parse_graph("p (q)", System.INTUITIONISTIC.dialect), (
+        script = ProofScript(System.INTUITIONISTIC, parse_graph("p (q)", System.INTUITIONISTIC), (
             (ScrollWrap(Path(), frozenset({0})), None),
-            (Insert(Path.parse("1.outer"), parse_graph("r", System.INTUITIONISTIC.dialect)),
-             parse_graph("[ | p] (q r)", System.INTUITIONISTIC.dialect)),
+            (Insert(Path.parse("1.outer"), parse_graph("r", System.INTUITIONISTIC)),
+             parse_graph("[ | p] (q r)", System.INTUITIONISTIC)),
             (Deiterate(Path.parse("1.outer.0"), Path.parse("0")), None),
         ))
         text = format_script(script)
@@ -119,7 +119,7 @@ class TestRoundTrip:
             format_script(script)
 
     def test_insert_blank_graph(self):
-        script = ProofScript(System.CLASSICAL, parse_graph("(p)", System.CLASSICAL.dialect), (
+        script = ProofScript(System.CLASSICAL, parse_graph("(p)", System.CLASSICAL), (
             (Insert(Path.parse("0.outer"), Graph()), None),
         ))
         assert parse_script(format_script(script)) == script
@@ -180,10 +180,10 @@ class TestEveryRuleHasAKeyword:
         # the first instance of each of the system's rules met over a
         # seeded corpus, each formatted as a one-step script and read back
         rng = random.Random(16)
-        vocabulary = (parse_graph("p", system.dialect), parse_graph("q r", system.dialect))
+        vocabulary = (parse_graph("p", system), parse_graph("q r", system))
         first = {}
         for _ in range(200):
-            g = random_graph(rng, depth=rng.randint(1, 4), dialect=system.dialect)
+            g = random_graph(rng, depth=rng.randint(1, 4), dialect=system)
             for rule in enumerate_rule_instances(system, g, vocabulary):
                 first.setdefault(type(rule), (g, rule))
         assert set(first) == set(SYSTEM_RULES[system])

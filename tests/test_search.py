@@ -6,10 +6,12 @@ import pytest
 
 from peirce import calculus, graphs, search
 from peirce.cli import main
-from peirce.calculus import ProofScript, Report, System, apply_rule, check_script, enumerate_rule_instances
+from peirce.calculus import (DoubleCutElim, ProofScript, Report, ScrollUnwrap, System, apply_rule,
+                             check_script, enumerate_rule_instances)
 from peirce.errors import BoundsExceededError, CertificationError, DialectError
-from peirce.graphs import Atom, Dialect, Graph, Scroll, canonicalize, equals, node_count
+from peirce.graphs import Atom, Dialect, Graph, Path, Scroll, canonicalize, equals, node_count
 from peirce.notation import parse_graph, print_graph
+from peirce.scriptfile import format_script
 from peirce.search import SearchBounds, default_vocabulary, derive, predecessors, size_cap
 from peirce.semantics import formula_to_graph, graph_to_formula, taut_classical, taut_int
 from peirce.notation import parse_formula
@@ -21,7 +23,7 @@ IN = System.INTUITIONISTIC
 
 
 def goal_graph(text, system):
-    return formula_to_graph(parse_formula(text), system.dialect)
+    return formula_to_graph(parse_formula(text), system)
 
 
 class TestDerive:
@@ -123,30 +125,30 @@ class TestSizeCap:
     @pytest.mark.parametrize("system,text", C6_PROVABLE)
     def test_provable_goals_keep_their_cap(self, system, text):
         goal = goal_graph(text, system)
-        cap = size_cap(system, Graph(), goal, default_vocabulary(Graph(), goal))
+        cap = size_cap(system, Graph(), goal, default_vocabulary(Graph(), goal))[0]
         assert cap == node_count(goal)
 
     def test_non_theorem_keeps_its_cap(self):
         goal = goal_graph("p | ~p", IN)
-        assert size_cap(IN, Graph(), goal, default_vocabulary(Graph(), goal)) == 4
+        assert size_cap(IN, Graph(), goal, default_vocabulary(Graph(), goal))[0] == 4
 
     def test_double_negated_excluded_middle_widens_by_one_hypothesis(self):
         goal = goal_graph("~~(p | ~p)", IN)
         assert node_count(goal) == 6
         # widened by ([ | p | (p)]), the largest item in an odd area
-        assert size_cap(IN, Graph(), goal, default_vocabulary(Graph(), goal)) == 11
+        assert size_cap(IN, Graph(), goal, default_vocabulary(Graph(), goal))[0] == 11
 
     def test_past_the_truth_table_the_cap_is_not_widened(self):
         # 21 atoms: the entailment test's truth table refuses the goal, so
         # the cap stays node_count(goal) + node_count(start)
         goal = parse_graph(" ".join(f"a{i}" for i in range(21)), Dialect.INTUITIONISTIC)
-        assert size_cap(IN, Graph(), goal, default_vocabulary(Graph(), goal)) == 21
+        assert size_cap(IN, Graph(), goal, default_vocabulary(Graph(), goal))[0] == 21
         assert derive(IN, Graph(), goal, SearchBounds(max_depth=1)) is None
 
 
 def _vocabulary(rng, system):
     texts = ["p", "q", "(p)", "p q"] + (["[p | q]", "[ | p]"] if system is IN else ["((q))"])
-    return tuple(parse_graph(t, system.dialect) for t in rng.sample(texts, 3))
+    return tuple(parse_graph(t, system) for t in rng.sample(texts, 3))
 
 
 class TestPredecessors:
@@ -155,7 +157,7 @@ class TestPredecessors:
         proposed = 0
         for _ in range(150):
             system = rng.choice([CL, IN])
-            graph = random_graph(rng, depth=3, atoms=2, dialect=system.dialect, width=2)
+            graph = random_graph(rng, depth=3, atoms=2, dialect=system, width=2)
             vocab = _vocabulary(rng, system)
             for prev in predecessors(system, graph, vocab):
                 proposed += 1
@@ -177,8 +179,8 @@ class TestPredecessors:
         (CL, "p", "", "((p))", "double-cut elimination"),
     ])
     def test_dual_of_each_rule(self, system, text, vocab, dual, rule):
-        graph = parse_graph(text, system.dialect)
-        vocabulary = tuple(parse_graph(v, system.dialect) for v in vocab.split())
+        graph = parse_graph(text, system)
+        vocabulary = tuple(parse_graph(v, system) for v in vocab.split())
         proposed = {print_graph(canonicalize(prev))
                     for prev in predecessors(system, graph, vocabulary)}
         assert dual in proposed, rule
@@ -188,6 +190,21 @@ class TestPredecessors:
                     for prev in predecessors(IN, parse_graph("[p | q]", Dialect.INTUITIONISTIC))}
         assert "(p (q))" not in proposed
 
+    @pytest.mark.parametrize("system,text,rule", [
+        (IN, "[ | p q]", ScrollUnwrap(Path.parse("0"))),
+        (CL, "((p q))", DoubleCutElim(Path.parse("0"))),
+    ])
+    def test_predecessors_are_a_subset(self, system, text, rule):
+        # a listed instance rewrites the graph into p q, but the duals of
+        # unwrap and double-cut elimination wrap at most one item
+        graph, target = parse_graph(text, system), parse_graph("p q", system)
+        vocab = default_vocabulary(graph, target)
+        assert [r for r in enumerate_rule_instances(system, graph, vocab)
+                if equals(apply_rule(system, graph, r), target)] == [rule]
+        proposed = {print_graph(canonicalize(prev))
+                    for prev in predecessors(system, target, vocab)}
+        assert text not in proposed
+
     def test_two_sided_search_agrees_with_plain_bfs(self):
         # plain BFS is the oracle: on the same bounded space the two-sided
         # search finds a derivation exactly when BFS does, and a certified one
@@ -195,9 +212,9 @@ class TestPredecessors:
         verdicts = []
         for case in range(40):
             system = rng.choice([CL, IN])
-            start = random_graph(rng, depth=2, atoms=2, dialect=system.dialect, width=2)
+            start = random_graph(rng, depth=2, atoms=2, dialect=system, width=2)
             if case % 2:
-                goal = random_graph(rng, depth=3, atoms=2, dialect=system.dialect, width=2)
+                goal = random_graph(rng, depth=3, atoms=2, dialect=system, width=2)
             else:
                 goal = start
                 for _ in range(rng.randint(1, 3)):
@@ -212,10 +229,25 @@ class TestPredecessors:
             assert (plain is None) == (two is None), (print_graph(start), print_graph(goal))
             verdicts.append(two is not None)
             if two is not None:
+                assert len(two) >= len(plain)
                 script = ProofScript(system, start, tuple((rule, None) for rule in two))
                 report = check_script(script)
                 assert report.ok and equals(report.final, goal)
         assert sum(verdicts) >= 10 and verdicts.count(False) >= 5
+
+    def test_a_two_sided_script_need_not_be_the_shallowest(self):
+        # the sides meet on a 3-step script, where plain BFS finds 2 steps
+        start, goal = parse_graph("()", IN), parse_graph("() ([ | ()]) [ | ]", IN)
+        vocab = default_vocabulary(start, goal)
+        bounds = SearchBounds(max_depth=5)
+        plain = search._search(IN, start, goal, vocab, 6, bounds)
+        two = search._search(IN, start, goal, vocab, 6, bounds, search._entailed_by(IN, start))
+
+        def steps(chain):
+            script = ProofScript(IN, start, tuple((rule, None) for rule in chain))
+            return format_script(script).splitlines()[2:]
+        assert steps(plain) == ["loopadd 0 () ([ | ()]) [ | ]", "unwrap 0"]
+        assert steps(two) == ["iterate 0 -> /", "insert 0.outer [ | ()]", "wrap / items"]
 
 
 class TestVocabulary:
@@ -237,7 +269,7 @@ class TestPredecessorBound:
         dropped = 0
         for _ in range(150):
             system = rng.choice([CL, IN])
-            graph = random_graph(rng, depth=3, dialect=system.dialect)
+            graph = random_graph(rng, depth=3, dialect=system)
             # vocabularies of either dialect, empty graphs included
             vocab = tuple(random_graph(rng, depth=2, dialect=rng.choice(list(Dialect)))
                           for _ in range(rng.randint(0, 3)))
@@ -263,7 +295,8 @@ class TestVocabularyCheck:
         # fresh objects, so that the checks of the endpoints are not counted
         vocab = tuple(parse_graph(print_graph(v), Dialect.INTUITIONISTIC)
                       for v in default_vocabulary(Graph(), goal))
-        assert derive(IN, Graph(), goal, SearchBounds(vocabulary=vocab)) is not None
+        monkeypatch.setattr(search, "default_vocabulary", lambda *endpoints: vocab)
+        assert derive(IN, Graph(), goal) is not None
         assert [checked[id(v), Dialect.INTUITIONISTIC] for v in vocab] == [1] * len(vocab)
 
 
@@ -365,9 +398,9 @@ class TestKeyFirstBackward:
         backward = 0
         for case in range(40):
             system = rng.choice([CL, IN])
-            start = random_graph(rng, depth=2, atoms=2, dialect=system.dialect, width=2)
+            start = random_graph(rng, depth=2, atoms=2, dialect=system, width=2)
             if case % 2:
-                goal = random_graph(rng, depth=3, atoms=2, dialect=system.dialect, width=2)
+                goal = random_graph(rng, depth=3, atoms=2, dialect=system, width=2)
             else:
                 goal = start
                 for _ in range(rng.randint(1, 3)):
@@ -396,7 +429,7 @@ class TestPredecessorEdits:
         listed = 0
         for _ in range(150):
             system = rng.choice([CL, IN])
-            graph = random_graph(rng, depth=3, atoms=2, dialect=system.dialect, width=3)
+            graph = random_graph(rng, depth=3, atoms=2, dialect=system, width=3)
             vocab = _vocabulary(rng, system)
             edits = list(calculus.predecessor_edits(system, graph, vocab))
             built = [graphs.edited(graph, *edit) for edit in edits]
