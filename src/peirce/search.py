@@ -2,8 +2,8 @@
 
 Breadth-first over canonical keys: rule instances are enumerated in a
 fixed order and states visited in FIFO order, so the result is
-reproducible and the shallowest derivation is found first (whence
-monotonicity in the depth bound).  Multiset-equal graphs have the same
+reproducible, and searched forward alone the shallowest derivation is
+found first.  Multiset-equal graphs have the same
 successors up to multiset equality, so one exact representative is
 expanded per canonical key and an empty frontier proves exhaustion of the
 bounded space.
@@ -24,18 +24,40 @@ of a hypothesis, which is what deiteration (the calculus's contraction)
 consumes.  The widened space contains the original one, so widening loses
 no derivation.
 
-In the widened space, and only there, the search runs from both ends
-(bidirectional BFS, Pohl 1971).  The forward side is the BFS above.  The
-backward side expands the predecessors (calculus.predecessor_edits): a
-subset of the graphs that an instance the forward side enumerates rewrites
-into the state, since the duals of unwrap and double-cut elimination wrap
-at most one item.  It keeps only states the start entails (a truth table
-first, then the intuitionistic oracle).  Each round expands one whole
-layer of the side with the smaller frontier, and the sides join on
-canonical keys.  A joined derivation need not be the shallowest.  A
-negative verdict comes from the forward side alone (exhausted space or
-full depth), never from an oracle.  Without widening the backward side is
-the goal alone, and the search is the plain BFS.
+Whenever the start entails the goal, widened or not, the search runs from
+both ends (bidirectional BFS, Pohl 1971).  The forward side is the BFS
+above.  The backward side expands the predecessors
+(calculus.predecessor_edits): a subset of the graphs that an instance the
+forward side enumerates rewrites into the state.  It keeps only states the
+start entails (a truth table first, then the intuitionistic oracle).  Each
+round expands one whole layer of the side with the smaller frontier, and
+the sides join on canonical keys.  A goal the start does not entail is
+searched forward only, so a negative verdict comes from the forward side
+alone (exhausted space or full depth), never from an oracle.
+
+The stopping rule makes the joined script the shallowest over the listed
+predecessors: no derivation within the bounds is shorter whose every step
+starts at a listed predecessor of the step's result.  Whenever one of the
+shallowest derivations is such, the script is as short as plain BFS's.  A
+meeting in a backward layer is returned at once: every listed predecessor
+is a forward edit within the cap, so a state the forward side reached
+before its last layer has had its successors met already, and all
+meetings of one backward layer have the same total depth.  A meeting in a
+forward layer is kept, and the rest of that layer is scanned for a key
+that the backward side reached nearer the goal.  Every forward edit adding
+nodes starts at a listed predecessor of its result, so only an edit that
+adds no node can reach one; the scan keys those edits alone, builds no
+graph and spends no budget.
+
+The gap is the steps without a listed undo, all of which add no node:
+unwrapping a loop, or removing a double cut, around two or more items, and
+erasing an item or removing a loop that is not a vocabulary graph.  Such a
+step before the meeting layer can lengthen the script, and a larger depth
+bound can give a longer one: intuitionistic ``q (q)`` to ``p p`` takes 4
+steps at depth 4 but 5 at depth 5, where plain BFS takes 4, the last an
+``unwrap`` of a two-item loop.  Given enough budget, a derivation is
+found exactly when the forward side alone finds one: it runs to the full
+depth unless the sides meet.
 
 Both sides expand a layer alike, and build no state that is not kept.  A
 state's edits, in enumeration order, are only those that add at most
@@ -145,23 +167,24 @@ def _entailed_by(system: System, start: Graph) -> Callable[[Graph], bool]:
 def size_cap(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, ...],
              ) -> tuple[int, Optional[Callable[[Graph], bool]]]:
     """The search's plan: its size bound, and the backward side's filter
-    (the start's entailment) or None for the plain BFS.  The bound is
-    ``node_count(goal) + node_count(start)``, widened by the size of the
-    largest item in an odd area of either endpoint when the start entails
-    the goal but none of its listed predecessors within that cap; the
-    filter is given exactly when the bound grows.  Past 20 atoms, where
-    the truth table gives up, the cap is not widened."""
+    (the start's entailment), given whenever the start entails the goal,
+    or None for the plain BFS.  The bound is ``node_count(goal) +
+    node_count(start)``, widened by the size of the largest item in an odd
+    area of either endpoint when the start entails the goal but none of
+    its listed predecessors within that cap.  Past 20 atoms, where the
+    truth table gives up, the cap is not widened and the BFS is plain."""
     cap = node_count(goal) + node_count(start)
     entailed = _entailed_by(system, start)
     try:
-        if equals(start, goal) or not entailed(goal) or any(
-                map(entailed, predecessors(system, goal, vocabulary, cap - node_count(goal)))):
+        if equals(start, goal) or not entailed(goal):
             return cap, None
+        if any(map(entailed, predecessors(system, goal, vocabulary, cap - node_count(goal)))):
+            return cap, entailed
     except TooManyAtomsError:
         return cap, None
     growth = max((node_count(item) for g in (start, goal) for path, item in walk_items(g)
                   if path.is_odd), default=0)
-    return cap + growth, entailed if growth else None
+    return cap + growth, entailed
 
 
 def predecessors(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),
@@ -187,10 +210,11 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
 
     def layer(states, seen, other, distance, successors, accept=None):
         """The layer after ``states`` and None, or None and the key where
-        an edit meets ``other``."""
+        the sides meet: on the backward side the first meeting, on the
+        forward side the first of least total depth."""
         nonlocal budget
         found = []
-        for g in states:
+        for i, g in enumerate(states):
             if accept and not accept(g):
                 continue
             budget -= 1
@@ -203,9 +227,23 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
                 seen[key] = (g.key, distance + 1)
                 meet = other.get(key)
                 if meet is not None and distance + 1 + meet[1] <= bounds.max_depth:
-                    return None, key
+                    return None, key if seen is behind else nearest(states[i:], key, distance)
                 found.append(_apply_fast(g, parts, contents, key))
         return found, None
+
+    def nearest(states, key, distance):
+        """Of ``key`` and the keys of ``behind`` that edits of ``states``
+        adding no node reach, the first nearest the goal.  An edit adding
+        nodes starts at a listed predecessor of its result, so a result
+        nearer the goal than ``key`` would have met the other side already."""
+        far = behind[key][1]
+        for g in states:
+            for parts, contents in edits(system, g, vocabulary, 0):
+                near = edited_key(g, parts, contents)
+                if behind.get(near, (None, far))[1] < far:
+                    key, far = near, behind[near][1]
+                    ahead[key] = (g.key, distance + 1)
+        return key
 
     frontier, back_frontier = [start], [goal] if entailed else []
     depth = back_depth = 0

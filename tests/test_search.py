@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from peirce import calculus, graphs, search
+from peirce import calculus, formulas as fm, graphs, search
 from peirce.cli import main
 from peirce.calculus import (DoubleCutElim, ProofScript, Report, ScrollUnwrap, System, apply_rule,
                              check_script, enumerate_rule_instances)
@@ -104,6 +104,23 @@ class TestDerive:
         with pytest.raises(BoundsExceededError):
             derive(IN, Graph(), goal, SearchBounds(max_depth=depth,
                                                    max_visited=expansions - 1))
+
+    def test_the_scan_after_a_meeting_spends_no_budget(self):
+        # the least budget that finds each C6 goal counts the states
+        # expanded up to the meeting; the rest of a forward layer that met
+        # the other side is scanned for a nearer key without spending it
+        least = []
+        for system, text in C6_PROVABLE:
+            goal, budget = goal_graph(text, system), 1
+            while True:
+                try:
+                    script = derive(system, Graph(), goal, SearchBounds(max_visited=budget))
+                    break
+                except BoundsExceededError:
+                    budget += 1
+            assert script == derive(system, Graph(), goal)
+            least.append(budget)
+        assert least == [3, 7, 3, 4, 3, 7, 8, 3]
 
     @pytest.mark.parametrize("final", [None, Graph()])
     def test_certification_is_unconditional(self, monkeypatch, final):
@@ -236,18 +253,93 @@ class TestPredecessors:
         assert sum(verdicts) >= 10 and verdicts.count(False) >= 5
 
     def test_a_two_sided_script_need_not_be_the_shallowest(self):
-        # the sides meet on a 3-step script, where plain BFS finds 2 steps
-        start, goal = parse_graph("()", IN), parse_graph("() ([ | ()]) [ | ]", IN)
-        vocab = default_vocabulary(start, goal)
-        bounds = SearchBounds(max_depth=5)
-        plain = search._search(IN, start, goal, vocab, 6, bounds)
-        two = search._search(IN, start, goal, vocab, 6, bounds, search._entailed_by(IN, start))
+        # from (), plain BFS's last step unwraps three items: no listed
+        # predecessor undoes it, but it adds no node, so the scan of the
+        # forward layer that meets the other side finds it.  From q (q) the
+        # step without a listed undo comes before the meeting layer, and
+        # the sides meet one step deeper.
+        def steps(text, goal_text):
+            start, goal = parse_graph(text, IN), parse_graph(goal_text, IN)
+            vocab = default_vocabulary(start, goal)
+            cap, entailed = size_cap(IN, start, goal, vocab)
+            assert entailed is not None
+            for backward in (None, entailed):
+                chain = search._search(IN, start, goal, vocab, cap, SearchBounds(max_depth=5),
+                                       backward)
+                script = ProofScript(IN, start, tuple((rule, None) for rule in chain))
+                yield format_script(script).splitlines()[2:]
+        plain, two = steps("()", "() ([ | ()]) [ | ]")
+        assert plain == two == ["loopadd 0 () ([ | ()]) [ | ]", "unwrap 0"]
+        plain, two = steps("q (q)", "p p")
+        assert plain == ["deiterate 1.outer.0 witness 0", "erase 0", "loopadd 0 p p", "unwrap 0"]
+        assert two == ["deiterate 1.outer.0 witness 0", "loopadd 1 p", "erase 0", "unwrap 0",
+                       "iterate 0 -> /"]
 
-        def steps(chain):
-            script = ProofScript(IN, start, tuple((rule, None) for rule in chain))
-            return format_script(script).splitlines()[2:]
-        assert steps(plain) == ["loopadd 0 () ([ | ()]) [ | ]", "unwrap 0"]
-        assert steps(two) == ["iterate 0 -> /", "insert 0.outer [ | ()]", "wrap / items"]
+    def test_an_edit_adding_nodes_undoes_a_listed_predecessor(self):
+        # why a meeting's forward layer is scanned only with edits adding no
+        # node: every edit of u adding nodes has u among the listed
+        # predecessors of its result w, within the cap; some edits adding
+        # no node have no listed undo (unwrap around two items, ...)
+        rng = random.Random(131)
+        growing, unlisted = 0, 0
+        for _ in range(300):
+            system = rng.choice([CL, IN])
+            u, other = (random_graph(rng, depth=3, atoms=2, dialect=system, width=2)
+                        for _ in range(2))
+            vocab = default_vocabulary(u, other)
+            cap = node_count(u) + node_count(other)
+            for edit in calculus.edits(system, u, vocab, cap - node_count(u)):
+                w = graphs.edited(u, *edit)
+                undos = calculus.predecessor_edits(system, w, vocab, cap - node_count(w))
+                listed = u.key in {graphs.edited_key(w, *undo) for undo in undos}
+                if node_count(w) > node_count(u):
+                    assert listed, (print_graph(u), print_graph(w))
+                    growing += 1
+                else:
+                    unlisted += not listed
+        assert growing > 2000 and unlisted >= 10
+
+
+def formulas_of_size(size):
+    """Every formula over p, q and F with ``size`` symbols (atoms, F and
+    connectives)."""
+    if size == 1:
+        return [fm.Atom("p"), fm.Atom("q"), fm.BOT]
+    found = [fm.Not(f) for f in formulas_of_size(size - 1)]
+    for left_size in range(1, size - 1):
+        for left in formulas_of_size(left_size):
+            for right in formulas_of_size(size - 1 - left_size):
+                found += [fm.And(left, right), fm.Or(left, right), fm.Imp(left, right)]
+    return found
+
+
+class TestSmallTheorems:
+    @pytest.mark.parametrize("system,taut,lengths", [
+        (CL, taut_classical, {1: 1, 2: 35, 3: 25, 4: 38, 5: 16}),
+        (IN, taut_int, {2: 1, 3: 51, 4: 19, 5: 44}),
+    ])
+    def test_theorems_of_five_symbols(self, system, taut, lengths):
+        # every theorem of at most 5 symbols, as graph keys, from the blank
+        # sheet within 500 states, at the lengths plain BFS finds on the
+        # same cap.  The misses are disjunction eliminations that no bound
+        # derives, since no rule removes a duplicate loop.
+        goals = {}
+        for size in range(1, 6):
+            for formula in formulas_of_size(size):
+                if taut(formula):
+                    goal = formula_to_graph(formula, system)
+                    goals.setdefault(goal.key, goal)
+        found, missed = collections.Counter(), []
+        for key in sorted(goals):
+            try:
+                script = derive(system, Graph(), goals[key], SearchBounds(max_visited=500))
+                found[len(script.steps)] += 1
+            except BoundsExceededError:
+                missed.append(print_graph(goals[key]))
+        assert found == lengths
+        assert sorted(missed) == ([] if system is CL else [
+            "([ | () | ()])", "[[ | () | ()] | ()]", "[[ | () | ()] | p]", "[[ | () | ()] | q]",
+            "[[ | p | ()] | p]", "[[ | p | p] | p]", "[[ | q | ()] | q]", "[[ | q | q] | q]"])
 
 
 class TestVocabulary:
@@ -332,8 +424,8 @@ class TestKeyFirst:
             built.append(0)
             assert derive(system, Graph(), goal_graph(text, system),
                           SearchBounds(max_depth=12, max_visited=10_000)) is not None
-        assert built == [12, 3557, 20, 46, 11, 1357, 1057, 70]
-        assert sum(built) == 6130
+        assert built == [10, 116, 11, 23, 10, 81, 84, 13]
+        assert sum(built) == 348
 
     # sha256 of `eg prove` stdout: the C6 goals and the depth-5 exhaustion
     @pytest.mark.parametrize("argv,code,digest", [
@@ -344,7 +436,7 @@ class TestKeyFirst:
         (["--system", "classical", "--goal", "(((p)) (p))"], 0,
          "e8c683849f7f5e85b2e28877ee574f6b51ae325f13817ae40cfb23d4cfe39b2d"),
         (["--system", "classical", "--goal", "(p q (p))"], 0,
-         "87baa06a3aab8e796474c0eef4a0fbcc17ee72d9d8d02031ae33953c97b86679"),
+         "230bd863dc0a53ed12e56b7e52576098cdb6c23c742b88f9936df9de7a72eeae"),
         (["--system", "intuitionistic", "--goal", "[p | p]"], 0,
          "718c90f3e0accf06943d48fc2d77a21c580dcbc81708e1d97b738eaf6c666aba"),
         (["--system", "intuitionistic", "--goal", "[p | [q | p]]"], 0,
