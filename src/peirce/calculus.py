@@ -12,11 +12,12 @@ Every rule is stated once, as an entry of one table (``RULES``): its side
 conditions (shape, polarity, scope, and the dialect of a graph it draws),
 the nodes it adds, its rewrite as an edit of one area, and its dual.
 apply_rule evaluates the conditions and raises the first failing one's
-reason, enumerate_rule_instances lists the candidate operands that the
-same conditions accept (``edits`` gives their edits, for a search that
-keys a successor before building it), and ``predecessor_edits`` undoes
-each rule by its dual, as edits too.  Every graph a rule gives or undoes
-is built from its edit.
+reason.  ``moves`` is the one listing of a graph's moves: each rule with
+the operands that the same conditions accept, no instance built.
+enumerate_rule_instances builds their instances, ``edits`` gives their
+edits (for a search that keys a successor before building it), and
+``predecessor_edits`` undoes each rule by its dual, as edits too.  Every
+graph a rule gives or undoes is built from its edit.
 
 Iteration scope is a test on paths.  An area is in scope of an item when
 it lies in the item's area or, if that is a scroll's outer area, in one of
@@ -152,9 +153,7 @@ class Walk:
     here, and ``fitting`` lists the drawn graphs within it."""
 
     def __init__(self, system: System, g: Graph, vocabulary: tuple[Graph, ...], max_growth=None):
-        self.items, self.areas = [], []
-        for site in walk(g):
-            (self.areas if isinstance(site[1], Graph) else self.items).append(site)
+        self.areas, self.items = walk(g)
         self.scrolls = [site for site in self.items if isinstance(site[1], Scroll)]
         self.drawn = [(v,) for v in vocabulary if not v.violations[system]]
         self.limit = float("inf") if max_growth is None else max_growth
@@ -383,6 +382,16 @@ SYSTEM_RULES = {
 }
 
 
+def _undoing(kinds: tuple) -> tuple:
+    """The rules of ``kinds`` that undo another of them, in order, each
+    with the ``keep`` of the dual it serves."""
+    duals = {RULES[kind].dual.rule: RULES[kind].dual for kind in kinds}
+    return tuple((RULES[kind], duals[kind].keep) for kind in kinds if kind in duals)
+
+
+UNDOING = {system: _undoing(kinds) for system, kinds in SYSTEM_RULES.items()}
+
+
 def _operands(g: Graph, rule: RuleInstance) -> tuple:
     """The rule's operands in ``g``."""
     ops = []
@@ -419,63 +428,56 @@ def apply_rule(system: System, g: Graph, rule: RuleInstance) -> Graph:
     return result
 
 
-def rule_edit(g: Graph, rule: RuleInstance) -> tuple:
-    """The edit of ``rule`` at ``g``, its side conditions unchecked: for
-    instances that enumerate_rule_instances listed."""
-    return RULES[type(rule)].edit(*_operands(g, rule))
-
-
-def enumerate_rule_instances(system: System, g: Graph,
-                             vocabulary: tuple[Graph, ...] = (),
-                             max_growth: Optional[int] = None) -> list[RuleInstance]:
-    """Every legal rule instance, in a fixed deterministic order: rule by
-    rule in the system's order, each in walk order.
+def moves(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),
+          max_growth: Optional[int] = None) -> Iterator[tuple[type, Rule, tuple]]:
+    """Every legal move at ``g``, as its rule class, table entry and
+    operands, with no instance built; in a fixed deterministic order: rule
+    by rule in the system's order, each in walk order.
 
     Insertion and loop contents are drawn from ``vocabulary``; graphs
     outside the system's dialect are dropped.  Wrap and double-cut item
     choices are limited to the empty set and singletons; arbitrary subsets
     remain available through apply_rule.
 
-    ``max_growth`` drops, before they are built, the instances that would
-    add more nodes than it; the rest keep their order.  Rules that add no
-    nodes are never dropped.
+    ``max_growth`` drops the moves that would add more nodes than it; the
+    rest keep their order.  Rules that add no nodes are never dropped.
     """
-    walk = Walk(system, g, vocabulary, max_growth)
-    return [kind(*ops[::2]) for kind in SYSTEM_RULES[system]
-            for ops in accepted(RULES[kind], walk)]
-
-
-def edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),
-          max_growth: Optional[int] = None) -> Iterator[tuple]:
-    """The edits of the instances enumerate_rule_instances lists, in its
-    order, with no instance built."""
     walk = Walk(system, g, vocabulary, max_growth)
     for kind in SYSTEM_RULES[system]:
         rule = RULES[kind]
         for ops in accepted(rule, walk):
-            yield rule.edit(*ops)
+            yield kind, rule, ops
+
+
+def enumerate_rule_instances(system: System, g: Graph,
+                             vocabulary: tuple[Graph, ...] = (),
+                             max_growth: Optional[int] = None) -> list[RuleInstance]:
+    """The rule instances of the moves, in their order."""
+    return [kind(*ops[::2]) for kind, _, ops in moves(system, g, vocabulary, max_growth)]
+
+
+def edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),
+          max_growth: Optional[int] = None) -> Iterator[tuple]:
+    """The edits of the moves, in their order."""
+    return (rule.edit(*ops) for _, rule, ops in moves(system, g, vocabulary, max_growth))
 
 
 def predecessor_edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),
                       max_growth: Optional[int] = None) -> Iterator[tuple]:
-    """The edits of ``g`` into some of its predecessors: graphs with an
-    instance that enumerate_rule_instances lists (same vocabulary)
-    rewriting to ``g`` up to multiset equality, less those adding over
-    ``max_growth`` nodes.  Not every such graph: the duals of unwrap and
-    double-cut elimination wrap at most one item, so ``[ | p q]`` and
-    ``((p q))`` are not predecessors of ``p q``.
-    First the instances ``g`` admits of the rules undoing another (iteration
-    and deiteration, wrap and unwrap, the double-cut rules), in enumeration
-    order; then the other duals, area by area and scroll by scroll, at the
-    sites of their rules' polarity."""
+    """The edits of ``g`` into some of its predecessors: graphs with a move
+    (same vocabulary) rewriting to ``g`` up to multiset equality, less
+    those adding over ``max_growth`` nodes.  Not every such graph: the
+    duals of unwrap and double-cut elimination wrap at most one item, so
+    ``[ | p q]`` and ``((p q))`` are not predecessors of ``p q``.
+    First the moves ``g`` admits of the rules undoing another (``UNDOING``:
+    iteration and deiteration, wrap and unwrap, the double-cut rules), in
+    the order of ``moves``; then the other duals, area by area and scroll
+    by scroll, at the sites of their rules' polarity."""
     walk = Walk(system, g, vocabulary, max_growth)
+    for rule, keep in UNDOING[system]:
+        yield from (rule.edit(*ops) for ops in accepted(rule, walk)
+                    if keep is None or keep(*ops))
     rules = [RULES[kind] for kind in SYSTEM_RULES[system]]
-    undoing = {rule.dual.rule: rule.dual for rule in rules if rule.dual.rule}
-    for kind, rule in zip(SYSTEM_RULES[system], rules):
-        dual = undoing.get(kind)
-        if dual:
-            yield from (rule.edit(*ops) for ops in accepted(rule, walk)
-                        if dual.keep is None or dual.keep(*ops))
     for at in ("areas", "scrolls"):
         for path, node in getattr(walk, at):
             for rule in rules:

@@ -65,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", choices=["classical", "intuitionistic"], required=True)
     p.add_argument("--goal", required=True)
     p.add_argument("--from", dest="start", default="")
-    p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--max-visited", type=int, default=500_000)
+    p.add_argument("--depth", type=int, default=SearchBounds.max_depth)
+    p.add_argument("--max-visited", type=int, default=SearchBounds.max_visited)
 
     p = sub.add_parser("taut", help="decide tautology / theoremhood")
     p.set_defaults(run=_taut)

@@ -355,27 +355,23 @@ def equals(g1: Graph, g2: Graph) -> bool:
 # Walks and well-formedness
 # ---------------------------------------------------------------------------
 
-def walk(g: Graph, prefix: tuple = ()) -> Iterator[tuple[Path, Union[Graph, Item]]]:
-    """The (path, node) pairs of ``g``, the area at ``prefix``, in
-    depth-first order: the area, then each of its items, each followed by
+def walk(g: Graph) -> tuple[list[tuple[Path, Graph]], list[tuple[Path, Item]]]:
+    """The (path, area) and the (path, item) pairs of ``g``, each list in
+    depth-first order: an area, then each of its items, each followed by
     the walks of its regions in region order."""
-    yield _trusted(prefix), g
-    for index, item in enumerate(g.items):
-        item_parts = prefix + (index,)
-        yield _trusted(item_parts), item
+    areas, items = [], []
+    _walk(g, (), areas, items)
+    return areas, items
+
+
+def _walk(area: Graph, prefix: tuple, areas: list, items: list) -> None:
+    areas.append((_trusted(prefix), area))
+    for index, item in enumerate(area.items):
+        parts = prefix + (index,)
+        items.append((_trusted(parts), item))
         if isinstance(item, Scroll):
-            for region, area in enumerate(item.regions):
-                yield from walk(area, item_parts + (region,))
-
-
-def walk_areas(g: Graph) -> Iterator[tuple[Path, Graph]]:
-    """All (area path, area) pairs in depth-first order, sheet first."""
-    return (site for site in walk(g) if isinstance(site[1], Graph))
-
-
-def walk_items(g: Graph) -> Iterator[tuple[Path, Item]]:
-    """All (item path, item) pairs in depth-first order."""
-    return (site for site in walk(g) if not isinstance(site[1], Graph))
+            for region, inner in enumerate(item.regions):
+                _walk(inner, parts + (region,), areas, items)
 
 
 @dataclass(frozen=True)
@@ -392,7 +388,7 @@ def well_formed(g: Graph, dialect: Dialect) -> list[Violation]:
     classical dialect, the absence of loops.
     """
     out: list[Violation] = []
-    for path, item in walk_items(g):
+    for path, item in walk(g)[1]:
         if isinstance(item, Atom):
             if not ATOM_NAME.match(item.name):
                 out.append(Violation(path, f"bad atom name {item.name!r}"))

@@ -25,6 +25,7 @@ raised.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
@@ -86,9 +87,7 @@ def persistent(model: KripkeModel) -> bool:
 # Poset enumeration (up to isomorphism)
 # ---------------------------------------------------------------------------
 
-_POSET_CACHE: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
-
-
+@functools.cache
 def _posets(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
     """Non-isomorphic reflexive-transitive orders on n worlds.
 
@@ -96,8 +95,6 @@ def _posets(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
     poset admits a linear extension, so generating only relations contained
     in 0 < 1 < ... < n-1 loses nothing up to isomorphism.
     """
-    if n in _POSET_CACHE:
-        return _POSET_CACHE[n]
     pairs = list(combinations(range(n), 2))
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[tuple[int, ...], list[int]]] = []
@@ -116,7 +113,6 @@ def _posets(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
         upsets = [m for m in range(1 << n)
                   if all(up[w] & ~m == 0 for w in range(n) if m >> w & 1)]
         out.append((tuple(up), upsets))
-    _POSET_CACHE[n] = out
     return out
 
 

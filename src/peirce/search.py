@@ -1,7 +1,7 @@
 """Bounded, certifying derivation search.
 
-Breadth-first over canonical keys: rule instances are enumerated in a
-fixed order and states visited in FIFO order, so the result is
+Breadth-first over canonical keys: a state's moves are listed in a fixed
+order (calculus.moves) and states visited in FIFO order, so the result is
 reproducible, and searched forward alone the shallowest derivation is
 found first.  Multiset-equal graphs have the same
 successors up to multiset equality, so one exact representative is
@@ -27,8 +27,8 @@ no derivation.
 Whenever the start entails the goal, widened or not, the search runs from
 both ends (bidirectional BFS, Pohl 1971).  The forward side is the BFS
 above.  The backward side expands the predecessors
-(calculus.predecessor_edits): a subset of the graphs that an instance the
-forward side enumerates rewrites into the state.  It keeps only states the
+(calculus.predecessor_edits): a subset of the graphs that a move the
+forward side lists rewrites into the state.  It keeps only states the
 start entails (a truth table first, then the intuitionistic oracle).  Each
 round expands one whole layer of the side with the smaller frontier, and
 the sides join on canonical keys.  A goal the start does not entail is
@@ -60,7 +60,7 @@ found exactly when the forward side alone finds one: it runs to the full
 depth unless the sides meet.
 
 Both sides expand a layer alike, and build no state that is not kept.  A
-state's edits, in enumeration order, are only those that add at most
+state's edits, in the order of its moves, are only those that add at most
 ``cap - node_count(g)`` nodes.  Each edit's key is spliced up the edited
 area's spine (graphs.edited_key); a key the side has seen is skipped, one
 the other side holds joins them, and a graph is built for every new key,
@@ -69,6 +69,9 @@ and the scripts found are those of building every successor.  Depth-5
 ``p | ~p`` builds the 555 states it keeps, not 2,700; the ``~~(p | ~p)``
 search builds 80,563, 54,086 of them backward.
 
+The sides record keys alone.  The script is read back along the keys
+through the meeting: at each step, the first of the state's moves whose
+edit reaches the next key, and only that move's rule instance is built.
 ``max_visited`` bounds the states expanded, on both sides together.
 Every script found is re-checked through check_script before being
 returned; a failed re-check raises CertificationError.
@@ -86,9 +89,8 @@ from .calculus import (
     System,
     check_script,
     edits,
-    enumerate_rule_instances,
+    moves,
     predecessor_edits,
-    rule_edit,
 )
 from .errors import BoundsExceededError, CertificationError, DialectError, TooManyAtomsError
 from .graphs import (
@@ -100,8 +102,7 @@ from .graphs import (
     edited_key,
     equals,
     node_count,
-    walk_areas,
-    walk_items,
+    walk,
     well_formed,
 )
 from .notation import print_graph
@@ -119,10 +120,11 @@ def default_vocabulary(*endpoints: Graph) -> tuple[Graph, ...]:
     every item on its own, deduplicated up to multiset equality."""
     seen: dict[str, Graph] = {}
     for g in endpoints:
-        for _, area in walk_areas(g):
+        areas, items = walk(g)
+        for _, area in areas:
             if area.items:
                 seen.setdefault(print_graph(canonicalize(area)), area)
-        for _, item in walk_items(g):
+        for _, item in items:
             single = Graph((item,))
             seen.setdefault(print_graph(canonicalize(single)), single)
     return tuple(seen[key] for key in sorted(seen))
@@ -182,7 +184,7 @@ def size_cap(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph,
             return cap, entailed
     except TooManyAtomsError:
         return cap, None
-    growth = max((node_count(item) for g in (start, goal) for path, item in walk_items(g)
+    growth = max((node_count(item) for g in (start, goal) for path, item in walk(g)[1]
                   if path.is_odd), default=0)
     return cap + growth, entailed
 
@@ -274,19 +276,20 @@ def _trail(side: dict, key: str) -> list[str]:
 
 def _replay(system: System, start: Graph, keys: list[str],
             vocabulary: tuple[Graph, ...], cap: int) -> list[RuleInstance]:
-    """For each step, the first enumerated instance that reaches the next
-    key.  On the forward side that is the instance the search recorded,
-    because it expanded the same representatives in the same order.  No
-    key after the start has more than ``cap`` nodes."""
+    """For each step, the instance of the first move (calculus.moves) whose
+    edit reaches the next key; only that instance is built.  On the
+    forward side that is the move the search recorded, because it expanded
+    the same representatives in the same order.  No key after the start
+    has more than ``cap`` nodes."""
     chain: list[RuleInstance] = []
     g = start
     for key in keys[1:]:
-        for rule in enumerate_rule_instances(system, g, vocabulary, cap - node_count(g)):
-            parts, contents = rule_edit(g, rule)
+        for kind, rule, ops in moves(system, g, vocabulary, cap - node_count(g)):
+            parts, contents = rule.edit(*ops)
             if edited_key(g, parts, contents) == key:
                 break
         else:
             raise CertificationError("search chain cannot be replayed")
-        chain.append(rule)
+        chain.append(kind(*ops[::2]))
         g = _apply_fast(g, parts, contents, key)
     return chain

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import formulas as fm
 from .errors import TooManyAtomsError
-from .graphs import Atom, Dialect, Graph, Item, Scroll, canonicalize
+from .graphs import Atom, Dialect, Graph, Item, Scroll
 
 # ---------------------------------------------------------------------------
 # Translations
@@ -22,24 +22,25 @@ from .graphs import Atom, Dialect, Graph, Item, Scroll, canonicalize
 def graph_to_formula(g: Graph) -> fm.Formula:
     """Juxtaposition is conjunction, the blank area is truth, a zero-loop
     scroll is negation, and ``[g0 | g1 | ... | gn]`` is
-    ``g0 -> (g1 | ... | gn)``.  Items are folded right-nested in canonical
-    order, so the result is deterministic."""
-    return _area_formula(canonicalize(g))
-
-
-def _area_formula(g: Graph) -> fm.Formula:
+    ``g0 -> (g1 | ... | gn)``.  Items and loops are folded right-nested in
+    canonical-key order, so the result is deterministic."""
     if not g.items:
         return fm.TOP
-    return _fold(fm.And, [_item_formula(item) for item in g.items])
+    return _fold(fm.And, [_item_formula(item) for item in sorted(g.items, key=_key)])
 
 
 def _item_formula(item: Item) -> fm.Formula:
     if isinstance(item, Atom):
         return fm.Atom(item.name)
-    antecedent = _area_formula(item.outer)
+    antecedent = graph_to_formula(item.outer)
     if not item.loops:
         return fm.Not(antecedent)
-    return fm.Imp(antecedent, _fold(fm.Or, [_area_formula(loop) for loop in item.loops]))
+    return fm.Imp(antecedent, _fold(fm.Or, [graph_to_formula(loop)
+                                            for loop in sorted(item.loops, key=_key)]))
+
+
+def _key(node) -> str:
+    return node.key
 
 
 def _fold(node, parts: list[fm.Formula]) -> fm.Formula:

@@ -40,7 +40,7 @@ from peirce.continuum import (
     tail,
     w_pow,
 )
-from peirce.graphs import Dialect, Graph, Path, canonicalize, equals, polarity, walk_items
+from peirce.graphs import Dialect, Graph, Path, canonicalize, equals, polarity
 from peirce.kripke import forces, kripke_countermodel, persistent
 from peirce.notation import parse_formula, parse_graph, print_formula, print_graph
 from peirce.render import layout, render_svg

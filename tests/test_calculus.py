@@ -22,7 +22,7 @@ from peirce.calculus import (
     check_script,
     edits,
     enumerate_rule_instances,
-    rule_edit,
+    moves,
 )
 from peirce.errors import IllegalRuleError
 from peirce.graphs import (
@@ -37,7 +37,7 @@ from peirce.graphs import (
     well_formed,
 )
 from peirce.calculus import in_scope
-from peirce.graphs import OUTER, walk_areas, walk_items
+from peirce.graphs import OUTER, walk
 from peirce.notation import parse_graph, print_graph
 from peirce.scriptfile import parse_script
 from peirce.semantics import graph_to_formula, taut_classical, taut_int
@@ -368,8 +368,8 @@ class TestScope:
         for _ in range(400):
             system = rng.choice([CL, IN])
             graph = random_graph(rng, depth=4, dialect=system)
-            areas = [path for path, _ in walk_areas(graph)]
-            for item, _ in walk_items(graph):
+            areas = [path for path, _ in walk(graph)[0]]
+            for item, _ in walk(graph)[1]:
                 source = _crossings(item.parts[:-1])
                 for area in areas:
                     expected = (_crossings(area.parts)[:len(source)] == source
@@ -398,8 +398,7 @@ class TestCheckerAndEnumeratorAgree:
             graph = random_graph(rng, depth=3, dialect=system)
             vocab = tuple(random_graph(rng, depth=2, dialect=rng.choice(list(Dialect)))
                           for _ in range(rng.randint(0, 3)))
-            items = list(walk_items(graph))
-            areas = list(walk_areas(graph))
+            areas, items = walk(graph)
             candidates = []
             for path, node in items:
                 candidates += [Erase(path), DoubleCutElim(path), ScrollUnwrap(path), Detach(path)]
@@ -456,9 +455,10 @@ def _reference_size(node):
 
 class TestEdits:
     def test_spliced_key_is_the_built_graphs_key(self):
-        # every listed instance of random graphs of both systems, with
-        # vocabularies of either dialect: the key spliced up the spine is
-        # the built graph's, and the built graph is apply_rule's
+        # every move of random graphs of both systems, with vocabularies of
+        # either dialect: its instance is the listed one, the key spliced
+        # up the spine is the built graph's, and the built graph is
+        # apply_rule's
         rng = random.Random(127)
         checked = nested = 0
         for _ in range(320):
@@ -467,9 +467,12 @@ class TestEdits:
             vocab = tuple(random_graph(rng, depth=2, dialect=rng.choice(list(Dialect)))
                           for _ in range(rng.randint(0, 3)))
             listed = enumerate_rule_instances(system, graph, vocab)
-            assert len(list(edits(system, graph, vocab))) == len(listed)
-            for rule, edit in zip(listed, edits(system, graph, vocab)):
-                parts, contents = rule_edit(graph, rule)
+            listing = list(moves(system, graph, vocab))
+            assert len(list(edits(system, graph, vocab))) == len(listed) == len(listing)
+            for (kind, entry, ops), rule, edit in zip(listing, listed,
+                                                      edits(system, graph, vocab)):
+                assert kind(*ops[::2]) == rule and entry is calculus.RULES[kind]
+                parts, contents = entry.edit(*ops)
                 assert parts == edit[0]
                 key = graphs.edited_key(graph, parts, contents)
                 built = graphs.edited(graph, parts, contents)
@@ -517,4 +520,4 @@ class TestEdits:
             for k in range(5):
                 sizes.clear()
                 enumerate_rule_instances(system, graph, vocab, k)
-                assert len(sizes) == len(list(walk_items(graph))) + drawn
+                assert len(sizes) == len(walk(graph)[1]) + drawn

@@ -23,8 +23,7 @@ from peirce.graphs import (
     resolve,
     resolve_area,
     resolve_item,
-    walk_areas,
-    walk_items,
+    walk,
     well_formed,
 )
 from peirce.notation import parse_graph, print_graph
@@ -91,7 +90,7 @@ class TestEquals:
         rng = random.Random(13)
         for _ in range(100):
             base = random_graph(rng, depth=3, dialect=I)
-            areas = [p for p, _ in walk_areas(base)]
+            areas = [p for p, _ in walk(base)[0]]
             area = rng.choice(areas)
             fill_a = random_graph(rng, depth=2, dialect=I)
             fill_b = Graph(tuple(reversed(fill_a.items)))
@@ -266,13 +265,40 @@ def test_walks_match_the_recursive_reference():
     pairs = 0
     for _ in range(300):
         graph = random_graph(rng, depth=rng.randint(1, 5), dialect=rng.choice([C, I]))
-        areas, items = _walk_texts(graph)
-        for walked, expected in ((list(walk_areas(graph)), areas),
-                                 (list(walk_items(graph)), items)):
+        for walked, expected in zip(walk(graph), _walk_texts(graph)):
             assert [str(path) for path, _ in walked] == [text for text, _ in expected]
             assert all(node is other for (_, node), (_, other) in zip(walked, expected))
             pairs += len(walked)
     assert pairs > 1500
+
+
+def _interleaved(graph, prefix=()):
+    """The walk as one generator of areas and items interleaved, each area
+    followed by its items, each scroll by its regions' walks."""
+    yield Path(prefix), graph
+    for index, item in enumerate(graph.items):
+        yield Path(prefix + (index,)), item
+        if isinstance(item, Scroll):
+            for region, area in enumerate(item.regions):
+                yield from _interleaved(area, prefix + (index, region))
+
+
+def test_walk_lists_are_the_interleaved_walk_filtered():
+    rng = random.Random(823)
+    nested = Graph()
+    for _ in range(150):
+        nested = Graph((cut(*nested.items),))
+    graphs = [random_graph(rng, depth=rng.randint(1, 5), dialect=dialect)
+              for dialect in (C, I) for _ in range(150)] + [nested]
+    for graph in graphs:
+        sites = list(_interleaved(graph))
+        areas, items = walk(graph)
+        for walked, expected in ((areas, [s for s in sites if isinstance(s[1], Graph)]),
+                                 (items, [s for s in sites if not isinstance(s[1], Graph)])):
+            assert [path for path, _ in walked] == [path for path, _ in expected]
+            assert all(node is other for (_, node), (_, other) in zip(walked, expected))
+    assert len(walk(nested)[0]) == 151 and len(walk(nested)[1]) == 150
+    assert any(isinstance(item, Scroll) and item.loops for g in graphs for _, item in walk(g)[1])
 
 
 def _path_text(rng):
@@ -322,7 +348,7 @@ def _path_lines():
         lines.append(str(path))
         for graph in rng.sample(graphs, 4):
             system = System.INTUITIONISTIC if any(
-                isinstance(item, Scroll) and item.loops for _, item in walk_items(graph)
+                isinstance(item, Scroll) and item.loops for _, item in walk(graph)[1]
             ) else rng.choice(list(System))
             lines.append(_outcome(lambda: _shown(resolve(graph, path))))
             lines.append(_outcome(lambda: print_graph(apply_rule(system, graph, Erase(path)))))

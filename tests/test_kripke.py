@@ -231,9 +231,11 @@ class TestRootedFrames:
         assert shifted == [(up, upsets) for up, upsets in _posets(n) if up[0] == full]
 
     def test_largest_posets_never_built(self, monkeypatch):
-        monkeypatch.setattr(kripke, "_POSET_CACHE", {})
+        asked = []
+        posets = kripke._posets
+        monkeypatch.setattr(kripke, "_posets", lambda n: asked.append(n) or posets(n))
         assert kripke_countermodel(f("(p -> q) -> (~q -> ~p)"), 5) is None
-        assert sorted(kripke._POSET_CACHE) == [0, 1, 2, 3, 4]
+        assert sorted(asked) == [0, 1, 2, 3, 4]
 
 
 def _pair_posets(n):

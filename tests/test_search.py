@@ -531,3 +531,42 @@ class TestPredecessorEdits:
                 g.key for g in built]
             listed += len(edits)
         assert listed > 2000
+
+
+def _reference_replay(system, start, keys, vocab, cap):
+    """For each step, the first enumerated instance whose result has the
+    next key, each instance applied through the checker."""
+    chain, graph = [], start
+    for key in keys[1:]:
+        rule = next(r for r in enumerate_rule_instances(system, graph, vocab,
+                                                        cap - node_count(graph))
+                    if apply_rule(system, graph, r).key == key)
+        chain.append(rule)
+        graph = apply_rule(system, graph, rule)
+    return chain
+
+
+class TestReplay:
+    def test_replay_is_the_first_listed_instance_reaching_each_key(self):
+        # seeded random chains of keys, each step a random listed instance
+        rng = random.Random(139)
+        steps = later = 0
+        for _ in range(60):
+            system = rng.choice([CL, IN])
+            start = random_graph(rng, depth=3, atoms=2, dialect=system, width=2)
+            vocab = _vocabulary(rng, system)
+            graph, keys, cap = start, [start.key], node_count(start)
+            for _ in range(rng.randint(1, 4)):
+                listed = enumerate_rule_instances(system, graph, vocab)
+                graph = apply_rule(system, graph, rng.choice(listed))
+                keys.append(graph.key)
+                cap = max(cap, node_count(graph))
+            chain = search._replay(system, start, keys, vocab, cap)
+            assert chain == _reference_replay(system, start, keys, vocab, cap)
+            steps += len(chain)
+            graph = start
+            for rule in chain:
+                later += rule != enumerate_rule_instances(system, graph, vocab,
+                                                          cap - node_count(graph))[0]
+                graph = apply_rule(system, graph, rule)
+        assert steps > 100 and later > 50
