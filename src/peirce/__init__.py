@@ -56,7 +56,6 @@ from .graphs import (
     polarity,
     replace_at,
     resolve,
-    scroll,
     well_formed,
 )
 from .kripke import KripkeModel, forces, kripke_countermodel

@@ -121,10 +121,6 @@ def cut(*items: Item) -> Scroll:
     return Scroll(Graph(tuple(items)))
 
 
-def scroll(outer: tuple[Item, ...], *loops: tuple[Item, ...]) -> Scroll:
-    return Scroll(Graph(tuple(outer)), tuple(Graph(tuple(l)) for l in loops))
-
-
 def node_count(node: Union[Item, Graph]) -> int:
     """Atoms plus scrolls, counted once per node."""
     return node._size

@@ -9,10 +9,11 @@ centre, exactly, which is the glued-curves reading of the scroll.  Nested
 classical cuts stay strictly separated.  Output bytes depend only on the
 input graph.
 
-Layout sizes each node once, bottom up, then places each node from those
-sizes, top down: linear in nodes.  A scroll with loops takes the first
-radius, in 2-unit steps, at which its loops fit beside its outer area,
-found in log time.  That radius grows about 2.8x per level of loop
+Layout builds each node's geometry once, bottom up, its size kept in its
+own ``rx`` and ``ry`` (no table keyed by node identity), then sets every
+centre top down over the same nodes: linear in nodes.  A scroll with loops takes the
+first radius, in 2-unit steps, at which its loops fit beside its outer
+area, found in log time.  That radius grows about 2.8x per level of loop
 nesting, and one of ``MAX_RADIUS`` (2**53) or more, where a step no longer
 moves it, raises PeirceError: ``[p | [p | ... [p | p]]]`` renders up to 32
 levels.
@@ -51,35 +52,35 @@ class GeometryNode:
 
 
 # sizing ---------------------------------------------------------------------
-#
-# One bottom-up pass sizes every node once and records, under the node's
-# id(), an area's extent (width, height), an atom's extent, and a scroll's
-# extent followed by its radius, loop radii and loop column height.
-# Placement only reads these records.  They live for one layout call, while
-# every node they name is alive, so no id is reused among them.
 
 
 def _circumradius(width: float, height: float) -> float:
     return max(MIN_R, math.hypot(width, height) / 2.0 + PAD / 2.0)
 
 
-def _size_area(g: Graph, sizes: dict) -> tuple[float, float]:
-    extents = [_size_item(i, sizes) for i in g.items]
-    width = sum(w for w, _ in extents) + PAD * (len(extents) - 1) if extents else 0.0
-    sizes[id(g)] = (width, max((h for _, h in extents), default=0.0))
-    return sizes[id(g)]
+def _extent(nodes: list[GeometryNode]) -> tuple[float, float]:
+    """Width and height of a row of nodes packed left to right."""
+    if not nodes:
+        return 0.0, 0.0
+    return (sum(2 * n.rx for n in nodes) + PAD * (len(nodes) - 1),
+            max(2 * n.ry for n in nodes))
 
 
-def _size_item(item: Item, sizes: dict) -> tuple[float, float]:
+def _size(item: Item) -> GeometryNode:
+    """The item's node with its size and its children's; no centres yet."""
     if isinstance(item, Atom):
-        sizes[id(item)] = (CHAR_W * len(item.name), TEXT_H)
-        return sizes[id(item)]
-    cw, ch = _size_area(item.outer, sizes)
-    content_r = _circumradius(cw, ch) if item.outer.items else MIN_R
-    radii = [_circumradius(*_size_area(l, sizes)) for l in item.loops]
-    r, column = content_r + PAD, 0.0
-    if radii:
-        column = sum(2 * ri for ri in radii) + PAD * (len(radii) - 1)
+        return GeometryNode("text", rx=CHAR_W * len(item.name) / 2.0, ry=TEXT_H / 2.0,
+                            text=item.name)
+    outer = [_size(i) for i in item.outer.items]
+    cw, ch = _extent(outer)
+    loops = []
+    for loop in item.loops:
+        children = [_size(i) for i in loop.items]
+        ri = _circumradius(*_extent(children))
+        loops.append(GeometryNode("ellipse", rx=ri, ry=ri, children=children))
+    r = (_circumradius(cw, ch) if outer else MIN_R) + PAD
+    if loops:
+        radii, column = [l.rx for l in loops], _extent(loops)[0]
         r = max(r, max(radii) + PAD, column / 2.0 + PAD)
         # the loops fit by radius 3r, so the steps cross at most two powers
         # of two, and below MAX_RADIUS a step is whole ulps: r + 2.0 * k
@@ -87,8 +88,7 @@ def _size_item(item: Item, sizes: dict) -> tuple[float, float]:
         r += 2.0 * _first_step(lambda k: _loops_fit(r + 2.0 * k, radii, column, cw))
     if r >= MAX_RADIUS:
         raise PeirceError(f"graph too large to render: a scroll's radius reaches {r:.0f}")
-    sizes[id(item)] = (2 * r, 2 * r, r, radii, column)
-    return (2 * r, 2 * r)
+    return GeometryNode("ellipse", rx=r, ry=r, children=outer + loops)
 
 
 def _first_step(fits) -> int:
@@ -129,36 +129,27 @@ def _loops_fit(r: float, radii: list[float], column: float, content_w: float) ->
 
 def layout(g: Graph) -> GeometryNode:
     """Geometry tree mirroring the graph's nesting tree; the root is the
-    sheet."""
-    sizes: dict = {}
-    width, height = _size_area(g, sizes)
-    root = GeometryNode("sheet", rx=width / 2.0, ry=height / 2.0)
-    root.children = _place_area(g, 0.0, 0.0, sizes)
-    return root
+    sheet, and a scroll's children are its outer items, then its loops."""
+    items = [_size(i) for i in g.items]
+    width, height = _extent(items)
+    _place(items, g, 0.0, 0.0)
+    return GeometryNode("sheet", rx=width / 2.0, ry=height / 2.0, children=items)
 
 
-def _place_area(g: Graph, cx: float, cy: float, sizes: dict) -> list[GeometryNode]:
-    nodes = []
-    x = cx - sizes[id(g)][0] / 2.0
-    for item in g.items:
-        w = sizes[id(item)][0]
-        nodes.append(_place_item(item, x + w / 2.0, cy, sizes))
-        x += w + PAD
-    return nodes
-
-
-def _place_item(item: Item, cx: float, cy: float, sizes: dict) -> GeometryNode:
-    if isinstance(item, Atom):
-        w, h = sizes[id(item)]
-        return GeometryNode("text", cx=cx, cy=cy, rx=w / 2.0, ry=h / 2.0, text=item.name)
-    _, _, r, radii, column = sizes[id(item)]
-    node = GeometryNode("ellipse", cx=cx, cy=cy, rx=r, ry=r)
-    node.children = _place_area(item.outer, cx, cy, sizes)
-    for (dx, dy), ri, loop in zip(_loop_centres(r, radii, column), radii, item.loops):
-        loop_node = GeometryNode("ellipse", cx=cx + dx, cy=cy + dy, rx=ri, ry=ri)
-        loop_node.children = _place_area(loop, cx + dx, cy + dy, sizes)
-        node.children.append(loop_node)
-    return node
+def _place(nodes: list[GeometryNode], area: Graph, cx: float, cy: float) -> None:
+    """Centre the row of ``area``'s item nodes on (cx, cy), and what they hold."""
+    x = cx - _extent(nodes)[0] / 2.0
+    for node, item in zip(nodes, area.items):
+        node.cx, node.cy = x + node.rx, cy
+        x += 2 * node.rx + PAD
+        if isinstance(item, Scroll):
+            n = len(item.outer)
+            _place(node.children[:n], item.outer, node.cx, cy)
+            loops = node.children[n:]
+            centres = _loop_centres(node.rx, [l.rx for l in loops], _extent(loops)[0])
+            for (dx, dy), loop_node, loop in zip(centres, loops, item.loops):
+                loop_node.cx, loop_node.cy = node.cx + dx, cy + dy
+                _place(loop_node.children, loop, loop_node.cx, loop_node.cy)
 
 
 # SVG ------------------------------------------------------------------------
@@ -168,17 +159,10 @@ def _fmt(v: float) -> str:
     return f"{v:.9f}"
 
 
-def _grow(bounds: list[float], x0: float, y0: float, x1: float, y1: float) -> None:
-    bounds[0] = min(bounds[0], x0)
-    bounds[1] = min(bounds[1], y0)
-    bounds[2] = max(bounds[2], x1)
-    bounds[3] = max(bounds[3], y1)
-
-
 def emit_svg(node: GeometryNode) -> str:
     """A stroke-only SVG 1.1 document; byte-identical for equal inputs."""
     shapes: list[str] = []
-    bounds = [math.inf, math.inf, -math.inf, -math.inf]
+    drawn: list[GeometryNode] = []
 
     def visit(n: GeometryNode):
         if n.kind == "ellipse":
@@ -187,22 +171,24 @@ def emit_svg(node: GeometryNode) -> str:
                 f'rx="{_fmt(n.rx)}" ry="{_fmt(n.ry)}" '
                 f'fill="none" stroke="black" stroke-width="1.5"/>'
             )
-            _grow(bounds, n.cx - n.rx, n.cy - n.ry, n.cx + n.rx, n.cy + n.ry)
+            drawn.append(n)
         elif n.kind == "text":
             shapes.append(
                 f'<text x="{_fmt(n.cx)}" y="{_fmt(n.cy + 5.0)}" '
                 f'text-anchor="middle" font-family="monospace" '
                 f'font-size="14">{escape(n.text or "", quote=False)}</text>'
             )
-            _grow(bounds, n.cx - n.rx, n.cy - n.ry, n.cx + n.rx, n.cy + n.ry)
+            drawn.append(n)
         for child in n.children:
             visit(child)
 
     visit(node)
-    if not shapes:
-        bounds = [0.0, 0.0, 0.0, 0.0]
-    x0, y0 = bounds[0] - MARGIN, bounds[1] - MARGIN
-    width, height = bounds[2] - bounds[0] + 2 * MARGIN, bounds[3] - bounds[1] + 2 * MARGIN
+    # the bounds are those of the drawn boxes, or a point at the origin
+    left = min((n.cx - n.rx for n in drawn), default=0.0)
+    top = min((n.cy - n.ry for n in drawn), default=0.0)
+    width = max((n.cx + n.rx for n in drawn), default=0.0) - left + 2 * MARGIN
+    height = max((n.cy + n.ry for n in drawn), default=0.0) - top + 2 * MARGIN
+    x0, y0 = left - MARGIN, top - MARGIN
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

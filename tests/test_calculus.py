@@ -185,6 +185,14 @@ class TestApplyRule:
             apply_rule(system, g(text, system), rule)
         assert err.value.reason == reason
 
+    def test_result_outside_the_dialect(self):
+        # a classical step on a graph read as intuitionistic: the erase is
+        # legal, and the loop it leaves is not a classical sign
+        with pytest.raises(IllegalRuleError) as err:
+            apply_rule(CL, g("p [q | r]", IN), Erase(p("0")))
+        assert err.value.reason == (
+            "result not well-formed: scroll loops are not classical signs at 0")
+
 
 class TestEnumerate:
     def test_blank_sheet_classical(self):

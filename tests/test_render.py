@@ -4,6 +4,8 @@ import random
 import time
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from peirce.graphs import Atom, Dialect, Graph, Scroll
 from peirce.notation import parse_graph
 from peirce.render import GeometryNode, emit_svg, layout, render_svg
@@ -167,6 +169,19 @@ class TestLayoutBytesAndCost:
             digest.update(render_svg(graph).encode())
         assert digest.hexdigest() == (
             "ef4a537b7aabce38f0003aca4cc2a4b2697418eccdb0ff1e928f216924f3e542")
+
+    @pytest.mark.parametrize("text,digest", [
+        ("(" * 95 + "p" + ")" * 95,
+         "6a57f73120b848063cf6e3e84d6e4b6de871f6cba2b9d4470c77409065a0a16f"),
+        ("[p | " * 32 + "p" + "]" * 32,
+         "e9ebfa7df9abb332afe27764e5ac9f3d389bb9d873e4068abb1cf467f000578a"),
+        ("[" * 40 + "p" + " | q]" * 40,
+         "734fbadfc551d36fd87626e1d7238a14eac7321a70a4705eaa394d2e386c250d"),
+    ], ids=["cuts95", "ladder32", "outer40"])
+    def test_pinned_bytes_at_the_limits(self, text, digest):
+        # the deepest cuts and loop ladder that render, and a deep outer
+        # nesting: the largest coordinates, printed with the most digits
+        assert hashlib.sha256(render_svg(g(text)).encode()).hexdigest() == digest
 
     def test_outer_nested_16_levels_within_a_second(self):
         start = time.perf_counter()
