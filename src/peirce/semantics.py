@@ -10,6 +10,8 @@ implication into falsum.
 
 from __future__ import annotations
 
+import functools
+
 from . import formulas as fm
 from .errors import TooManyAtomsError
 from .graphs import Atom, Dialect, Graph, Item, Scroll
@@ -112,28 +114,23 @@ def taut_classical(f: fm.Formula) -> bool:
 
 def taut_int(f: fm.Formula) -> bool:
     """True iff ``f`` is a theorem of intuitionistic propositional logic."""
-    cache: dict = {}
-    return _prove(frozenset(), fm.strip_not(f), cache)
+    try:
+        return _prove(frozenset(), fm.strip_not(f))
+    finally:
+        # each call starts from an empty memo and keeps nothing; an entry
+        # depends only on its sequent, so threads may share the memo
+        _prove.cache_clear()
 
 
-def _prove(gamma: frozenset, goal: fm.Formula, cache: dict) -> bool:
-    key = (gamma, goal)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    result = _prove_uncached(gamma, goal, cache)
-    cache[key] = result
-    return result
-
-
-def _prove_uncached(gamma: frozenset, goal: fm.Formula, cache: dict) -> bool:
+@functools.cache
+def _prove(gamma: frozenset, goal: fm.Formula) -> bool:
     if isinstance(goal, fm.Top) or fm.BOT in gamma or goal in gamma:
         return True
     # invertible right rules
     if isinstance(goal, fm.And):
-        return _prove(gamma, goal.left, cache) and _prove(gamma, goal.right, cache)
+        return _prove(gamma, goal.left) and _prove(gamma, goal.right)
     if isinstance(goal, fm.Imp):
-        return _prove(gamma | {goal.left}, goal.right, cache)
+        return _prove(gamma | {goal.left}, goal.right)
     # invertible left rules: the first formula one of them fires on
     for f in gamma:
         if isinstance(f, fm.Imp):
@@ -144,32 +141,29 @@ def _prove_uncached(gamma: frozenset, goal: fm.Formula, cache: dict) -> bool:
             continue
         rest = gamma - {f}
         if isinstance(f, fm.Top):
-            return _prove(rest, goal, cache)
+            return _prove(rest, goal)
         if isinstance(f, fm.And):
-            return _prove(rest | {f.left, f.right}, goal, cache)
+            return _prove(rest | {f.left, f.right}, goal)
         if isinstance(f, fm.Or):
-            return (_prove(rest | {f.left}, goal, cache)
-                    and _prove(rest | {f.right}, goal, cache))
+            return _prove(rest | {f.left}, goal) and _prove(rest | {f.right}, goal)
         if isinstance(head, fm.Bot):
-            return _prove(rest, goal, cache)
+            return _prove(rest, goal)
         if isinstance(head, fm.And):
-            return _prove(rest | {fm.Imp(head.left, fm.Imp(head.right, f.right))},
-                          goal, cache)
+            return _prove(rest | {fm.Imp(head.left, fm.Imp(head.right, f.right))}, goal)
         if isinstance(head, fm.Or):
-            return _prove(rest | {fm.Imp(head.left, f.right),
-                                  fm.Imp(head.right, f.right)}, goal, cache)
+            return _prove(rest | {fm.Imp(head.left, f.right), fm.Imp(head.right, f.right)}, goal)
         # a true head: T, or an atom in gamma
-        return _prove(rest | {f.right}, goal, cache)
+        return _prove(rest | {f.right}, goal)
     # non-invertible choices
     if isinstance(goal, fm.Or):
-        if _prove(gamma, goal.left, cache) or _prove(gamma, goal.right, cache):
+        if _prove(gamma, goal.left) or _prove(gamma, goal.right):
             return True
     for f in gamma:
         if isinstance(f, fm.Imp) and isinstance(f.left, fm.Imp):
             rest = gamma - {f}
             inner = f.left
-            if (_prove(rest | {fm.Imp(inner.right, f.right)}, inner, cache)
-                    and _prove(rest | {f.right}, goal, cache)):
+            if (_prove(rest | {fm.Imp(inner.right, f.right)}, inner)
+                    and _prove(rest | {f.right}, goal)):
                 return True
     return False
 

@@ -1,4 +1,5 @@
 import collections
+import functools
 import hashlib
 import random
 
@@ -337,9 +338,64 @@ class TestSmallTheorems:
             except BoundsExceededError:
                 missed.append(print_graph(goals[key]))
         assert found == lengths
-        assert sorted(missed) == ([] if system is CL else [
-            "([ | () | ()])", "[[ | () | ()] | ()]", "[[ | () | ()] | p]", "[[ | () | ()] | q]",
-            "[[ | p | ()] | p]", "[[ | p | p] | p]", "[[ | q | ()] | q]", "[[ | q | q] | q]"])
+        assert sorted(missed) == ([] if system is CL else UNDERIVABLE)
+
+
+# The intuitionistic theorems of at most 5 symbols that no bound derives
+# from the blank sheet (TestReadingR).
+UNDERIVABLE = [
+    "([ | () | ()])", "[[ | () | ()] | ()]", "[[ | () | ()] | p]", "[[ | () | ()] | q]",
+    "[[ | p | ()] | p]", "[[ | p | p] | p]", "[[ | q | ()] | q]", "[[ | q | q] | q]"]
+
+
+def reading_r(g):
+    """graph_to_formula's reading, except that a scroll with two or more
+    loops reads as T."""
+    parts = [_reading_r_item(item) for item in g.items]
+    return functools.reduce(fm.And, parts) if parts else fm.TOP
+
+
+def _reading_r_item(item):
+    if isinstance(item, Atom):
+        return fm.Atom(item.name)
+    if len(item.loops) >= 2:
+        return fm.TOP
+    outer = reading_r(item.outer)
+    return fm.Imp(outer, reading_r(item.loops[0])) if item.loops else fm.Not(outer)
+
+
+class TestReadingR:
+    """The intuitionistic rules are incomplete.  Every rule keeps reading R:
+    R(g) -> R(g') is an IPC theorem for each move g -> g'.  R reads the
+    blank sheet as T, so a graph whose reading is not a theorem has no
+    derivation from it at any bound, though its formula is a theorem.  No
+    rule removes a duplicate loop, so F | F -> F is out of reach."""
+
+    VOCABULARY = ("p", "q", "(p)", "p q", "[p | q]", "[ | p | q]", "[ | p | p]")
+
+    def test_every_rule_keeps_it(self):
+        rng = random.Random(151)
+        vocabulary = [parse_graph(text, IN) for text in self.VOCABULARY]
+        drawn = set()
+        for _ in range(1_500):
+            graph = random_graph(rng, depth=3, atoms=2, dialect=IN)
+            vocab = tuple(rng.sample(vocabulary, rng.randint(1, len(vocabulary))))
+            by_class = collections.defaultdict(list)
+            for rule in enumerate_rule_instances(IN, graph, vocab):
+                by_class[type(rule)].append(rule)
+            kind = rng.choice(list(by_class))
+            rule = rng.choice(by_class[kind])
+            out = apply_rule(IN, graph, rule)
+            assert taut_int(fm.Imp(reading_r(graph), reading_r(out))), (
+                print_graph(graph), rule, print_graph(out))
+            drawn.add(kind)
+        assert drawn == set(calculus.SYSTEM_RULES[IN])
+
+    def test_the_underivable_theorems_read_as_non_theorems(self):
+        for text in UNDERIVABLE:
+            goal = parse_graph(text, IN)
+            assert taut_int(graph_to_formula(goal)), text
+            assert not taut_int(reading_r(goal)), text
 
 
 class TestVocabulary:
@@ -570,3 +626,9 @@ class TestReplay:
                                                           cap - node_count(graph))[0]
                 graph = apply_rule(system, graph, rule)
         assert steps > 100 and later > 50
+
+    def test_a_chain_no_move_follows_is_refused(self):
+        # no single move from the blank sheet, with no vocabulary, gives p q r
+        keys = [Graph().key, parse_graph("p q r", Dialect.CLASSICAL).key]
+        with pytest.raises(CertificationError, match="search chain cannot be replayed"):
+            search._replay(CL, Graph(), keys, (), 3)

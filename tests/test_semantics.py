@@ -350,15 +350,17 @@ def pigeonhole(n):
 class TestG4ipWork:
     def test_same_sequents_as_the_reference(self, monkeypatch):
         # one process, one hash order: the set iteration, and so the
-        # sequents visited, are the same for both
-        proved = [0]
-        prove_uncached = semantics._prove_uncached
+        # sequents visited, are the same for both.  Each distinct sequent
+        # that _prove is asked misses its memo once.
+        asked = set()
+        prove = semantics._prove
 
-        def counted(gamma, goal, cache):
-            proved[0] += 1
-            return prove_uncached(gamma, goal, cache)
+        def counted(gamma, goal):
+            asked.add((gamma, goal))
+            return prove(gamma, goal)
 
-        monkeypatch.setattr(semantics, "_prove_uncached", counted)
+        counted.cache_clear = prove.cache_clear
+        monkeypatch.setattr(semantics, "_prove", counted)
         rng = random.Random(61)
         formulas = [random_formula(rng, connectives=rng.randint(0, 10), atoms=rng.randint(1, 4))
                     for _ in range(2_000)]
@@ -366,11 +368,25 @@ class TestG4ipWork:
         for formula in formulas + [pigeonhole(n) for n in (2, 3, 4)]:
             expected = [0]
             verdict = _reference_prove(frozenset(), fm.strip_not(formula), {}, expected)
-            proved[0] = 0
+            asked.clear()
             assert taut_int(formula) == verdict, print_formula(formula)
-            assert proved[0] == expected[0], print_formula(formula)
+            assert len(asked) == expected[0], print_formula(formula)
             theorems += verdict
         assert theorems > 300
+
+    def test_memo_is_empty_after_each_call(self):
+        assert taut_int(pigeonhole(2))
+        assert semantics._prove.cache_info().currsize == 0
+        # a balanced conjunction of 2,000 atoms is shallow to hash, but the
+        # left rule for & takes one level of recursion per conjunction; p -> p
+        # is proved and memoised before the stack runs out
+        parts = [fm.Atom(f"a{i}") for i in range(2_000)]
+        while len(parts) > 1:
+            parts = [fm.And(*parts[i:i + 2]) if i + 1 < len(parts) else parts[i]
+                     for i in range(0, len(parts), 2)]
+        with pytest.raises(RecursionError):
+            taut_int(fm.And(f("p -> p"), fm.Imp(parts[0], f("q"))))
+        assert semantics._prove.cache_info().currsize == 0
 
 
 class TestEntails:
