@@ -6,39 +6,54 @@ from dataclasses import dataclass
 from typing import Union
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass that stores its dataclass hash when it is built."""
+    cls.__post_init__ = _store_hash
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = lambda node: node._hash
+    return cls
+
+
+def _store_hash(node) -> None:
+    # the dataclass's own hash, that of the tuple of the fields, taken from
+    # their stored hashes, so hashing never recurses; when __init__ calls
+    # this, the instance dict holds just the fields, in order
+    node.__dict__["_hash"] = hash(tuple(node.__dict__.values()))
+
+
+@_node
 class Atom:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Top:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bot:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Not:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Imp:
     left: "Formula"
     right: "Formula"

@@ -124,42 +124,46 @@ def taut_int(f: fm.Formula) -> bool:
 
 @functools.cache
 def _prove(gamma: frozenset, goal: fm.Formula) -> bool:
-    if isinstance(goal, fm.Top) or fm.BOT in gamma or goal in gamma:
+    # no formula class has subclasses, so each node's kind is its type
+    kind = type(goal)
+    if kind is fm.Top or fm.BOT in gamma or goal in gamma:
         return True
     # invertible right rules
-    if isinstance(goal, fm.And):
+    if kind is fm.And:
         return _prove(gamma, goal.left) and _prove(gamma, goal.right)
-    if isinstance(goal, fm.Imp):
+    if kind is fm.Imp:
         return _prove(gamma | {goal.left}, goal.right)
     # invertible left rules: the first formula one of them fires on
     for f in gamma:
-        if isinstance(f, fm.Imp):
+        kind = type(f)
+        if kind is fm.Imp:
             head = f.left
-            if isinstance(head, fm.Imp) or isinstance(head, fm.Atom) and head not in gamma:
+            if type(head) is fm.Imp or type(head) is fm.Atom and head not in gamma:
                 continue
-        elif not isinstance(f, (fm.Top, fm.And, fm.Or)):
+        elif kind is not fm.And and kind is not fm.Or and kind is not fm.Top:
             continue
         rest = gamma - {f}
-        if isinstance(f, fm.Top):
+        if kind is fm.Top:
             return _prove(rest, goal)
-        if isinstance(f, fm.And):
+        if kind is fm.And:
             return _prove(rest | {f.left, f.right}, goal)
-        if isinstance(f, fm.Or):
+        if kind is fm.Or:
             return _prove(rest | {f.left}, goal) and _prove(rest | {f.right}, goal)
-        if isinstance(head, fm.Bot):
+        kind = type(head)
+        if kind is fm.Bot:
             return _prove(rest, goal)
-        if isinstance(head, fm.And):
+        if kind is fm.And:
             return _prove(rest | {fm.Imp(head.left, fm.Imp(head.right, f.right))}, goal)
-        if isinstance(head, fm.Or):
+        if kind is fm.Or:
             return _prove(rest | {fm.Imp(head.left, f.right), fm.Imp(head.right, f.right)}, goal)
         # a true head: T, or an atom in gamma
         return _prove(rest | {f.right}, goal)
     # non-invertible choices
-    if isinstance(goal, fm.Or):
+    if type(goal) is fm.Or:
         if _prove(gamma, goal.left) or _prove(gamma, goal.right):
             return True
     for f in gamma:
-        if isinstance(f, fm.Imp) and isinstance(f.left, fm.Imp):
+        if type(f) is fm.Imp and type(f.left) is fm.Imp:
             rest = gamma - {f}
             inner = f.left
             if (_prove(rest | {fm.Imp(inner.right, f.right)}, inner)
