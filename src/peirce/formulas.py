@@ -80,7 +80,8 @@ def strip_not(f: Formula) -> Formula:
     if isinstance(f, Not):
         return Imp(strip_not(f.body), BOT)
     if isinstance(f, (And, Or, Imp)):
-        return type(f)(strip_not(f.left), strip_not(f.right))
+        left, right = strip_not(f.left), strip_not(f.right)
+        return f if left is f.left and right is f.right else type(f)(left, right)
     return f
 
 

@@ -39,19 +39,19 @@ MAX_VALUATIONS = 50_000_000  # valuations one search may try
 
 @dataclass(frozen=True)
 class KripkeModel:
-    """A reflexive-transitive order on worlds 0..n-1 with a monotone
-    valuation (forced atoms persist upward)."""
+    """Worlds 0..n-1, a reflexive-transitive order as up-masks (bit b of
+    ``up[a]`` set when a <= b), and a monotone valuation."""
 
     worlds: int
-    order: frozenset[tuple[int, int]]
+    up: tuple[int, ...]
     valuation: tuple[frozenset[str], ...]
 
     def leq(self, a: int, b: int) -> bool:
-        return (a, b) in self.order
+        return bool(self.up[a] >> b & 1)
 
     def __str__(self) -> str:
-        pairs = sorted((a, b) for a, b in self.order if a != b)
-        order = ", ".join(f"{a}<={b}" for a, b in pairs)
+        order = ", ".join(f"{a}<={b}" for a in range(self.worlds) for b in range(self.worlds)
+                          if a != b and self.leq(a, b))
         val = "; ".join(
             f"{w}:{{{','.join(sorted(self.valuation[w]))}}}" for w in range(self.worlds)
         )
@@ -80,7 +80,7 @@ def forces(model: KripkeModel, world: int, f: fm.Formula) -> bool:
 
 def persistent(model: KripkeModel) -> bool:
     return all(model.valuation[a] <= model.valuation[b]
-               for (a, b) in model.order)
+               for a in range(model.worlds) for b in range(model.worlds) if model.leq(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +162,10 @@ def kripke_countermodel(f: fm.Formula, max_worlds: int) -> KripkeModel | None:
                 if failing:
                     # the first failing lane, read back world by world
                     lane = (failing & -failing).bit_length() - 1
-                    choice = tuple(sum(1 << w for w in range(n)
-                                       if masks[name] >> w * width + lane & 1)
-                                   for name in names)
-                    model = _build_model(n, up, names, choice)
+                    valuation = tuple(frozenset(name for name in names
+                                                if masks[name] >> w * width + lane & 1)
+                                      for w in range(n))
+                    model = KripkeModel(n, up, valuation)
                     if not persistent(model) or forces(model, 0, f):
                         raise CertificationError(f"model fails the forcing re-check: {model}")
                     return model
@@ -189,12 +189,3 @@ def _lane_masks(values: list[int], atoms: int, n: int, width: int) -> list[int]:
         masks.append(mask)
     return masks
 
-
-def _build_model(n: int, up: tuple[int, ...], names: list[str],
-                 choice: tuple[int, ...]) -> KripkeModel:
-    order = frozenset((a, b) for a in range(n) for b in range(n) if up[a] >> b & 1)
-    valuation = tuple(
-        frozenset(name for name, mask in zip(names, choice) if mask >> w & 1)
-        for w in range(n)
-    )
-    return KripkeModel(n, order, valuation)

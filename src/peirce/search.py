@@ -180,19 +180,14 @@ def size_cap(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph,
     try:
         if equals(start, goal) or not entailed(goal):
             return cap, None
-        if any(map(entailed, predecessors(system, goal, vocabulary, cap - node_count(goal)))):
+        if any(entailed(edited(goal, *edit)) for edit in
+               predecessor_edits(system, goal, vocabulary, cap - node_count(goal))):
             return cap, entailed
     except TooManyAtomsError:
         return cap, None
     growth = max((node_count(item) for g in (start, goal) for path, item in walk(g)[1]
                   if path.is_odd), default=0)
     return cap + growth, entailed
-
-
-def predecessors(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),
-                 max_growth: Optional[int] = None) -> list[Graph]:
-    """The graphs that calculus.predecessor_edits gives, in its order."""
-    return [edited(g, *edit) for edit in predecessor_edits(system, g, vocabulary, max_growth)]
 
 
 def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, ...],

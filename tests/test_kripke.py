@@ -12,8 +12,7 @@ from peirce import kripke
 from peirce.cli import main
 from peirce.errors import BoundsExceededError, CertificationError
 from peirce.graphs import Dialect
-from peirce.kripke import (KripkeModel, _build_model, _posets, forces, kripke_countermodel,
-                           persistent)
+from peirce.kripke import KripkeModel, _posets, forces, kripke_countermodel, persistent
 from peirce.notation import parse_formula, print_formula
 from peirce.semantics import taut_int
 
@@ -100,7 +99,9 @@ def _every_poset_countermodel(formula, max_worlds):
         for up, upsets in _posets(n):
             for choice in product(upsets, repeat=len(names)):
                 if _forced(formula, dict(zip(names, choice)), up, full) != full:
-                    return _build_model(n, up, names, choice)
+                    return KripkeModel(n, up, tuple(
+                        frozenset(name for name, mask in zip(names, choice) if mask >> w & 1)
+                        for w in range(n)))
     return None
 
 
@@ -309,7 +310,7 @@ class TestModelPrinting:
     def test_format(self):
         model = KripkeModel(
             worlds=2,
-            order=frozenset({(0, 0), (1, 1), (0, 1)}),
+            up=(0b11, 0b10),
             valuation=(frozenset(), frozenset({"p"})),
         )
         assert str(model) == "worlds: 2; order: 0<=1; val: 0:{}; 1:{p}"

@@ -13,7 +13,7 @@ from peirce.errors import BoundsExceededError, CertificationError, DialectError
 from peirce.graphs import Atom, Dialect, Graph, Path, Scroll, canonicalize, equals, node_count
 from peirce.notation import parse_graph, print_graph
 from peirce.scriptfile import format_script
-from peirce.search import SearchBounds, default_vocabulary, derive, predecessors, size_cap
+from peirce.search import SearchBounds, default_vocabulary, derive, size_cap
 from peirce.semantics import formula_to_graph, graph_to_formula, taut_classical, taut_int
 from peirce.notation import parse_formula
 
@@ -25,6 +25,12 @@ IN = System.INTUITIONISTIC
 
 def goal_graph(text, system):
     return formula_to_graph(parse_formula(text), system)
+
+
+def predecessors(system, g, vocabulary=(), max_growth=None):
+    """The graphs that calculus.predecessor_edits gives, in its order."""
+    return [graphs.edited(g, *edit)
+            for edit in calculus.predecessor_edits(system, g, vocabulary, max_growth)]
 
 
 class TestDerive:

@@ -463,6 +463,41 @@ def _subformulas(f):
         yield from _subformulas(f.right)
 
 
+def _rebuilt_without_not(f):
+    """The reference ``strip_not``: every connective node built anew."""
+    if isinstance(f, fm.Not):
+        return fm.Imp(_rebuilt_without_not(f.body), fm.BOT)
+    if isinstance(f, (fm.And, fm.Or, fm.Imp)):
+        return type(f)(_rebuilt_without_not(f.left), _rebuilt_without_not(f.right))
+    return f
+
+
+class TestStripNot:
+    def test_same_formula_as_rebuilding(self):
+        rng = random.Random(97)
+        for _ in range(300):
+            formula = random_formula(rng, connectives=rng.randint(0, 12), atoms=4)
+            stripped = fm.strip_not(formula)
+            assert stripped == _rebuilt_without_not(formula), print_formula(formula)
+            assert not any(isinstance(sub, fm.Not) for sub in _subformulas(stripped))
+
+    def test_a_formula_without_negation_is_returned_itself(self):
+        rng = random.Random(101)
+        unchanged = 0
+        for _ in range(300):
+            formula = random_formula(rng, connectives=rng.randint(0, 8), atoms=4)
+            if not any(isinstance(sub, fm.Not) for sub in _subformulas(formula)):
+                assert fm.strip_not(formula) is formula
+                unchanged += 1
+        assert unchanged > 50
+
+    def test_an_untouched_sibling_is_shared(self):
+        left = f("(p -> q) & (r | q)")
+        stripped = fm.strip_not(fm.Or(left, f("~p")))
+        assert stripped == fm.Or(left, f("p -> F"))
+        assert stripped.left is left
+
+
 class TestEntails:
     def test_one_way_passage(self):
         assert entails(I, f("p -> q"), f("~(p & ~q)"))
