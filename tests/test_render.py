@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import time
@@ -6,9 +7,12 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from peirce import render
+from peirce.errors import PeirceError
 from peirce.graphs import Atom, Dialect, Graph, Scroll
 from peirce.notation import parse_graph
-from peirce.render import GeometryNode, emit_svg, layout, render_svg
+from peirce.render import (
+    MAX_RADIUS, MIN_R, PAD, GeometryNode, _loops_fit, emit_svg, layout, render_svg)
 
 from genutil import random_graph
 from test_acceptance import _render_corpus
@@ -210,6 +214,70 @@ class TestLayoutBytesAndCost:
             assert abs(dist + loop.rx - outer.rx) < 1e-6
 
 
+class TestLoopRadius:
+    """A scroll with loops takes the least radius, in 2-unit steps from the
+    lower bound ``r0``, at which its loops fit beside its outer row."""
+
+    @staticmethod
+    def _row_width(nodes):
+        return sum(2 * n.rx for n in nodes) + PAD * (len(nodes) - 1) if nodes else 0.0
+
+    @classmethod
+    def _r0(cls, outer, loops):
+        # the lower bound the search starts from, restated here
+        radii = [l.rx for l in loops]
+        if outer:
+            height = max(2 * n.ry for n in outer)
+            r = max(MIN_R, math.hypot(cls._row_width(outer), height) / 2.0 + PAD / 2.0)
+        else:
+            r = MIN_R
+        return max(r + PAD, max(radii) + PAD, cls._row_width(loops) / 2.0 + PAD)
+
+    def test_loops_clear_the_outer_row_at_the_least_radius(self):
+        rng = random.Random(20261019)
+        graphs = [random_graph(rng, depth=rng.randint(2, 6), width=rng.randint(1, 4),
+                               dialect=I) for _ in range(1500)]
+        graphs += [g("[p | " * n + "p" + "]" * n) for n in range(1, 33)]
+        graphs += [_outer_nested(n) for n in range(1, 41)]
+        checked = 0
+        for graph in graphs:
+            for scroll, outer, loops in _scrolls_with_loops(layout(graph), graph):
+                radii, column = [l.rx for l in loops], self._row_width(loops)
+                cw, rx = self._row_width(outer), scroll.rx
+                assert _loops_fit(rx, radii, column, cw)
+                for loop in loops:
+                    assert (loop.cx - loop.rx
+                            >= scroll.cx + cw / 2.0 + PAD / 2.0 - 1e-9 * rx)
+                assert (rx - 2.0 < self._r0(outer, loops)
+                        or not _loops_fit(rx - 2.0, radii, column, cw))
+                checked += 1
+        assert checked > 1500
+
+    def test_the_search_stays_logarithmic(self, monkeypatch):
+        # consecutive fit tests with the same loops and outer row size one scroll
+        keys = []
+        fits = render._loops_fit
+
+        def counted(r, radii, column, content_w):
+            keys.append((tuple(radii), column, content_w))
+            return fits(r, radii, column, content_w)
+
+        monkeypatch.setattr(render, "_loops_fit", counted)
+        render_svg(g("[p | " * 32 + "p" + "]" * 32))
+        runs = [len(list(run)) for _, run in itertools.groupby(keys)]
+        assert len(runs) == 32
+        assert max(runs) <= math.log2(MAX_RADIUS) + 1
+
+    def test_a_loop_column_past_the_limit_raises(self):
+        # 2,000 loops of the 32-level ladder: the column's half-width passes
+        # the largest machine int, and the radius is refused with PeirceError
+        # rather than overflowing the search range's length
+        ladder = g("[p | " * 32 + "p" + "]" * 32)
+        graph = Graph((Scroll(Graph(()), (ladder,) * 2000),))
+        with pytest.raises(PeirceError, match="too large to render"):
+            render_svg(graph)
+
+
 class TestEscape:
     def test_markup_in_atom_names(self):
         # the parser yields no such names, so they are built directly; the
@@ -239,3 +307,13 @@ def _loop_pairs(node, graph):
 
     walk_area(node.children, graph)
     return pairs
+
+
+def _scrolls_with_loops(node, graph):
+    """(scroll ellipse, outer item nodes, loop ellipses) for every scroll
+    with loops; a scroll's loops are its last children."""
+    loops_of = {}
+    for scroll, loop in _loop_pairs(node, graph):
+        loops_of.setdefault(id(scroll), (scroll, []))[1].append(loop)
+    return [(scroll, scroll.children[:len(scroll.children) - len(loops)], loops)
+            for scroll, loops in loops_of.values()]
