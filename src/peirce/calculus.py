@@ -147,10 +147,10 @@ def in_scope(source_item: Path, target_area: Path) -> bool:
 
 class Walk:
     """A graph's candidate operands: its items, areas and scrolls in walk
-    order, its items grouped by key (each group in walk order), and (as
-    1-tuples) the vocabulary graphs in the system's dialect (``drawn``).
-    The one size bound, ``limit`` (``max_growth``; None: none), is decided
-    here, and ``fitting`` lists the drawn graphs within it."""
+    order, and (as 1-tuples) the vocabulary graphs in the system's dialect
+    (``drawn``).  The one size bound, ``limit`` (``max_growth``; None:
+    none), is decided here, and ``fitting`` lists the drawn graphs within
+    it."""
 
     def __init__(self, system: System, g: Graph, vocabulary: tuple[Graph, ...], max_growth=None):
         self.areas, self.items = walk(g)
@@ -158,9 +158,6 @@ class Walk:
         self.drawn = [(v,) for v in vocabulary if not v.violations[system]]
         self.limit = float("inf") if max_growth is None else max_growth
         self.fitting = [site for site in self.drawn if node_count(site[0]) <= self.limit]
-        self.by_key: dict[str, list] = {}
-        for site in self.items:
-            self.by_key.setdefault(site[1].key, []).append(site)
 
 
 @dataclass(frozen=True)
@@ -222,7 +219,7 @@ def _target_scope(source, item, target, area) -> Optional[str]:
 
 
 def _witness(path, item, witness_path, witness) -> Optional[str]:
-    # the enumeration offers equal items only (Walk.by_key); the checker
+    # the enumeration offers equal items only, in walk order; the checker
     # needs the key test, and unequal items lie at different paths
     if witness.key != item.key:
         return "bad witness: items are not equal"
@@ -317,9 +314,8 @@ def _uninsert(walk, path, area) -> Iterator[tuple]:
 
 
 def _unadd_loop(walk, path, item) -> Iterator[tuple]:
-    keys = {v.key for (v,) in walk.drawn}
-    return (RULES[LoopRemove].edit(path, item, k)
-            for k, loop in enumerate(item.loops) if loop.key in keys)
+    return (RULES[LoopRemove].edit(path, item, k) for k, loop in enumerate(item.loops)
+            if any(loop.key == v.key for (v,) in walk.drawn))
 
 
 def _unremove_loop(walk, path, item) -> Iterator[tuple]:
@@ -343,8 +339,9 @@ RULES: dict[type, Rule] = {
                       (target.parts, lambda _: area.items + (item,)),
                   Dual(Deiterate), condition=_target_scope,
                   more=lambda walk, _, item: walk.areas if node_count(item) <= walk.limit else ()),
-    Deiterate: Rule("deiteration", "items", _removal, Dual(Iterate),
-                    more=lambda walk, path, item: walk.by_key[item.key], condition=_witness),
+    Deiterate: Rule("deiteration", "items", _removal, Dual(Iterate), condition=_witness,
+                    more=lambda walk, _, item: [site for site in walk.items
+                                                if site[1].key == item.key]),
     DoubleCutIntro: Rule("double-cut introduction", "areas",
                          _wrapping(lambda chosen: Scroll(Graph((Scroll(chosen),)))),
                          Dual(DoubleCutElim,

@@ -50,10 +50,11 @@ def _add_text(parser: argparse.ArgumentParser, name: str):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="eg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    dialects = [dialect.value for dialect in Dialect]
 
     p = sub.add_parser("parse", help="parse a graph and print its canonical form")
     p.set_defaults(run=_parse)
-    p.add_argument("--dialect", choices=["classical", "intuitionistic"], required=True)
+    p.add_argument("--dialect", choices=dialects, required=True)
     _add_text(p, "graph")
 
     p = sub.add_parser("check", help="check a proof-script file")
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="search for a derivation")
     p.set_defaults(run=_prove)
-    p.add_argument("--system", choices=["classical", "intuitionistic"], required=True)
+    p.add_argument("--system", choices=dialects, required=True)
     p.add_argument("--goal", required=True)
     p.add_argument("--from", dest="start", default="")
     p.add_argument("--depth", type=int, default=SearchBounds.max_depth)
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="translate between graphs and formulas")
     p.set_defaults(run=_translate)
     p.add_argument("--to", choices=["formula", "graph"], required=True)
-    p.add_argument("--dialect", choices=["classical", "intuitionistic"], required=True)
+    p.add_argument("--dialect", choices=dialects, required=True)
     _add_text(p, "text")
 
     p = sub.add_parser("render", help="render a graph to SVG")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Union
 
 from .errors import InvalidPathError
 
@@ -288,21 +288,16 @@ def replace_at(g: Graph, area: Path, new_contents: Graph) -> Graph:
 # builds the graph an edit gives; ``edited_key`` gives its key without
 # building a node.  Both are unchecked: ``parts`` must address an area.
 
-def edited(g: Graph, parts: tuple, contents: Callable[[Graph], tuple],
-           key: Optional[str] = None) -> Graph:
-    """``g`` with the area at ``parts`` holding ``contents(area)``; ``key``,
-    if given, is the result's key, stored so that it is not computed again."""
+def edited(g: Graph, parts: tuple, contents: Callable[[Graph], tuple]) -> Graph:
+    """``g`` with the area at ``parts`` holding ``contents(area)``.  Like a
+    parsed graph, the result computes its key when the key is first read."""
     if not parts:
-        new = Graph(contents(g))
-    else:
-        index, region = parts[0], parts[1]
-        regions = g.items[index].regions
-        regions = (regions[:region] + (edited(regions[region], parts[2:], contents),)
-                   + regions[region + 1:])
-        new = Graph(g.items[:index] + (Scroll(regions[0], regions[1:]),) + g.items[index + 1:])
-    if key is not None:
-        new.__dict__["key"] = key
-    return new
+        return Graph(contents(g))
+    index, region = parts[0], parts[1]
+    regions = g.items[index].regions
+    regions = (regions[:region] + (edited(regions[region], parts[2:], contents),)
+               + regions[region + 1:])
+    return Graph(g.items[:index] + (Scroll(regions[0], regions[1:]),) + g.items[index + 1:])
 
 
 def edited_key(g: Graph, parts: tuple, contents: Callable[[Graph], tuple]) -> str:

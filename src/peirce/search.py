@@ -117,17 +117,14 @@ class SearchBounds:
 
 def default_vocabulary(*endpoints: Graph) -> tuple[Graph, ...]:
     """All non-empty subgraphs of the endpoints: every area's contents and
-    every item on its own, deduplicated up to multiset equality."""
+    every item on its own, the first seen of each key (multiset equality),
+    in the order of their canonical prints."""
     seen: dict[str, Graph] = {}
     for g in endpoints:
         areas, items = walk(g)
-        for _, area in areas:
-            if area.items:
-                seen.setdefault(print_graph(canonicalize(area)), area)
-        for _, item in items:
-            single = Graph((item,))
-            seen.setdefault(print_graph(canonicalize(single)), single)
-    return tuple(seen[key] for key in sorted(seen))
+        for v in [area for _, area in areas if area.items] + [Graph((item,)) for _, item in items]:
+            seen.setdefault(v.key, v)
+    return tuple(sorted(seen.values(), key=lambda v: print_graph(canonicalize(v))))
 
 
 def derive(system: System, start: Graph, goal: Graph,
@@ -225,7 +222,7 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
                 meet = other.get(key)
                 if meet is not None and distance + 1 + meet[1] <= bounds.max_depth:
                     return None, key if seen is behind else nearest(states[i:], key, distance)
-                found.append(_apply_fast(g, parts, contents, key))
+                found.append(_apply_fast(g, parts, contents))
         return found, None
 
     def nearest(states, key, distance):
@@ -286,5 +283,5 @@ def _replay(system: System, start: Graph, keys: list[str],
         else:
             raise CertificationError("search chain cannot be replayed")
         chain.append(kind(*ops[::2]))
-        g = _apply_fast(g, parts, contents, key)
+        g = _apply_fast(g, parts, contents)
     return chain

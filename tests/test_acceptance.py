@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import hashlib
 import random
 import time
 import xml.etree.ElementTree as ET
@@ -229,6 +230,12 @@ PROVE_GOALS = [
     ("intuitionistic", "F -> q"),
 ]
 
+# sha256 of `eg prove` stdout for the goal whose script no search test pins
+# (tests/test_search.py pins the other eight)
+PROVE_DIGESTS = {
+    "~~(p | ~p)": "9e6288b716b6968eaf70de37bb20e98adaa7760204b304152b76fb187091accd",
+}
+
 
 @pytest.mark.parametrize("system_name,formula_text", PROVE_GOALS)
 def test_c6_prove(system_name, formula_text, capsys):
@@ -256,6 +263,8 @@ def test_c6_prove(system_name, formula_text, capsys):
                    f"no derivation ({how}); see the decisions ledger on the "
                    "reconstructed intuitionistic rule set")
             assert code == 0, f"no derivation for {formula_text} within depth 12"
+    digest = PROVE_DIGESTS.get(formula_text)
+    assert digest in (None, hashlib.sha256(captured.out.encode()).hexdigest()), captured.out
     assert elapsed < 60
 
 

@@ -487,7 +487,6 @@ class TestEdits:
                 assert key == _reference_key(built), (print_graph(graph), rule)
                 assert graphs.key_size(key) == _reference_size(built)
                 assert built == apply_rule(system, graph, rule)
-                assert graphs.edited(graph, parts, contents, key).key == key
                 checked += 1
                 nested += len(parts) >= 4
         assert checked > 9_000 and nested > 4_000
@@ -510,6 +509,31 @@ class TestEdits:
             listed += sum(isinstance(r, Deiterate)
                           for r in enumerate_rule_instances(system, graph))
         assert all(pairs) and len(pairs) > listed > 100
+
+    def test_deiteration_offers_witnesses_in_walk_order(self, monkeypatch):
+        # each item's witnesses, itself included, are the walk's items with
+        # its key, in walk order
+        rule = calculus.RULES[Deiterate]
+        offered = []
+
+        def witness(path, item, witness_path, other):
+            offered.append((path, witness_path))
+            return rule.condition(path, item, witness_path, other)
+        monkeypatch.setitem(calculus.RULES, Deiterate,
+                            dataclasses.replace(rule, condition=witness))
+        rng = random.Random(131)
+        repeated = 0
+        for _ in range(100):
+            system = rng.choice([CL, IN])
+            graph = random_graph(rng, depth=4, atoms=2, dialect=system)
+            offered.clear()
+            enumerate_rule_instances(system, graph)
+            items = walk(graph)[1]
+            expected = [(path, other) for path, item in items
+                        for other, equal in items if equal.key == item.key]
+            assert offered == expected, print_graph(graph)
+            repeated += len(expected) - len(items)
+        assert repeated > 100
 
     def test_sizes_once_per_state(self, monkeypatch):
         # the size bound is decided once per state: one size for each item

@@ -414,6 +414,54 @@ class TestVocabulary:
         assert "p" in texts and "q" in texts and "[p | q]" in texts
         assert "" not in texts
 
+    def test_matches_the_canonical_print_dedupe(self):
+        # the same representatives, in the same order, as deduplicating by
+        # canonical print: the C6 goals, and endpoints of both dialects, half
+        # of them a graph and a reordered copy, so that multiset-equal
+        # subgraphs in different author orders meet
+        rng = random.Random(139)
+        pairs = [(Graph(), goal_graph(text, system)) for system, text in
+                 C6_PROVABLE + [(IN, "~~(p | ~p)"), (IN, "p | ~p")]]
+        for case in range(400):
+            dialect = rng.choice(list(Dialect))
+            start = random_graph(rng, depth=4, atoms=3, dialect=dialect)
+            goal = random_graph(rng, depth=4, atoms=3, dialect=dialect)
+            pairs.append((start, _reordered(rng, start) if case % 2 else goal))
+        reordered = 0
+        for start, goal in pairs:
+            vocab = [print_graph(v) for v in default_vocabulary(start, goal)]
+            assert vocab == [print_graph(v) for v in _reference_vocabulary(start, goal)]
+            reordered += len(vocab) < len(set(map(print_graph, _subgraphs(start, goal))))
+        assert len(pairs) > 400 and reordered > 80
+
+
+def _reordered(rng, g):
+    """``g`` with every area's items and every scroll's loops shuffled."""
+    items = [item if isinstance(item, Atom) else
+             Scroll(_reordered(rng, item.outer),
+                    tuple(rng.sample([_reordered(rng, loop) for loop in item.loops],
+                                     len(item.loops))))
+             for item in g.items]
+    return Graph(tuple(rng.sample(items, len(items))))
+
+
+def _subgraphs(*endpoints):
+    """Every non-empty area's contents and every item on its own, with
+    repeats, each endpoint's areas before its items."""
+    for g in endpoints:
+        areas, items = graphs.walk(g)
+        yield from (area for _, area in areas if area.items)
+        yield from (Graph((item,)) for _, item in items)
+
+
+def _reference_vocabulary(*endpoints):
+    """The subgraphs deduplicated by canonical print: the first of each
+    print, in print order."""
+    seen = {}
+    for v in _subgraphs(*endpoints):
+        seen.setdefault(print_graph(canonicalize(v)), v)
+    return tuple(seen[text] for text in sorted(seen))
+
 
 class TestPredecessorBound:
     def test_growth_bound_is_exact(self):
@@ -536,9 +584,10 @@ class TestKeyFirstBackward:
                     yield edit
             return tagged
 
-        def counting(g, parts, contents, key):
-            built[side[0]].append(key)
-            return build(g, parts, contents, key)
+        def counting(g, parts, contents):
+            graph = build(g, parts, contents)
+            built[side[0]].append(graph.key)
+            return graph
         def replaying(*args):
             side[:] = ["replay"]
             return replay(*args)
