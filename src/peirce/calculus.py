@@ -10,14 +10,14 @@ one-way detachment ``[g0 | g1]``  ->  ``(g0 (g1))`` in even areas.
 
 Every rule is stated once, as an entry of one table (``RULES``): its side
 conditions (shape, polarity, scope, and the dialect of a graph it draws),
-the nodes it adds, its rewrite as an edit of one area, and its dual.
-apply_rule evaluates the conditions and raises the first failing one's
-reason.  ``moves`` is the one listing of a graph's moves: each rule with
-the operands that the same conditions accept, no instance built.
+the nodes it adds, its rewrite as an edit of one area, and how it is
+undone.  apply_rule evaluates the conditions and raises the first failing
+one's reason.  ``moves`` is the one listing of a graph's moves: each rule
+with the operands that the same conditions accept, no instance built.
 enumerate_rule_instances builds their instances, ``edits`` gives their
 edits (for a search that keys a successor before building it), and
-``predecessor_edits`` undoes each rule by its dual, as edits too.  Every
-graph a rule gives or undoes is built from its edit.
+``predecessor_edits`` undoes each rule as its entry says, as edits too.
+Every graph a rule gives or undoes is built from its edit.
 
 Iteration scope is a test on paths.  An area is in scope of an item when
 it lies in the item's area or, if that is a scroll's outer area, in one of
@@ -161,18 +161,6 @@ class Walk:
 
 
 @dataclass(frozen=True)
-class Dual:
-    """How a rule is undone: by the instances of the table rule ``rule``
-    that ``keep`` passes, or by ``undo(walk, path, node)`` at each ``at``
-    site of the rule's polarity: edits adding at most ``walk.limit``."""
-
-    rule: Optional[type] = None
-    keep: Optional[Callable[..., bool]] = None
-    at: str = ""
-    undo: Optional[Callable[..., Iterator[tuple]]] = None
-
-
-@dataclass(frozen=True)
 class Rule:
     """One rule of the calculus.  Its first operand comes from the Walk list
     ``site``, and ``more`` gives the candidates for the rest at one site
@@ -181,17 +169,24 @@ class Rule:
     first operand's area, and, where ``drawn`` names a graph operand, its
     dialect.  ``edit``: the rewrite, as the edit the operands give.
     ``growth``: the nodes the rewrite adds, a number (None: none, or an
-    operand's size, and ``more`` offers only operands within the bound)."""
+    operand's size, and ``more`` offers only operands within the bound).
+
+    How the rule is undone: by ``undo(walk, path, node)`` at each ``at``
+    site of the rule's polarity, edits adding at most ``walk.limit``; or,
+    with no ``undo``, the rule is one half of an inverse pair, and its own
+    moves that ``keep`` passes (None: all) undo its partner."""
 
     name: str
     site: str
     edit: Callable[..., tuple]
-    dual: Dual
     more: Optional[Callable[..., list]] = None
     growth: Optional[int] = None
     condition: Optional[Callable[..., Optional[str]]] = None
     polarity: Optional[str] = None
     drawn: Optional[str] = None
+    at: str = ""
+    undo: Optional[Callable[..., Iterator[tuple]]] = None
+    keep: Optional[Callable[..., bool]] = None
 
     def fits(self, path: Path) -> bool:
         """Whether the area of ``path`` has the rule's polarity."""
@@ -329,47 +324,44 @@ def _undetach(walk, path, item) -> Iterator[tuple]:
 
 
 RULES: dict[type, Rule] = {
-    Erase: Rule("erasure", "items", _removal, Dual(at="areas", undo=_unerase), polarity=EVEN),
+    Erase: Rule("erasure", "items", _removal, polarity=EVEN, at="areas", undo=_unerase),
     Insert: Rule("insertion", "areas",
                  lambda path, area, graph: (path.parts, lambda _: area.items + graph.items),
-                 Dual(at="areas", undo=_uninsert), more=lambda walk, *site: walk.fitting,
-                 polarity=ODD, drawn="inserted"),
+                 more=lambda walk, *site: walk.fitting, polarity=ODD, drawn="inserted",
+                 at="areas", undo=_uninsert),
     Iterate: Rule("iteration", "items",
                   lambda source, item, target, area:
                       (target.parts, lambda _: area.items + (item,)),
-                  Dual(Deiterate), condition=_target_scope,
+                  condition=_target_scope,
                   more=lambda walk, _, item: walk.areas if node_count(item) <= walk.limit else ()),
-    Deiterate: Rule("deiteration", "items", _removal, Dual(Iterate), condition=_witness,
+    Deiterate: Rule("deiteration", "items", _removal, condition=_witness,
                     more=lambda walk, _, item: [site for site in walk.items
                                                 if site[1].key == item.key]),
     DoubleCutIntro: Rule("double-cut introduction", "areas",
                          _wrapping(lambda chosen: Scroll(Graph((Scroll(chosen),)))),
-                         Dual(DoubleCutElim,
-                              lambda path, item: len(item.outer.items[0].outer.items) <= 1),
                          more=_choices, growth=2, condition=_chosen),
     DoubleCutElim: Rule("double-cut elimination", "scrolls",
                         _splicing(lambda item: item.outer.items[0].outer.items),
-                        Dual(DoubleCutIntro), condition=_donut),
+                        condition=_donut,
+                        keep=lambda path, item: len(item.outer.items[0].outer.items) <= 1),
     ScrollWrap: Rule("wrap", "areas", _wrapping(lambda chosen: Scroll(Graph(), (chosen,))),
-                     Dual(ScrollUnwrap, lambda path, item: len(item.loops[0].items) <= 1),
                      more=_choices, growth=1, condition=_chosen),
     ScrollUnwrap: Rule("unwrap", "scrolls", _splicing(lambda item: item.loops[0].items),
-                       Dual(ScrollWrap), condition=_unwrappable),
+                       condition=_unwrappable,
+                       keep=lambda path, item: len(item.loops[0].items) <= 1),
     LoopAdd: Rule("loop addition", "scrolls",
                   _splicing(lambda item, graph: (Scroll(item.outer, item.loops + (graph,)),)),
-                  Dual(at="scrolls", undo=_unadd_loop), more=lambda walk, *site: walk.fitting,
-                  condition=_scroll, polarity=EVEN, drawn="loop"),
+                  more=lambda walk, *site: walk.fitting, condition=_scroll, polarity=EVEN,
+                  drawn="loop", at="scrolls", undo=_unadd_loop),
     LoopRemove: Rule("loop removal", "scrolls",
                      _splicing(lambda item, k: (Scroll(item.outer,
                                                        item.loops[:k] + item.loops[k + 1:]),)),
-                     Dual(at="scrolls", undo=_unremove_loop),
                      more=lambda walk, path, item: [(k,) for k in range(len(item.loops))],
-                     condition=_loop, polarity=ODD),
+                     condition=_loop, polarity=ODD, at="scrolls", undo=_unremove_loop),
     Detach: Rule("detachment", "scrolls",
                  _splicing(lambda item: (Scroll(Graph(item.outer.items
                                                       + (Scroll(item.loops[0]),))),)),
-                 Dual(at="scrolls", undo=_undetach),
-                 growth=1, condition=_one_loop, polarity=EVEN),
+                 growth=1, condition=_one_loop, polarity=EVEN, at="scrolls", undo=_undetach),
 }
 
 SYSTEM_RULES = {
@@ -377,16 +369,6 @@ SYSTEM_RULES = {
     System.INTUITIONISTIC: (Erase, Insert, Iterate, Deiterate, ScrollWrap, ScrollUnwrap,
                             LoopAdd, LoopRemove, Detach),
 }
-
-
-def _undoing(kinds: tuple) -> tuple:
-    """The rules of ``kinds`` that undo another of them, in order, each
-    with the ``keep`` of the dual it serves."""
-    duals = {RULES[kind].dual.rule: RULES[kind].dual for kind in kinds}
-    return tuple((RULES[kind], duals[kind].keep) for kind in kinds if kind in duals)
-
-
-UNDOING = {system: _undoing(kinds) for system, kinds in SYSTEM_RULES.items()}
 
 
 def _operands(g: Graph, rule: RuleInstance) -> tuple:
@@ -464,22 +446,24 @@ def predecessor_edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = 
     """The edits of ``g`` into some of its predecessors: graphs with a move
     (same vocabulary) rewriting to ``g`` up to multiset equality, less
     those adding over ``max_growth`` nodes.  Not every such graph: the
-    duals of unwrap and double-cut elimination wrap at most one item, so
+    moves undoing unwrap and double-cut elimination wrap at most one item, so
     ``[ | p q]`` and ``((p q))`` are not predecessors of ``p q``.
-    First the moves ``g`` admits of the rules undoing another (``UNDOING``:
-    iteration and deiteration, wrap and unwrap, the double-cut rules), in
-    the order of ``moves``; then the other duals, area by area and scroll
-    by scroll, at the sites of their rules' polarity."""
+    First the moves ``g`` admits of the rules that are one half of an
+    inverse pair (iteration and deiteration, wrap and unwrap, the
+    double-cut rules: the rules with no ``undo``), those that ``keep``
+    passes, in the order of ``moves``; then the site undos, area by area
+    and scroll by scroll, at the sites of their rules' polarity."""
     walk = Walk(system, g, vocabulary, max_growth)
-    for rule, keep in UNDOING[system]:
-        yield from (rule.edit(*ops) for ops in accepted(rule, walk)
-                    if keep is None or keep(*ops))
     rules = [RULES[kind] for kind in SYSTEM_RULES[system]]
+    for rule in rules:
+        if rule.undo is None:
+            yield from (rule.edit(*ops) for ops in accepted(rule, walk)
+                        if rule.keep is None or rule.keep(*ops))
     for at in ("areas", "scrolls"):
         for path, node in getattr(walk, at):
             for rule in rules:
-                if rule.dual.at == at and rule.fits(path):
-                    yield from rule.dual.undo(walk, path, node)
+                if rule.at == at and rule.fits(path):
+                    yield from rule.undo(walk, path, node)
 
 
 # ---------------------------------------------------------------------------

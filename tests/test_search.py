@@ -643,6 +643,25 @@ class TestPredecessorEdits:
             listed += len(edits)
         assert listed > 2000
 
+    def test_listing_order_is_pinned(self):
+        # the order in which predecessors are listed decides which states
+        # the backward side keeps first, and so the scripts it prints: the
+        # inverse pairs' own moves first, then the site undos
+        rng = random.Random(131)
+        digest, listed = hashlib.sha256(), 0
+        for _ in range(300):
+            system = rng.choice([CL, IN])
+            graph = random_graph(rng, depth=3, atoms=2, dialect=system, width=3)
+            vocab = _vocabulary(rng, system)
+            for max_growth in (None, 0, 2):
+                keys = [graphs.edited_key(graph, *edit) for edit in
+                        calculus.predecessor_edits(system, graph, vocab, max_growth)]
+                digest.update(repr(keys).encode())
+                listed += len(keys)
+        assert listed == 13_584
+        assert digest.hexdigest() == (
+            "6267523d76f4b9ccf63f9b36d57b45e96981fe408ca10bf0a48c74998306d29d")
+
 
 def _reference_replay(system, start, keys, vocab, cap):
     """For each step, the first enumerated instance whose result has the
