@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("taut", help="decide tautology / theoremhood")
     p.set_defaults(run=_taut)
-    p.add_argument("--logic", choices=_VERDICTS, required=True)
+    p.add_argument("--logic", choices=dialects, required=True)
     p.add_argument("--countermodel", action="store_true",
                    help="search a Kripke countermodel when not a theorem")
     p.add_argument("--max-worlds", type=int, choices=range(1, MAX_WORLDS + 1), default=3)
@@ -152,18 +152,18 @@ def _prove(args: argparse.Namespace) -> int:
 
 
 # logic: the verdict on a formula that fails, and on one that holds
-_VERDICTS = {"classical": ("not a tautology", "tautology"),
-             "intuitionistic": ("not a theorem", "theorem")}
+_VERDICTS = {Dialect.CLASSICAL: ("not a tautology", "tautology"),
+             Dialect.INTUITIONISTIC: ("not a theorem", "theorem")}
 
 
 def _taut(args: argparse.Namespace) -> int:
     f = parse_formula(_text_argument(args))
-    intuitionistic = args.logic == "intuitionistic"
-    holds = taut_int(f) if intuitionistic else taut_classical(f)
-    print(_VERDICTS[args.logic][holds])
+    logic = Dialect(args.logic)
+    holds = taut_int(f) if logic is Dialect.INTUITIONISTIC else taut_classical(f)
+    print(_VERDICTS[logic][holds])
     if holds:
         return 0
-    if intuitionistic and args.countermodel:
+    if logic is Dialect.INTUITIONISTIC and args.countermodel:
         model = kripke_countermodel(f, args.max_worlds)
         print(f"no countermodel with <= {args.max_worlds} worlds" if model is None else model)
     return 1

@@ -76,8 +76,6 @@ def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
     absorbed."""
     if b.is_zero():
         return a
-    if a.is_zero():
-        return b
     lead = b.terms[0][0]
     keep = [t for t in a.terms if t[0] > lead]
     boundary = [t for t in a.terms if t[0] == lead]

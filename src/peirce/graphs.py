@@ -122,22 +122,13 @@ def cut(*items: Item) -> Scroll:
 
 
 def node_count(node: Union[Item, Graph]) -> int:
-    """Atoms plus scrolls, counted once per node."""
-    return node._size
+    """Atoms plus scrolls: the ATOM and SCROLL codes of the node's key."""
+    return key_size(node.key)
 
 
 def key_size(key: str) -> int:
     """The node count of the node with this key: its ATOM and SCROLL codes."""
     return key.count(_ATOM) + key.count(_SCROLL)
-
-
-@_cached
-def _size(node) -> int:
-    return key_size(node.key)
-
-
-# one cached attribute serves the three node types
-Atom._size = Scroll._size = Graph._size = _size
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ class KripkeModel:
 
 
 def forces(model: KripkeModel, world: int, f: fm.Formula) -> bool:
-    """The standard forcing clauses, evaluated directly."""
+    """The standard forcing clauses, evaluated directly; ``~A`` is ``A -> F``."""
     if isinstance(f, fm.Atom):
         return f.name in model.valuation[world]
     if isinstance(f, fm.Top):
@@ -71,8 +71,7 @@ def forces(model: KripkeModel, world: int, f: fm.Formula) -> bool:
     if isinstance(f, fm.Or):
         return forces(model, world, f.left) or forces(model, world, f.right)
     if isinstance(f, fm.Not):
-        return all(not forces(model, v, f.body)
-                   for v in range(model.worlds) if model.leq(world, v))
+        f = fm.Imp(f.body, fm.BOT)
     return all(forces(model, v, f.right)
                for v in range(model.worlds)
                if model.leq(world, v) and forces(model, v, f.left))

@@ -14,7 +14,7 @@ import functools
 
 from . import formulas as fm
 from .errors import TooManyAtomsError
-from .graphs import Atom, Dialect, Graph, Item, Scroll
+from .graphs import Atom, Dialect, Graph, Item, Scroll, _key
 
 # ---------------------------------------------------------------------------
 # Translations
@@ -41,10 +41,6 @@ def _item_formula(item: Item) -> fm.Formula:
                                             for loop in sorted(item.loops, key=_key)]))
 
 
-def _key(node) -> str:
-    return node.key
-
-
 def _fold(node, parts: list[fm.Formula]) -> fm.Formula:
     """``parts`` joined by the binary ``node``, nested to the right."""
     out = parts[-1]
@@ -69,13 +65,10 @@ def _encode(f: fm.Formula, d: Dialect) -> tuple[Item, ...]:
     if isinstance(f, fm.Not):
         return (Scroll(Graph(_encode(f.body, d))),)
     if d is Dialect.CLASSICAL:
-        if isinstance(f, fm.Imp):
-            inner = Scroll(Graph(_encode(f.right, d)))
-            return (Scroll(Graph(_encode(f.left, d) + (inner,))),)
-        # A | B  ~>  ((A)(B))
-        left = Scroll(Graph(_encode(f.left, d)))
-        right = Scroll(Graph(_encode(f.right, d)))
-        return (Scroll(Graph((left, right))),)
+        # A -> B  ~>  (A (B)), and A | B is ~A -> B  ~>  ((A) (B))
+        left = _encode(f.left, d)
+        left = left if isinstance(f, fm.Imp) else (Scroll(Graph(left)),)
+        return (Scroll(Graph(left + (Scroll(Graph(_encode(f.right, d))),))),)
     if isinstance(f, fm.Imp):
         return (Scroll(Graph(_encode(f.left, d)), (Graph(_encode(f.right, d)),)),)
     # A | B  ~>  [ | A | B]

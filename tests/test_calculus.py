@@ -147,6 +147,11 @@ class TestApplyRule:
         with pytest.raises(IllegalRuleError):
             apply_rule(IN, g("[ | q | r]"), LoopRemove(p("0"), 0))
 
+    def test_loop_index_out_of_range(self):
+        with pytest.raises(IllegalRuleError) as err:
+            apply_rule(IN, g("[p | q]"), LoopRemove(p("0"), 1))
+        assert err.value.reason == "loop index out of range"
+
     def test_detach(self):
         out = apply_rule(IN, g("[p | q]"), Detach(p("0")))
         assert print_graph(out) == "(p (q))"

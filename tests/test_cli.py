@@ -96,6 +96,12 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(script))
         assert code == 1 and "invalid at step 0" in out
 
+    def test_loop_index_out_of_range(self, capsys, tmp_path):
+        script = tmp_path / "s.eg"
+        script.write_text("system intuitionistic\ngraph ([p | q])\nloopremove 0.outer.0 5\n")
+        code, out, _ = run(capsys, "check", str(script))
+        assert code == 1 and "step 0: FAILED (loop index out of range)" in out.splitlines()
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent.eg")
         assert code == 2 and err

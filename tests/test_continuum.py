@@ -132,6 +132,10 @@ class TestOrdinalOps:
         with pytest.raises(OrdinalUnderflowError):
             ord_sub_left(parse_ordinal("w+1"), OMEGA)
 
+    def test_negative_int_rejected(self):
+        with pytest.raises(ValueError, match="^ordinals are non-negative$"):
+            from_int(-1)
+
     def test_add_associative_random(self):
         rng = random.Random(83)
         for _ in range(400):
@@ -200,6 +204,9 @@ class TestElements:
         for _ in range(300):
             e = random_element(rng)
             assert parse_element(print_element(e)) == e
+
+    def test_str_prints_the_literal(self):
+        assert str(element((1, 2))) == "[1:2]"
 
     def test_negative_and_fraction_values(self):
         e = parse_element("[1:-3/4][w:2]")

@@ -97,6 +97,18 @@ class TestFormulaToGraph:
                 else:
                     assert taut_int(equiv)
 
+    def test_encoding_bytes_are_pinned(self):
+        # the digest of these graphs while classical -> and | were each
+        # encoded by a branch of their own
+        rng = random.Random(97)
+        drawn = [random_formula(rng, rng.randint(0, 8)) for _ in range(3000)]
+        texts = [print_formula(formula) for formula in drawn]
+        assert any(" -> " in text for text in texts) and any(" | " in text for text in texts)
+        lines = [print_graph(formula_to_graph(formula, dialect))
+                 for formula in drawn for dialect in Dialect]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "10bb6d76bdf5edf830263c4ac15e1eb17f2bf62941d80482ccc257d3129ce392"
+
 
 class TestClassicalOracle:
     def test_excluded_middle(self):
