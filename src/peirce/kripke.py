@@ -70,11 +70,10 @@ def forces(model: KripkeModel, world: int, f: fm.Formula) -> bool:
         return forces(model, world, f.left) and forces(model, world, f.right)
     if isinstance(f, fm.Or):
         return forces(model, world, f.left) or forces(model, world, f.right)
-    if isinstance(f, fm.Not):
-        f = fm.Imp(f.body, fm.BOT)
-    return all(forces(model, v, f.right)
+    left, right = (f.body, fm.BOT) if isinstance(f, fm.Not) else (f.left, f.right)
+    return all(forces(model, v, right)
                for v in range(model.worlds)
-               if model.leq(world, v) and forces(model, v, f.left))
+               if model.leq(world, v) and forces(model, v, left))
 
 
 def persistent(model: KripkeModel) -> bool:

@@ -5,7 +5,10 @@ bitmask per atom (guarded at 20 atoms).
 The intuitionistic oracle is a contraction-free sequent procedure in the
 G4ip style: the four implication-left refinements make it terminate on
 every input, and it decides full IPC.  Negation is treated internally as
-implication into falsum.
+implication into falsum.  The rules that neither branch nor lose
+provability run in a loop over one set until none fires, without
+recursion, and only the saturated sequents left for the branching rules
+are memoised.
 """
 
 from __future__ import annotations
@@ -108,59 +111,79 @@ def taut_classical(f: fm.Formula) -> bool:
 def taut_int(f: fm.Formula) -> bool:
     """True iff ``f`` is a theorem of intuitionistic propositional logic."""
     try:
-        return _prove(frozenset(), fm.strip_not(f))
+        return _sequent(frozenset(), [], fm.strip_not(f))
     finally:
         # each call starts from an empty memo and keeps nothing; an entry
         # depends only on its sequent, so threads may share the memo
         _prove.cache_clear()
 
 
+def _sequent(gamma: frozenset, new: list, goal: fm.Formula) -> bool:
+    """Whether ``gamma, new => goal``, where ``gamma`` is saturated: no
+    rule that neither branches nor loses provability fires on it.  Here
+    ``->R`` and those left rules (T, ``&``, and ``->`` with an F, T, ``&``,
+    ``|`` or held atom head) are applied in one loop over one set, which
+    is frozen once; the memoised ``_prove`` gets the rules that branch."""
+    # no formula class has subclasses, so each node's kind is its type
+    while type(goal) is fm.Imp:
+        new.append(goal.left)
+        goal = goal.right
+    if new:
+        out = set(gamma)
+        while new:
+            atoms = set()
+            while new:
+                f = new.pop()
+                kind = type(f)
+                if kind is fm.And:
+                    new += f.left, f.right
+                elif kind is fm.Imp:
+                    head = f.left
+                    kind = type(head)
+                    if kind is fm.And:
+                        new.append(fm.Imp(head.left, fm.Imp(head.right, f.right)))
+                    elif kind is fm.Or:
+                        new += fm.Imp(head.left, f.right), fm.Imp(head.right, f.right)
+                    elif kind is fm.Top or kind is fm.Atom and head in out:
+                        new.append(f.right)
+                    elif kind is not fm.Bot:
+                        out.add(f)
+                elif kind is not fm.Top:
+                    if kind is fm.Atom and f not in out:
+                        atoms.add(f)
+                    out.add(f)
+            # an implication held before its atom head came fires once a pass
+            if atoms:
+                fired = [f for f in out if type(f) is fm.Imp and f.left in atoms]
+                out.difference_update(fired)
+                new = [f.right for f in fired]
+        gamma = frozenset(out)
+    if type(goal) is fm.Top or fm.BOT in gamma or goal in gamma:
+        return True
+    if type(goal) is fm.And:
+        return _sequent(gamma, [], goal.left) and _sequent(gamma, [], goal.right)
+    return _prove(gamma, goal)
+
+
 @functools.cache
 def _prove(gamma: frozenset, goal: fm.Formula) -> bool:
-    # no formula class has subclasses, so each node's kind is its type
-    kind = type(goal)
-    if kind is fm.Top or fm.BOT in gamma or goal in gamma:
-        return True
-    # invertible right rules
-    if kind is fm.And:
-        return _prove(gamma, goal.left) and _prove(gamma, goal.right)
-    if kind is fm.Imp:
-        return _prove(gamma | {goal.left}, goal.right)
-    # invertible left rules: the first formula one of them fires on
+    """A saturated sequent whose goal is an atom, F or a disjunction that
+    ``gamma`` lacks: only the rules that branch are left."""
+    # | on the left is invertible: the first disjunction decides
     for f in gamma:
-        kind = type(f)
-        if kind is fm.Imp:
-            head = f.left
-            if type(head) is fm.Imp or type(head) is fm.Atom and head not in gamma:
-                continue
-        elif kind is not fm.And and kind is not fm.Or and kind is not fm.Top:
-            continue
-        rest = gamma - {f}
-        if kind is fm.Top:
-            return _prove(rest, goal)
-        if kind is fm.And:
-            return _prove(rest | {f.left, f.right}, goal)
-        if kind is fm.Or:
-            return _prove(rest | {f.left}, goal) and _prove(rest | {f.right}, goal)
-        kind = type(head)
-        if kind is fm.Bot:
-            return _prove(rest, goal)
-        if kind is fm.And:
-            return _prove(rest | {fm.Imp(head.left, fm.Imp(head.right, f.right))}, goal)
-        if kind is fm.Or:
-            return _prove(rest | {fm.Imp(head.left, f.right), fm.Imp(head.right, f.right)}, goal)
-        # a true head: T, or an atom in gamma
-        return _prove(rest | {f.right}, goal)
+        if type(f) is fm.Or:
+            rest = gamma - {f}
+            return _sequent(rest, [f.left], goal) and _sequent(rest, [f.right], goal)
     # non-invertible choices
     if type(goal) is fm.Or:
-        if _prove(gamma, goal.left) or _prove(gamma, goal.right):
+        if _sequent(gamma, [], goal.left) or _sequent(gamma, [], goal.right):
             return True
     for f in gamma:
         if type(f) is fm.Imp and type(f.left) is fm.Imp:
             rest = gamma - {f}
             inner = f.left
-            if (_prove(rest | {fm.Imp(inner.right, f.right)}, inner)
-                    and _prove(rest | {f.right}, goal)):
+            if (_sequent(rest, [fm.Imp(inner.right, f.right)], inner)
+                    and _sequent(rest, [f.right], goal)):
                 return True
     return False
 

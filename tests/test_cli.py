@@ -73,6 +73,20 @@ class TestTaut:
         code, out, _ = run(capsys, "taut", "--logic", "intuitionistic", "p -> ~~p")
         assert code == 0 and out == "theorem\n"
 
+    @pytest.mark.parametrize("from_file", [False, True], ids=["inline", "file"])
+    def test_wide_conjunction_is_decided(self, capsys, tmp_path, from_file):
+        # a balanced conjunction of 1,000 atoms implying q is ten parentheses
+        # deep, and G4ip takes it apart in a loop, with no recursion per &
+        parts = [f"a{i}" for i in range(1_000)]
+        while len(parts) > 1:
+            parts = [f"({parts[i]} & {parts[i + 1]})" if i + 1 < len(parts) else parts[i]
+                     for i in range(0, len(parts), 2)]
+        text = f"{parts[0]} -> q"
+        source = tmp_path / "wide.txt"
+        source.write_text(text, encoding="utf-8")
+        argv = ["--file", str(source)] if from_file else [text]
+        assert run(capsys, "taut", "--logic", "intuitionistic", *argv) == (1, "not a theorem\n", "")
+
     @pytest.mark.parametrize("worlds", ["9", "0", "-1"])
     def test_max_worlds_out_of_range(self, capsys, worlds):
         code, out, err = run(capsys, "taut", "--logic", "intuitionistic",

@@ -67,6 +67,30 @@ class TestCountermodels:
                 assert kripke_countermodel(formula, 3) is None
             # non-theorems need not have small countermodels, so no converse
 
+    def test_forcing_builds_no_implication(self, monkeypatch):
+        # ~A is read as A -> F in place: its operands are taken from the
+        # node, and no A -> F node is built at each world visited
+        rng = random.Random(47)
+        cases = []
+        while len(cases) < 300:
+            formula = random_formula(rng, connectives=rng.randint(1, 8))
+            model = kripke_countermodel(formula, 3)
+            if model is not None:
+                cases.append((formula, model))
+        assert sum("~" in print_formula(formula) for formula, _ in cases) > 100
+        built = [0]
+        init = fm.Imp.__init__
+
+        def counted(self, *args):
+            built[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(fm.Imp, "__init__", counted)
+        for formula, model in cases:
+            assert not all(forces(model, w, formula) for w in range(model.worlds))
+        assert built[0] == 0
+        assert fm.Imp(fm.BOT, fm.BOT) and built[0] == 1
+
 
 def _forced(formula, masks, up, full):
     """The worlds forcing ``formula``, one world at a time for -> and ~."""
