@@ -57,8 +57,17 @@ class _cached:
 # can stand in its place, so string order on keys is the structural order
 # (atoms by name before scrolls, scrolls by outer area, then by loops) and
 # equal keys mean multiset-equal nodes.  A cut ``(X)`` and the empty-loop
-# scroll ``[X | ]`` differ by the empty loop's END_AREA.
+# scroll ``[X | ]`` differ by the empty loop's END_AREA.  The code is
+# prefix-free, and keys injective, only over well-formed names, which hold
+# no control character: the atom ``a\x00\x03b`` has the key of ``a b``.  So
+# a node's ``flaws`` test its names themselves and are not read off its key.
 _END_NAME, _END_LOOPS, _END_AREA, _ATOM, _SCROLL = "\x00", "\x01", "\x02", "\x03", "\x04"
+
+# A node's ``flaws`` are bits: a bad atom name in it, a loop in it.  Each
+# node computes them once from its children's, so a graph built by an edit
+# computes them only for its new spine.  A dialect forbids the bits it maps to.
+_BAD_NAME, _LOOPS = 1, 2
+_FORBIDDEN = {Dialect.CLASSICAL: _BAD_NAME | _LOOPS, Dialect.INTUITIONISTIC: _BAD_NAME}
 
 
 @dataclass(frozen=True)
@@ -68,6 +77,10 @@ class Atom:
     @_cached
     def key(self) -> str:
         return _ATOM + self.name + _END_NAME
+
+    @_cached
+    def flaws(self) -> int:
+        return 0 if ATOM_NAME.match(self.name) else _BAD_NAME
 
 
 @dataclass(frozen=True)
@@ -89,6 +102,13 @@ class Scroll:
         return (_SCROLL + self.outer.key
                 + "".join(sorted([loop.key for loop in self.loops])) + _END_LOOPS)
 
+    @_cached
+    def flaws(self) -> int:
+        flaws = self.outer.flaws
+        for loop in self.loops:
+            flaws |= loop.flaws | _LOOPS
+        return flaws
+
 
 Item = Union[Atom, Scroll]
 
@@ -100,6 +120,13 @@ class Graph:
     @_cached
     def key(self) -> str:
         return "".join(sorted([item.key for item in self.items])) + _END_AREA
+
+    @_cached
+    def flaws(self) -> int:
+        flaws = 0
+        for item in self.items:
+            flaws |= item.flaws
+        return flaws
 
     @_cached
     def violations(self) -> dict:
@@ -367,8 +394,19 @@ def well_formed(g: Graph, dialect: Dialect) -> list[Violation]:
 
     The tree representation rules out intersecting boundaries by
     construction, so the checks left are atom-name syntax and, for the
-    classical dialect, the absence of loops.
+    classical dialect, the absence of loops.  A graph whose ``flaws`` the
+    dialect allows is valid at once; each node computes its flaws once,
+    and every graph holding the node shares them.  Otherwise
+    ``walk_violations`` lists the violations.
     """
+    if not g.flaws & _FORBIDDEN[dialect]:
+        return []
+    return walk_violations(g, dialect)
+
+
+def walk_violations(g: Graph, dialect: Dialect) -> list[Violation]:
+    """Each violation of ``dialect`` in ``g`` with its path, in walk order.
+    The walk takes one frame per level of nesting."""
     out: list[Violation] = []
     for path, item in walk(g)[1]:
         if isinstance(item, Atom):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from . import formulas as fm
 from .errors import DialectError, ParseError
-from .graphs import ATOM_NAME, Atom, Dialect, Graph, Item, Scroll, well_formed
+from .graphs import ATOM_NAME, Atom, Dialect, Graph, Item, Scroll, walk_violations
 
 # ---------------------------------------------------------------------------
 # Reading: functions over (text, pos) that return (value, pos)
@@ -61,10 +61,15 @@ def read_all(text: str, read, what: str = ""):
 
 
 def parse_graph(text: str, dialect: Dialect) -> Graph:
+    """The graph ``text`` denotes, or DialectError at its first violation
+    of ``dialect``.  The reader rejects bad atom names itself, and a text
+    that reads holds a loop exactly when it holds a '|', so only a
+    classical text with a '|' is checked, by the walk, which nests one
+    frame per level where the nodes' ``flaws`` nest four."""
     graph = read_all(text, _parse_area)
-    bad = well_formed(graph, dialect)
-    if bad:
-        raise DialectError(f"{bad[0].reason} at {bad[0].path}")
+    if dialect is Dialect.CLASSICAL and "|" in text:
+        bad = walk_violations(graph, dialect)[0]
+        raise DialectError(f"{bad.reason} at {bad.path}")
     return graph
 
 

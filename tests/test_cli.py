@@ -397,6 +397,20 @@ class TestNestingFloor:
         code, _, err = run(capsys, *argv, "(" * 400 + "p -> p" + ")" * 400)
         assert (code, err) == (0, "")
 
+    def test_check(self, capsys, tmp_path):
+        script = tmp_path / "s.eg"
+        script.write_text(f"system classical\ngraph {'(' * FLOOR + ')' * FLOOR}\n"
+                          "dcadd / items 0\n", encoding="utf-8")
+        code, _, err = run(capsys, "check", str(script))
+        assert (code, err) == (0, "")
+
+    def test_classical_loop_diagnosed_400_cuts_deep(self, capsys):
+        # the reader takes two frames per bracket and the diagnostic's walk
+        # one per level, so a loop 400 cuts deep is still named by its path
+        text = "(" * 400 + "[p | q]" + ")" * 400
+        assert run(capsys, "parse", "--dialect", "classical", text) == (
+            2, "", "eg: scroll loops are not classical signs at " + "0.outer." * 400 + "0\n")
+
 
 class TestNonIntegerInput:
     """Digits that ``int`` rejects, such as the superscript two, and items

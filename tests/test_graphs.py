@@ -1,11 +1,13 @@
+import collections
 import hashlib
 import random
 
 import pytest
 
-from peirce.calculus import Erase, System, apply_rule
+from peirce.calculus import Erase, System, apply_rule, enumerate_rule_instances
 from peirce.errors import IllegalRuleError, InvalidPathError
 from peirce.graphs import (
+    ATOM_NAME,
     BLANK,
     EVEN,
     ODD,
@@ -14,8 +16,10 @@ from peirce.graphs import (
     Graph,
     Path,
     Scroll,
+    Violation,
     canonicalize,
     cut,
+    edited,
     equals,
     node_count,
     polarity,
@@ -216,6 +220,124 @@ class TestWellFormed:
     def test_bad_atom_name(self):
         violations = well_formed(Graph((Atom("9bad"),)), I)
         assert violations and "9bad" in violations[0].reason
+
+
+def _reference_well_formed(graph, dialect):
+    """well_formed as a walk over every item, with no cached flaws: the
+    reference the nodes' flaws are checked against."""
+    out = []
+    for path, item in walk(graph)[1]:
+        if isinstance(item, Atom):
+            if not ATOM_NAME.match(item.name):
+                out.append(Violation(path, f"bad atom name {item.name!r}"))
+        elif item.loops and dialect is C:
+            out.append(Violation(path, "scroll loops are not classical signs"))
+    return out
+
+
+_FLAWS = (Atom("9bad"), Scroll(Graph((Atom("p"),)), (Graph((Atom("q"),)),)), Scroll(BLANK, (BLANK,)))
+
+
+def _planted(rng, graph, flaws):
+    """``graph`` with ``flaws`` items, each a bad name or a loop, put in
+    areas drawn at random, so at random depths."""
+    for _ in range(flaws):
+        path, area = rng.choice(walk(graph)[0])
+        at = rng.randint(0, len(area))
+        flaw = rng.choice(_FLAWS)
+        graph = edited(graph, path.parts, lambda area: area.items[:at] + (flaw,) + area.items[at:])
+    return graph
+
+
+def _random_flawed(rng):
+    graph = random_graph(rng, depth=rng.randint(1, 5), dialect=rng.choice([C, I]))
+    return _planted(rng, graph, rng.choice([0, 0, 1, 2]))
+
+
+class TestFlaws:
+    def test_well_formed_is_the_reference_walk(self):
+        rng = random.Random(347)
+        flawed = 0
+        for _ in range(600):
+            graph = _random_flawed(rng)
+            for dialect in (C, I):
+                assert well_formed(graph, dialect) == _reference_well_formed(graph, dialect)
+                flawed += bool(well_formed(graph, dialect))
+        assert flawed > 300
+
+    def test_edits_of_graphs_with_cached_flaws(self):
+        # an edit's result shares the nodes off its spine, whose flaws are
+        # already cached: a clean edit in a flawed graph and a flawed edit
+        # in a clean graph are both told apart from a clean result
+        rng = random.Random(353)
+        seen = collections.Counter()
+        for _ in range(600):
+            graph = _random_flawed(rng)
+            graph.flaws
+            path, _ = rng.choice(walk(graph)[0])
+            contents = _random_flawed(rng)
+            if rng.random() < 0.5:
+                contents.flaws
+            result = edited(graph, path.parts, lambda _: contents.items)
+            spine = edited(graph, path.parts, lambda _: ())
+            for dialect in (C, I):
+                expected = _reference_well_formed(result, dialect)
+                assert well_formed(result, dialect) == expected
+                seen[bool(_reference_well_formed(contents, dialect)),
+                     bool(_reference_well_formed(spine, dialect)), bool(expected)] += 1
+        # (flawed contents, flawed spine, flawed result)
+        assert seen[False, True, True] > 100 and seen[True, False, True] > 100
+        assert seen[False, False, False] > 100 and seen[True, True, True] > 50
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """The nodes whose flaws are computed, in the order they are."""
+    nodes = []
+    for kind in (Atom, Scroll, Graph):
+        flaws = kind.__dict__["flaws"]
+        monkeypatch.setattr(flaws, "fn", lambda node, fn=flaws.fn: nodes.append(node) or fn(node))
+    return nodes
+
+
+def _nodes(graph):
+    """The ids of the graph's nodes: its areas and items."""
+    areas, items = walk(graph)
+    return {id(node) for _, node in areas + items}
+
+
+class TestFlawsOnce:
+    def test_a_second_step_computes_only_its_new_spine(self, computed):
+        rng = random.Random(359)
+        spines = 0
+        for _ in range(200):
+            system = rng.choice([System.CLASSICAL, System.INTUITIONISTIC])
+            graph = random_graph(rng, depth=4, atoms=2, dialect=system)
+            vocab = tuple(random_graph(rng, depth=2, dialect=system) for _ in range(2))
+            checked = apply_rule(system, graph, rng.choice(
+                enumerate_rule_instances(system, graph, vocab)))
+            rules = enumerate_rule_instances(system, checked, vocab)
+            old = _nodes(checked).union(*map(_nodes, vocab))
+            computed.clear()
+            result = apply_rule(system, checked, rng.choice(rules))
+            new = _nodes(result) - old
+            assert sorted(map(id, computed)) == sorted(new)
+            spines += len(new)
+        assert spines > 600
+
+    def test_an_intuitionistic_parse_checks_nothing(self, computed, monkeypatch):
+        walked = []
+        monkeypatch.setattr("peirce.graphs.walk", lambda graph: walked.append(graph) or walk(graph))
+        rng = random.Random(367)
+        texts = [print_graph(random_graph(rng, dialect=rng.choice([C, I]))) for _ in range(300)]
+        for text in texts:
+            parse_graph(text, I)
+        # nor does a classical one without a loop
+        for text in texts:
+            if "|" not in text:
+                parse_graph(text, C)
+        assert (walked, computed) == ([], [])
+        assert any("|" in text for text in texts)
 
 
 class TestPathText:
