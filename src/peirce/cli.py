@@ -107,9 +107,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"eg: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the readers take two frames per bracket, and the translations,
-        # oracles and layout recurse per level of nesting too, so input
-        # deeper than the stack allows ends here
+        # the token readers take two frames per bracket, and the
+        # translations, printers, oracles and layout recurse per level of
+        # nesting too, so input deeper than the stack allows ends here
         print("eg: input nested too deeply", file=sys.stderr)
         return 2
 

@@ -21,7 +21,6 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import EmptyElementError, NotInMonadError, OrdinalUnderflowError, ParseError
-from .notation import read_all, skip_ws
 
 # ---------------------------------------------------------------------------
 # Ordinals in Cantor normal form
@@ -110,8 +109,20 @@ MAX_DIGITS = 4000
 _PAST_DIGITS = 10 ** MAX_DIGITS
 
 
+def skip_ws(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
 def parse_ordinal(text: str) -> Ordinal:
-    return read_all(text, _parse_ordinal_sum, " in ordinal")
+    """The ordinal ``text`` denotes, read by functions over ``(text, pos)``
+    that return ``(value, pos)``."""
+    value, pos = _parse_ordinal_sum(text, 0)
+    pos = skip_ws(text, pos)
+    if pos != len(text):
+        raise ParseError(f"unexpected {text[pos]!r} in ordinal", pos)
+    return value
 
 
 def _parse_ordinal_sum(text: str, pos: int) -> tuple[Ordinal, int]:

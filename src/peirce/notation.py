@@ -16,43 +16,58 @@ parentheses, with precedence ``~ > & > | > ->``; ``->`` associates right,
 ``&`` and ``|`` left.  The binary connectives are stated once, in the table
 ``_BINARY``, which both the parser and the minimal-parenthesis printer read.
 
-Every recursive notation (graphs and formulas here, ordinals in
-``continuum``) is read by functions over ``(text, pos)`` that return
-``(value, pos)``, and ``read_all`` checks that one read the whole text.
-Each reader takes two frames per bracket (formulas by precedence climbing).
+A text is read from one list of tokens: ``_TOKEN`` splits it into ``->``,
+runs of letters, digits and ``_``, and single other characters, skipping
+whitespace.  The readers are functions over ``(tokens, i)`` that return
+``(value, i)``, and the list ends in an empty token, so that none of them
+tests for the end.  Each reader takes two frames per bracket (formulas by
+precedence climbing), and builds one atom per name in the text.  An error
+names the position in the text of the token it met, which is found only
+then, by splitting the text again.  Ordinals are read from ``(text, pos)``
+in ``continuum``.
 """
 
 from __future__ import annotations
+
+import re
 
 from . import formulas as fm
 from .errors import DialectError, ParseError
 from .graphs import ATOM_NAME, Atom, Dialect, Graph, Item, Scroll, walk_violations
 
 # ---------------------------------------------------------------------------
-# Reading: functions over (text, pos) that return (value, pos)
+# Reading: functions over (tokens, i) that return (value, i)
 # ---------------------------------------------------------------------------
 
-
-def skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
+_TOKEN = re.compile(r"->|\w+|\S")
+_WORD = re.compile(r"\w")
 
 
-def _name_end(text: str, pos: int) -> int:
-    """The end of the run of letters, digits and ``_`` at ``pos``."""
-    while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-        pos += 1
-    return pos
+class _Unread(Exception):
+    """A reader's error at a token: its message and the token's index."""
 
 
-def read_all(text: str, read, what: str = ""):
-    """What ``read`` reads from the start of ``text``, if only whitespace follows."""
-    value, pos = read(text, 0)
-    pos = skip_ws(text, pos)
-    if pos != len(text):
-        raise ParseError(f"unexpected {text[pos]!r}{what}", pos)
+def _read(text: str, read, atoms: dict):
+    """What ``read`` reads from the tokens of ``text``, if it reads them
+    all; ``atoms`` holds the nodes of the names read so far."""
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
+    try:
+        value, i = read(tokens, 0, atoms)
+        if tokens[i]:
+            raise _Unread(f"unexpected {tokens[i][0]!r}", i)
+    except _Unread as exc:
+        message, i = exc.args
+        raise ParseError(message, _position(text, i)) from None
     return value
+
+
+def _position(text: str, i: int) -> int:
+    """Where token ``i`` of ``text`` starts, or the text's length past its last."""
+    for n, token in enumerate(_TOKEN.finditer(text)):
+        if n == i:
+            return token.start()
+    return len(text)
 
 
 # ---------------------------------------------------------------------------
@@ -66,47 +81,52 @@ def parse_graph(text: str, dialect: Dialect) -> Graph:
     that reads holds a loop exactly when it holds a '|', so only a
     classical text with a '|' is checked, by the walk, which nests one
     frame per level where the nodes' ``flaws`` nest four."""
-    graph = read_all(text, _parse_area)
+    graph = _read(text, _parse_area, {})
     if dialect is Dialect.CLASSICAL and "|" in text:
         bad = walk_violations(graph, dialect)[0]
         raise DialectError(f"{bad.reason} at {bad.path}")
     return graph
 
 
-def _parse_area(text: str, pos: int) -> tuple[Graph, int]:
-    items: list[Item] = []
-    while True:
-        pos = skip_ws(text, pos)
-        if pos == len(text) or text[pos] in ")]|":
-            return Graph(tuple(items)), pos
-        item, pos = _parse_item(text, pos)
-        items.append(item)
-
-
+# the tokens that end an area, the empty one at the end of the text included
+_AREA_END = frozenset((")", "]", "|", ""))
 _CLOSING = {"(": ")", "[": "]"}
 
 
-def _parse_item(text: str, pos: int) -> tuple[Item, int]:
-    ch = text[pos]
-    if ch in _CLOSING:
-        # a scroll's regions: the outer area, then a loop after each '|'
-        area, pos = _parse_area(text, pos + 1)
-        regions = [area]
-        while pos < len(text) and text[pos] == "|":
-            if ch == "(":
-                raise ParseError("'|' is only valid inside '[ ]'", pos)
-            area, pos = _parse_area(text, pos + 1)
-            regions.append(area)
-        if pos == len(text) or text[pos] != _CLOSING[ch]:
-            raise ParseError(f"unclosed {ch!r}", pos)
-        return Scroll(regions[0], tuple(regions[1:])), pos + 1
-    end = _name_end(text, pos)
-    if end == pos:
-        raise ParseError(f"unexpected {ch!r}", pos)
-    name = text[pos:end]
-    if not ATOM_NAME.match(name):
-        raise ParseError(f"bad atom name {name!r}", pos)
-    return Atom(name), end
+def _parse_area(tokens: list[str], i: int, atoms: dict) -> tuple[Graph, int]:
+    """The area at token ``i``: its atoms, read here, and its scrolls."""
+    items: list[Item] = []
+    token = tokens[i]
+    while token not in _AREA_END:
+        if token in _CLOSING:
+            item, i = _parse_scroll(tokens, i, atoms)
+        else:
+            item = atoms.get(token)
+            if item is None:
+                if not ATOM_NAME.match(token):
+                    raise _Unread(f"bad atom name {token!r}" if _WORD.match(token)
+                                  else f"unexpected {token[0]!r}", i)
+                item = atoms[token] = Atom(token)
+            i += 1
+        items.append(item)
+        token = tokens[i]
+    return Graph(tuple(items)), i
+
+
+def _parse_scroll(tokens: list[str], i: int, atoms: dict) -> tuple[Scroll, int]:
+    """The scroll opened at token ``i``: its outer area, then a loop after
+    each '|'."""
+    bracket = tokens[i]
+    area, i = _parse_area(tokens, i + 1, atoms)
+    regions = [area]
+    while tokens[i] == "|":
+        if bracket == "(":
+            raise _Unread("'|' is only valid inside '[ ]'", i)
+        area, i = _parse_area(tokens, i + 1, atoms)
+        regions.append(area)
+    if tokens[i] != _CLOSING[bracket]:
+        raise _Unread(f"unclosed {bracket!r}", i)
+    return Scroll(regions[0], tuple(regions[1:])), i + 1
 
 
 def print_graph(g: Graph) -> str:
@@ -131,49 +151,45 @@ _FORMULA_KEYWORDS = {"T": fm.TOP, "F": fm.BOT}
 # index, and ``~`` binds tighter than all of them.  (node, sign, right-assoc)
 _BINARY = ((fm.Imp, "->", True), (fm.Or, "|", False), (fm.And, "&", False))
 _NOT = len(_BINARY)
-# a connective's precedence by the first character of its sign
-_LEVEL = {sign[0]: level for level, (_, sign, _) in enumerate(_BINARY)}
+# a connective's precedence by its sign
+_LEVEL = {sign: level for level, (_, sign, _) in enumerate(_BINARY)}
 
 
 def parse_formula(text: str) -> fm.Formula:
-    return read_all(text, _binary)
+    return _read(text, _binary, dict(_FORMULA_KEYWORDS))
 
 
-def _binary(text: str, pos: int, minimum: int = 0) -> tuple[fm.Formula, int]:
-    """The formula at ``pos`` whose connectives bind at ``minimum`` or
+def _binary(tokens: list[str], i: int, atoms: dict,
+            minimum: int = 0) -> tuple[fm.Formula, int]:
+    """The formula at token ``i`` whose connectives bind at ``minimum`` or
     tighter: an operand, then each such connective with its right operand."""
-    f, pos = _unary(text, pos)
-    while True:
-        pos = skip_ws(text, pos)
-        level = _LEVEL.get(text[pos:pos + 1], -1)
-        if level < minimum or not text.startswith(_BINARY[level][1], pos):
-            return f, pos
-        node, sign, right_assoc = _BINARY[level]
-        right, pos = _binary(text, pos + len(sign), level if right_assoc else level + 1)
+    f, i = _unary(tokens, i, atoms)
+    level = _LEVEL.get(tokens[i], -1)
+    while level >= minimum:
+        node, _, right_assoc = _BINARY[level]
+        right, i = _binary(tokens, i + 1, atoms, level if right_assoc else level + 1)
         f = node(f, right)
+        level = _LEVEL.get(tokens[i], -1)
+    return f, i
 
 
-def _unary(text: str, pos: int) -> tuple[fm.Formula, int]:
-    pos = skip_ws(text, pos)
-    ch = text[pos:pos + 1]
-    if ch == "~":
-        f, pos = _unary(text, pos + 1)
-        return fm.Not(f), pos
-    if ch == "(":
-        f, pos = _binary(text, pos + 1)
-        pos = skip_ws(text, pos)
-        if not text.startswith(")", pos):
-            raise ParseError("unclosed '('", pos)
-        return f, pos + 1
-    if ch == "":
-        raise ParseError("formula expected", pos)
-    end = _name_end(text, pos)
-    name = text[pos:end]
-    if name in _FORMULA_KEYWORDS:
-        return _FORMULA_KEYWORDS[name], end
-    if not ATOM_NAME.match(name):
-        raise ParseError(f"bad token {ch!r}", pos)
-    return fm.Atom(name), end
+def _unary(tokens: list[str], i: int, atoms: dict) -> tuple[fm.Formula, int]:
+    token = tokens[i]
+    f = atoms.get(token)
+    if f is not None:
+        return f, i + 1
+    if token == "~":
+        f, i = _unary(tokens, i + 1, atoms)
+        return fm.Not(f), i
+    if token == "(":
+        f, i = _binary(tokens, i + 1, atoms)
+        if tokens[i] != ")":
+            raise _Unread("unclosed '('", i)
+        return f, i + 1
+    if not ATOM_NAME.match(token):
+        raise _Unread(f"bad token {token[0]!r}" if token else "formula expected", i)
+    f = atoms[token] = fm.Atom(token)
+    return f, i + 1
 
 
 def print_formula(f: fm.Formula) -> str:

@@ -1,7 +1,10 @@
-"""Seeded random generators shared by unit and acceptance tests."""
+"""Seeded random generators, and a check of the node classes, shared by
+unit and acceptance tests."""
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import random
 from fractions import Fraction
 
@@ -82,3 +85,25 @@ def random_element(rng: random.Random, pieces: int = 3) -> ContinuumElement:
         for _ in range(rng.randint(1, pieces))
     )
     return elem_canonicalize(ContinuumElement(parts))
+
+
+def check_frozen_node(node) -> None:
+    """``node``'s class is still a frozen dataclass whatever ``__init__`` it
+    has: its fields refuse assignment, its signature is its fields, and it
+    is built by keyword and by ``dataclasses.replace`` into an equal node
+    with the same repr."""
+    fields = dataclasses.fields(node)
+    for name in [field.name for field in fields] + ["other"]:
+        try:
+            setattr(node, name, None)
+        except dataclasses.FrozenInstanceError:
+            continue
+        raise AssertionError(f"{type(node).__name__}.{name} was assigned")
+    empty = inspect.Parameter.empty
+    assert [(param.name, param.default, param.kind)
+            for param in inspect.signature(type(node)).parameters.values()] == [
+        (field.name, empty if field.default is dataclasses.MISSING else field.default,
+         inspect.Parameter.POSITIONAL_OR_KEYWORD) for field in fields]
+    values = {field.name: getattr(node, field.name) for field in fields}
+    for twin in (type(node)(**values), dataclasses.replace(node)):
+        assert twin == node and repr(twin) == repr(node) and twin is not node

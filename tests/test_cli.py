@@ -87,6 +87,18 @@ class TestTaut:
         argv = ["--file", str(source)] if from_file else [text]
         assert run(capsys, "taut", "--logic", "intuitionistic", *argv) == (1, "not a theorem\n", "")
 
+    @pytest.mark.parametrize("logic,goal,expected", [
+        ("intuitionistic", "q", (1, "not a theorem\n", "")),
+        ("intuitionistic", "a7", (0, "theorem\n", "")),
+        ("classical", "q", (2, "", "eg: 1001 atoms exceed the truth-table guard\n")),
+    ], ids=["not-a-theorem", "theorem", "classical-guard"])
+    def test_flat_conjunction_is_decided(self, capsys, logic, goal, expected):
+        # a chain of & without parentheses reads left-nested, 1,000 levels
+        # deep, though its text nests nothing: the walks over it keep their
+        # own stacks, so the verdict is given, or the atom guard's error
+        text = " & ".join(f"a{i}" for i in range(1_000)) + f" -> {goal}"
+        assert run(capsys, "taut", "--logic", logic, text) == expected
+
     @pytest.mark.parametrize("worlds", ["9", "0", "-1"])
     def test_max_worlds_out_of_range(self, capsys, worlds):
         code, out, err = run(capsys, "taut", "--logic", "intuitionistic",

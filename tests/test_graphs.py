@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import random
 
@@ -32,7 +33,7 @@ from peirce.graphs import (
 )
 from peirce.notation import parse_graph, print_graph
 
-from genutil import random_graph
+from genutil import check_frozen_node, random_graph
 
 C = Dialect.CLASSICAL
 I = Dialect.INTUITIONISTIC
@@ -40,6 +41,29 @@ I = Dialect.INTUITIONISTIC
 
 def g(text, dialect=I):
     return parse_graph(text, dialect)
+
+
+class TestNodeContract:
+    # the graph nodes are frozen dataclasses, built by position, by keyword
+    # and by dataclasses.replace; test_semantics checks the formula nodes,
+    # whose __init__ is their own, the same way
+    @pytest.mark.parametrize("node", [
+        Atom("p"), Scroll(g("p"), (g("q"), BLANK)), g("p (q)")], ids=["Atom", "Scroll", "Graph"])
+    def test_a_frozen_dataclass(self, node):
+        check_frozen_node(node)
+
+    def test_defaults_and_replace(self):
+        assert Scroll(outer=g("p")) == Scroll(g("p"), ()) == cut(Atom("p"))
+        assert Graph() == Graph(items=()) == BLANK
+        assert repr(Scroll(BLANK)) == "Scroll(outer=Graph(items=()), loops=())"
+        scroll = dataclasses.replace(cut(Atom("p")), loops=(g("q"),))
+        assert scroll == g("[p | q]").items[0] and scroll.key == g("[p | q]").items[0].key
+        assert dataclasses.replace(Atom("p"), name="q") == Atom("q")
+
+    def test_the_reader_builds_one_atom_per_name(self):
+        graph = parse_graph("p (p)", I)
+        assert graph.items[0] is graph.items[1].outer.items[0]
+        assert parse_graph("p", I).items[0] is not graph.items[0]
 
 
 class TestCanonicalize:

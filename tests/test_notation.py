@@ -1,11 +1,13 @@
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peirce import formulas as fm
+from peirce.cli import main
 from peirce.errors import DialectError, ParseError
 from peirce.graphs import Atom, Dialect, Graph, Scroll
 from peirce.notation import parse_formula, parse_graph, print_formula, print_graph
@@ -250,3 +252,35 @@ def test_graph_print_or_error_bytes_are_pinned():
     assert not any("unmatched" in line for line in errors)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "8c49a34d9580c0f0e55f409eb2075f57951853cc2f40279d59576332995873f5"
+
+
+class TestUnicodeClasses:
+    # the readers split a text with a pattern whose \s and \w stand for
+    # str.isspace and for str.isalnum or '_', which the readers before it
+    # tested one character at a time
+    def test_pattern_classes_are_the_string_tests(self):
+        every = "".join(map(chr, range(0x110000)))
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+        assert re.findall(r"\w", every) == [c for c in every if c.isalnum() or c == "_"]
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("parse", "--dialect", "classical", "p\u3000q"), (0, "p q\n", "")),
+        (("parse", "--dialect", "classical", "(p\xa0q)"), (0, "(p q)\n", "")),
+        (("parse", "--dialect", "classical", "p \xe9"),
+         (2, "", "eg: bad atom name '\xe9' (at position 2)\n")),
+        (("parse", "--dialect", "classical", "p\u0663"),
+         (2, "", "eg: bad atom name 'p\u0663' (at position 0)\n")),
+        (("parse", "--dialect", "classical", "p -> q"),
+         (2, "", "eg: unexpected '-' (at position 2)\n")),
+        (("taut", "--logic", "classical", "\xe9 & p"),
+         (2, "", "eg: bad token '\xe9' (at position 0)\n")),
+        (("taut", "--logic", "classical", "p\u0663 -> q"),
+         (2, "", "eg: bad token 'p' (at position 0)\n")),
+        (("taut", "--logic", "classical", "p\u3000->\u3000q"), (1, "not a tautology\n", "")),
+    ])
+    def test_outputs_are_pinned(self, capsys, argv, expected):
+        # ideographic and no-break spaces separate; an accented letter and
+        # an Arabic-Indic digit join a name, which no atom may hold
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected

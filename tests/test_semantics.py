@@ -24,7 +24,7 @@ from peirce.semantics import (
     taut_int,
 )
 
-from genutil import random_formula, random_graph
+from genutil import check_frozen_node, random_formula, random_graph
 
 C = Dialect.CLASSICAL
 I = Dialect.INTUITIONISTIC
@@ -498,6 +498,30 @@ class TestStoredHash:
         assert hash(node) == hash((node.body,))
 
 
+class TestNodeContract:
+    # each node's __init__ writes its fields and its hash into the instance
+    # dict in one step; the classes stay frozen dataclasses
+    @pytest.mark.parametrize("node", [
+        fm.Atom("p"), fm.TOP, fm.BOT, fm.Not(fm.Atom("p")), fm.And(fm.Atom("p"), fm.TOP),
+        fm.Or(fm.BOT, fm.Atom("q")), fm.Imp(fm.Atom("p"), fm.Not(fm.Atom("q")))],
+        ids=lambda node: type(node).__name__)
+    def test_a_frozen_dataclass_with_the_dataclass_hash(self, node):
+        check_frozen_node(node)
+        fields = tuple(getattr(node, field.name) for field in dataclasses.fields(node))
+        assert hash(node) == hash(fields) == hash(type(node)(*fields))
+
+    def test_replace_hashes_the_new_fields(self):
+        p, q = fm.Atom("p"), fm.Atom("q")
+        swapped = dataclasses.replace(fm.Imp(p, q), left=q)
+        assert swapped == fm.Imp(q, q) and hash(swapped) == hash((q, q))
+        assert repr(fm.Not(p)) == "Not(body=Atom(name='p'))"
+
+    def test_the_reader_builds_one_atom_per_name(self):
+        formula = f("p & p -> p")
+        assert formula.left.left is formula.left.right is formula.right
+        assert f("T & ~T").left is f("T") is fm.TOP
+
+
 def _subformulas(f):
     yield f
     if isinstance(f, fm.Not):
@@ -540,6 +564,23 @@ class TestStripNot:
         stripped = fm.strip_not(fm.Or(left, f("~p")))
         assert stripped == fm.Or(left, f("p -> F"))
         assert stripped.left is left
+
+    def test_a_deep_chain_takes_no_recursion(self):
+        # a & chain 10,000 levels deep, as the reader nests a0 & a1 & ...;
+        # with no ~ it is returned itself, and with one ~ at its bottom only
+        # the spine above the ~ is built anew
+        plain = fm.Atom("a")
+        negated = fm.Not(plain)
+        for i in range(10_000):
+            plain = fm.And(plain, fm.Atom(f"b{i % 7}"))
+            negated = fm.And(negated, plain.right)
+        assert fm.strip_not(plain) is plain
+        node, spine = fm.strip_not(negated), negated
+        while isinstance(spine, fm.And):
+            assert isinstance(node, fm.And) and node.right is spine.right
+            node, spine = node.left, spine.left
+        assert node == fm.Imp(fm.Atom("a"), fm.BOT)
+        assert fm.atoms(negated) == fm.atoms(plain) == {"a"} | {f"b{i}" for i in range(7)}
 
 
 class TestEntails:
