@@ -50,6 +50,8 @@ def _add_text(parser: argparse.ArgumentParser, name: str):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="eg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # each subcommand's parser by its name, which main calls directly
+    parser.commands = sub.choices
     dialects = [dialect.value for dialect in Dialect]
 
     p = sub.add_parser("parse", help="parse a graph and print its canonical form")
@@ -97,8 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # the top parser hands all of an argv that starts with a subcommand's
+    # name to that subcommand's parser, so such an argv goes there at once
+    # and is scanned once; the namespace lacks only the unread "command"
+    command = _COMMANDS.get(argv[0]) if argv else None
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(argv) if command is None else command.parse_args(argv[1:])
         return args.run(args)
     except SystemExit:
         # only --help exits, after printing the help
@@ -206,8 +213,9 @@ def _continuum(args: argparse.Namespace) -> int:
     return code
 
 
-# built once: parse_args leaves the parser as it was, so calls share it
+# built once: parse_args leaves a parser as it was, so calls share them
 _PARSER = build_parser()
+_COMMANDS = _PARSER.commands
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -97,34 +97,6 @@ def atoms(f: Formula) -> set[str]:
     return names
 
 
-# the mark on strip_not's stack that the node under it is to be rebuilt
-_REBUILD = object()
-
-
-def strip_not(f: Formula) -> Formula:
-    """``f`` with every ``~a`` rewritten as ``a -> F``.  A node with no ``~``
-    beneath it is returned itself.  The walk keeps its own stack, so a
-    long chain such as ``a0 & a1 & ... & a999`` takes no recursion."""
-    done = []   # the stripped subformulas, each node's after its children's
-    todo = [f]
-    while todo:
-        f = todo.pop()
-        if f is _REBUILD:
-            f = todo.pop()
-            if isinstance(f, Not):
-                done.append(Imp(done.pop(), BOT))
-            else:
-                right, left = done.pop(), done.pop()
-                done.append(f if left is f.left and right is f.right else type(f)(left, right))
-        elif isinstance(f, Not):
-            todo += f, _REBUILD, f.body
-        elif isinstance(f, (And, Or, Imp)):
-            todo += f, _REBUILD, f.right, f.left
-        else:
-            done.append(f)
-    return done[0]
-
-
 def eval_mask(f: Formula, atom_masks: dict[str, int], up: tuple[int, ...],
               width: int) -> int:
     """The bitmask of the points where ``f`` holds.  Bit ``w * width + v``

@@ -4,8 +4,9 @@ The classical oracle is a truth table over all 2^n rows at once, one
 bitmask per atom (guarded at 20 atoms).
 The intuitionistic oracle is a contraction-free sequent procedure in the
 G4ip style: the four implication-left refinements make it terminate on
-every input, and it decides full IPC.  Negation is treated internally as
-implication into falsum.  The rules that neither branch nor lose
+every input, and it decides full IPC.  Negation is read where it stands
+as implication into falsum: ``~A`` acts as ``A -> F`` in each rule, and
+no formula is rewritten first.  The rules that neither branch nor lose
 provability run in a loop over one set until none fires, without
 recursion, and only the saturated sequents left for the branching rules
 are memoised.
@@ -111,7 +112,7 @@ def taut_classical(f: fm.Formula) -> bool:
 def taut_int(f: fm.Formula) -> bool:
     """True iff ``f`` is a theorem of intuitionistic propositional logic."""
     try:
-        return _sequent(frozenset(), [], fm.strip_not(f))
+        return _sequent(frozenset(), [], f)
     finally:
         # each call starts from an empty memo and keeps nothing; an entry
         # depends only on its sequent, so threads may share the memo
@@ -128,6 +129,9 @@ def _sequent(gamma: frozenset, new: list, goal: fm.Formula) -> bool:
     while type(goal) is fm.Imp:
         new.append(goal.left)
         goal = goal.right
+    if type(goal) is fm.Not:
+        new.append(goal.body)
+        goal = fm.BOT
     if new:
         out = set(gamma)
         while new:
@@ -137,32 +141,44 @@ def _sequent(gamma: frozenset, new: list, goal: fm.Formula) -> bool:
                 kind = type(f)
                 if kind is fm.And:
                     new += f.left, f.right
-                elif kind is fm.Imp:
-                    head = f.left
+                elif kind is fm.Imp or kind is fm.Not:
+                    head, tail = (f.left, f.right) if kind is fm.Imp else (f.body, fm.BOT)
                     kind = type(head)
                     if kind is fm.And:
-                        new.append(fm.Imp(head.left, fm.Imp(head.right, f.right)))
+                        new.append(fm.Imp(head.left, fm.Imp(head.right, tail)))
                     elif kind is fm.Or:
-                        new += fm.Imp(head.left, f.right), fm.Imp(head.right, f.right)
+                        new += fm.Imp(head.left, tail), fm.Imp(head.right, tail)
                     elif kind is fm.Top or kind is fm.Atom and head in out:
-                        new.append(f.right)
+                        new.append(tail)
                     elif kind is not fm.Bot:
                         out.add(f)
                 elif kind is not fm.Top:
                     if kind is fm.Atom and f not in out:
                         atoms.add(f)
                     out.add(f)
-            # an implication held before its atom head came fires once a pass
+            # an implication or ~ held before its atom head came fires once a pass
             if atoms:
-                fired = [f for f in out if type(f) is fm.Imp and f.left in atoms]
+                fired = [f for f in out if type(f) is fm.Imp and f.left in atoms
+                         or type(f) is fm.Not and f.body in atoms]
                 out.difference_update(fired)
-                new = [f.right for f in fired]
+                new = [f.right if type(f) is fm.Imp else fm.BOT for f in fired]
         gamma = frozenset(out)
-    if type(goal) is fm.Top or fm.BOT in gamma or goal in gamma:
+    if fm.BOT in gamma:
         return True
-    if type(goal) is fm.And:
-        return _sequent(gamma, [], goal.left) and _sequent(gamma, [], goal.right)
-    return _prove(gamma, goal)
+    # an & goal's conjuncts are taken left to right from a stack, so a long
+    # chain of them takes no recursion
+    goals = [goal]
+    while goals:
+        goal = goals.pop()
+        kind = type(goal)
+        if kind is fm.And:
+            goals += goal.right, goal.left
+        elif kind is fm.Imp or kind is fm.Not:
+            if not _sequent(gamma, [], goal):
+                return False
+        elif kind is not fm.Top and goal not in gamma and not _prove(gamma, goal):
+            return False
+    return True
 
 
 @functools.cache
@@ -178,13 +194,18 @@ def _prove(gamma: frozenset, goal: fm.Formula) -> bool:
     if type(goal) is fm.Or:
         if _sequent(gamma, [], goal.left) or _sequent(gamma, [], goal.right):
             return True
+    # (A -> B) -> C, which takes ~(A -> B), ~A -> C and ~~A too
     for f in gamma:
-        if type(f) is fm.Imp and type(f.left) is fm.Imp:
-            rest = gamma - {f}
-            inner = f.left
-            if (_sequent(rest, [fm.Imp(inner.right, f.right)], inner)
-                    and _sequent(rest, [f.right], goal)):
-                return True
+        kind = type(f)
+        if kind is fm.Imp or kind is fm.Not:
+            inner, tail = (f.left, f.right) if kind is fm.Imp else (f.body, fm.BOT)
+            kind = type(inner)
+            if kind is fm.Imp or kind is fm.Not:
+                rest = gamma - {f}
+                middle = inner.right if kind is fm.Imp else fm.BOT
+                if (_sequent(rest, [fm.Imp(middle, tail)], inner)
+                        and _sequent(rest, [tail], goal)):
+                    return True
     return False
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import os
@@ -54,6 +55,9 @@ class TestGraphSyntaxErrors:
         assert run(capsys, "parse", "--dialect", "classical", text) == (2, "", f"eg: {error}\n")
 
 
+FLAT_CHAIN = " & ".join(f"a{i}" for i in range(1_000))
+
+
 class TestTaut:
     def test_classical_tautology(self, capsys):
         code, out, _ = run(capsys, "taut", "--logic", "classical", "p | ~p")
@@ -91,13 +95,14 @@ class TestTaut:
         ("intuitionistic", "q", (1, "not a theorem\n", "")),
         ("intuitionistic", "a7", (0, "theorem\n", "")),
         ("classical", "q", (2, "", "eg: 1001 atoms exceed the truth-table guard\n")),
-    ], ids=["not-a-theorem", "theorem", "classical-guard"])
+        ("intuitionistic", FLAT_CHAIN, (0, "theorem\n", "")),
+    ], ids=["not-a-theorem", "theorem", "classical-guard", "chain-implies-itself"])
     def test_flat_conjunction_is_decided(self, capsys, logic, goal, expected):
         # a chain of & without parentheses reads left-nested, 1,000 levels
         # deep, though its text nests nothing: the walks over it keep their
-        # own stacks, so the verdict is given, or the atom guard's error
-        text = " & ".join(f"a{i}" for i in range(1_000)) + f" -> {goal}"
-        assert run(capsys, "taut", "--logic", logic, text) == expected
+        # own stacks, as G4ip does with an & goal's conjuncts, so the
+        # verdict is given, or the atom guard's error
+        assert run(capsys, "taut", "--logic", logic, f"{FLAT_CHAIN} -> {goal}") == expected
 
     @pytest.mark.parametrize("worlds", ["9", "0", "-1"])
     def test_max_worlds_out_of_range(self, capsys, worlds):
@@ -600,3 +605,74 @@ class TestFuzzedCommandLines:
         assert "Traceback" not in err.getvalue()
         if code == 2:
             assert re.fullmatch(r"eg: .*\n", err.getvalue()), argv
+
+
+def both_ways(monkeypatch, argv):
+    """``main(argv)`` as it runs, then with every argv sent to the top
+    parser as it was before a subcommand's argv went to that subcommand's
+    parser: each run's exit code, stdout, stderr, and the namespace that
+    parse_args returned, less the ``command`` that only the top parser sets."""
+    outcomes, parse = [], argparse.ArgumentParser.parse_args
+    for commands in (cli._COMMANDS, {}):
+        monkeypatch.setattr(cli, "_COMMANDS", commands)
+        spaces = []
+
+        def recorded(parser, args=None, namespace=None, spaces=spaces):
+            space = parse(parser, args, namespace)
+            spaces.append({k: v for k, v in vars(space).items() if k != "command"})
+            return space
+
+        monkeypatch.setattr(cli._Parser, "parse_args", recorded)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        outcomes.append((code, out.getvalue(), err.getvalue(), spaces))
+    return outcomes
+
+
+EDGES = [
+    [], ["-h"], ["--he"], ["taut", "-h"], ["frobnicate"], ["frobnicate", "p"],
+    ["taut", "--lo", "classical", "p | ~p"], ["taut", "--logic=classical", "p | ~p"],
+    ["taut", "p | ~p", "--logic", "intuitionistic"],
+    ["prove", "--system", "classical", "--goal", "(p (p))", "--depth", "-1"],
+    ["--"], ["--", "taut", "--logic", "classical", "p"], ["taut", "--logic", "classical", "--", "p"],
+    ["taut", "--logic", "classical", "p", "--bogus"], ["--bogus", "taut"],
+    ["continuum", "domain", "[w:1]"], ["check"], ["parse", "--dialect"],
+] + [[command, "--help"] for command in ("parse", "check", "prove", "taut", "translate",
+                                         "render", "continuum")]
+
+
+class TestDispatch:
+    """An argv that starts with a subcommand's name is read by that
+    subcommand's parser alone, with the top parser's outcome: the same
+    namespace, the same usage error, or the same help bytes and exit."""
+
+    @pytest.mark.parametrize("argv", EDGES, ids=" ".join)
+    def test_edge_cases(self, monkeypatch, argv):
+        dispatched, top = both_ways(monkeypatch, argv)
+        assert dispatched == top
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_command_lines(self, tmp_path, monkeypatch, data):
+        monkeypatch.chdir(tmp_path)
+        argv, text, script = data.draw(command_lines(tmp_path))
+        (tmp_path / "input.txt").write_text(text, encoding="utf-8")
+        (tmp_path / "script.eg").write_text(script, encoding="utf-8")
+        dispatched, top = both_ways(monkeypatch, argv)
+        assert dispatched == top, argv
+
+    @pytest.mark.parametrize("argv", [["eg"], ["eg", "taut", "--logic", "classical", "p | ~p"],
+                                      ["eg", "taut", "--help"]], ids=" ".join)
+    def test_argv_from_sys(self, monkeypatch, argv):
+        monkeypatch.setattr(sys, "argv", argv)
+        dispatched, top = both_ways(monkeypatch, None)
+        assert dispatched == top
+        assert dispatched == both_ways(monkeypatch, argv[1:])[0]
+
+    def test_a_subcommand_skips_the_top_parser(self, capsys, monkeypatch):
+        def parse_args(args=None, namespace=None):
+            raise AssertionError("the top parser read a subcommand's argv")
+        monkeypatch.setattr(cli._PARSER, "parse_args", parse_args)
+        assert run(capsys, "taut", "--logic", "classical", "p | ~p") == (0, "tautology\n", "")

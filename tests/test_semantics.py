@@ -400,7 +400,7 @@ class TestG4ipWork:
         theorems = total = reference = 0
         for formula in formulas + [pigeonhole(n) for n in (2, 3, 4)]:
             expected = [0]
-            verdict = _reference_prove(frozenset(), fm.strip_not(formula), {}, expected)
+            verdict = _reference_prove(frozenset(), _rebuilt_without_not(formula), {}, expected)
             asked.clear()
             assert taut_int(formula) == verdict, print_formula(formula)
             assert len(asked) <= expected[0], print_formula(formula)
@@ -420,8 +420,8 @@ class TestG4ipWork:
         def checked(gamma, goal):
             for f in gamma:
                 assert type(f) not in (fm.And, fm.Top, fm.Bot), print_formula(f)
-                if type(f) is fm.Imp:
-                    head = f.left
+                if type(f) in (fm.Imp, fm.Not):
+                    head = f.left if type(f) is fm.Imp else f.body
                     assert type(head) not in (fm.Bot, fm.Top, fm.And, fm.Or), print_formula(f)
                     assert type(head) is not fm.Atom or head not in gamma, print_formula(f)
             assert type(goal) not in (fm.Imp, fm.And, fm.Top), print_formula(goal)
@@ -540,46 +540,30 @@ def _rebuilt_without_not(f):
     return f
 
 
-class TestStripNot:
-    def test_same_formula_as_rebuilding(self):
+class TestNegationInPlace:
+    # G4ip reads ~A as A -> F where it stands; _rebuilt_without_not
+    # rewrites every ~A so before G4ip starts
+    def test_same_verdict_as_on_the_rebuilt_formula(self):
         rng = random.Random(97)
+        theorems = 0
         for _ in range(300):
             formula = random_formula(rng, connectives=rng.randint(0, 12), atoms=4)
-            stripped = fm.strip_not(formula)
-            assert stripped == _rebuilt_without_not(formula), print_formula(formula)
-            assert not any(isinstance(sub, fm.Not) for sub in _subformulas(stripped))
-
-    def test_a_formula_without_negation_is_returned_itself(self):
-        rng = random.Random(101)
-        unchanged = 0
-        for _ in range(300):
-            formula = random_formula(rng, connectives=rng.randint(0, 8), atoms=4)
-            if not any(isinstance(sub, fm.Not) for sub in _subformulas(formula)):
-                assert fm.strip_not(formula) is formula
-                unchanged += 1
-        assert unchanged > 50
-
-    def test_an_untouched_sibling_is_shared(self):
-        left = f("(p -> q) & (r | q)")
-        stripped = fm.strip_not(fm.Or(left, f("~p")))
-        assert stripped == fm.Or(left, f("p -> F"))
-        assert stripped.left is left
+            verdict = taut_int(formula)
+            assert verdict == taut_int(_rebuilt_without_not(formula)), print_formula(formula)
+            theorems += verdict
+        assert 30 < theorems < 270
 
     def test_a_deep_chain_takes_no_recursion(self):
-        # a & chain 10,000 levels deep, as the reader nests a0 & a1 & ...;
-        # with no ~ it is returned itself, and with one ~ at its bottom only
-        # the spine above the ~ is built anew
+        # a & chain 10,000 levels deep, as the reader nests a0 & a1 & ...,
+        # with a ~ at its bottom: taken apart on the left, and as a goal
+        # conjunct by conjunct, with no recursion per &
         plain = fm.Atom("a")
         negated = fm.Not(plain)
         for i in range(10_000):
             plain = fm.And(plain, fm.Atom(f"b{i % 7}"))
             negated = fm.And(negated, plain.right)
-        assert fm.strip_not(plain) is plain
-        node, spine = fm.strip_not(negated), negated
-        while isinstance(spine, fm.And):
-            assert isinstance(node, fm.And) and node.right is spine.right
-            node, spine = node.left, spine.left
-        assert node == fm.Imp(fm.Atom("a"), fm.BOT)
+        assert taut_int(fm.Imp(negated, negated))
+        assert not taut_int(fm.Imp(negated, plain))
         assert fm.atoms(negated) == fm.atoms(plain) == {"a"} | {f"b{i}" for i in range(7)}
 
 
