@@ -608,10 +608,10 @@ class TestFuzzedCommandLines:
 
 
 def both_ways(monkeypatch, argv):
-    """``main(argv)`` as it runs, then with every argv sent to the top
-    parser as it was before a subcommand's argv went to that subcommand's
-    parser: each run's exit code, stdout, stderr, and the namespace that
-    parse_args returned, less the ``command`` that only the top parser sets."""
+    """``main(argv)`` as it runs, then with ``_COMMANDS`` emptied, so that
+    every argv goes to the top parser: each run's exit code, stdout, stderr,
+    and the namespace that parse_args returned, less the ``command`` that
+    only the top parser sets."""
     outcomes, parse = [], argparse.ArgumentParser.parse_args
     for commands in (cli._COMMANDS, {}):
         monkeypatch.setattr(cli, "_COMMANDS", commands)
