@@ -15,8 +15,9 @@ undone.  apply_rule evaluates the conditions and raises the first failing
 one's reason.  ``moves`` is the one listing of a graph's moves: each rule
 with the operands that the same conditions accept, no instance built.
 enumerate_rule_instances builds their instances, ``edits`` gives their
-edits (for a search that keys a successor before building it), and
-``predecessor_edits`` undoes each rule as its entry says, as edits too.
+edits (for a search that keys a successor before building it),
+``predecessor_edits`` undoes each rule as its entry says, as edits too,
+and ``unlisted_edits`` gives the edits that no listed predecessor undoes.
 Every graph a rule gives or undoes is built from its edit.
 
 Iteration scope is a test on paths.  An area is in scope of an item when
@@ -200,9 +201,10 @@ def accepted(rule: Rule, walk: Walk) -> Iterator[tuple]:
     # only those that pass
     if rule.growth is not None and rule.growth > walk.limit:
         return
-    more, condition = rule.more, rule.condition
+    more, condition, polarity = rule.more, rule.condition, rule.polarity
+    odd = polarity == ODD
     for site in getattr(walk, rule.site):
-        if rule.fits(site[0]):
+        if polarity is None or site[0].is_odd == odd:
             for rest in more(walk, *site) if more else ((),):
                 ops = site + rest
                 if not (condition and condition(*ops)):
@@ -438,7 +440,12 @@ def enumerate_rule_instances(system: System, g: Graph,
 def edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),
           max_growth: Optional[int] = None) -> Iterator[tuple]:
     """The edits of the moves, in their order."""
-    return (rule.edit(*ops) for _, rule, ops in moves(system, g, vocabulary, max_growth))
+    walk = Walk(system, g, vocabulary, max_growth)
+    for kind in SYSTEM_RULES[system]:
+        rule = RULES[kind]
+        edit = rule.edit
+        for ops in accepted(rule, walk):
+            yield edit(*ops)
 
 
 def predecessor_edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),
@@ -464,6 +471,27 @@ def predecessor_edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = 
             for rule in rules:
                 if rule.at == at and rule.fits(path):
                     yield from rule.undo(walk, path, node)
+
+
+def unlisted_edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = ()) -> Iterator[tuple]:
+    """The edits of the moves adding no node that predecessor_edits does not
+    undo: ``g`` is not a listed predecessor of their result, under any
+    bound that ``g`` fits.  In the order of ``moves``, they are the unwraps
+    and double-cut removals that their rule's ``keep`` rejects, and the
+    erasures and loop removals of a graph that is not a drawn vocabulary
+    graph.  Iteration undoes every deiteration."""
+    walk = Walk(system, g, vocabulary, 0)
+    drawn = {v.key for (v,) in walk.drawn}
+    unlisted = {
+        Erase: lambda path, item: Graph((item,)).key not in drawn,
+        DoubleCutElim: lambda *ops: not RULES[DoubleCutElim].keep(*ops),
+        ScrollUnwrap: lambda *ops: not RULES[ScrollUnwrap].keep(*ops),
+        LoopRemove: lambda path, item, k: item.loops[k].key not in drawn,
+    }
+    for kind in SYSTEM_RULES[system]:
+        if kind in unlisted:
+            rule, test = RULES[kind], unlisted[kind]
+            yield from (rule.edit(*ops) for ops in accepted(rule, walk) if test(*ops))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,9 @@ both ends (bidirectional BFS, Pohl 1971).  The forward side is the BFS
 above.  The backward side expands the predecessors
 (calculus.predecessor_edits): a subset of the graphs that a move the
 forward side lists rewrites into the state.  It keeps only states the
-start entails (a truth table first, then the intuitionistic oracle).  Each
+start entails (a truth table first, then the intuitionistic oracle),
+decided once per key for the whole search, so the backward layers reuse
+size_cap's verdicts on the goal and its predecessors.  Each
 round expands one whole layer of the side with the smaller frontier, and
 the sides join on canonical keys.  A goal the start does not entail is
 searched forward only, so a negative verdict comes from the forward side
@@ -44,10 +46,12 @@ is a forward edit within the cap, so a state the forward side reached
 before its last layer has had its successors met already, and all
 meetings of one backward layer have the same total depth.  A meeting in a
 forward layer is kept, and the rest of that layer is scanned for a key
-that the backward side reached nearer the goal.  Every forward edit adding
-nodes starts at a listed predecessor of its result, so only an edit that
-adds no node can reach one; the scan keys those edits alone, builds no
-graph and spends no budget.
+that the backward side reached nearer the goal.  Only an edit that no
+listed predecessor of its result undoes can reach one
+(calculus.unlisted_edits): the backward side, expanding any other
+result, would have listed the edited state, and the sides would have met
+there.  The scan keys those edits alone, all of which add no node, and
+spends no budget.
 
 The gap is the steps without a listed undo, all of which add no node:
 unwrapping a loop, or removing a double cut, around two or more items, and
@@ -59,19 +63,24 @@ steps at depth 4 but 5 at depth 5, where plain BFS takes 4, the last an
 found exactly when the forward side alone finds one: it runs to the full
 depth unless the sides meet.
 
-Both sides expand a layer alike, and build no state that is not kept.  A
-state's edits, in the order of its moves, are only those that add at most
-``cap - node_count(g)`` nodes.  Each edit's key is spliced up the edited
-area's spine (graphs.edited_key); a key the side has seen is skipped, one
-the other side holds joins them, and a graph is built for every new key,
-since no edit past the cap is offered.  The states expanded, their order
-and the scripts found are those of building every successor.  Depth-5
-``p | ~p`` builds the 555 states it keeps, not 2,700; the ``~~(p | ~p)``
-search builds 80,563, 54,086 of them backward.
+Both sides expand a layer alike.  A state's edits, in the order of its
+moves, are only those that add at most ``cap - node_count(g)`` nodes.
+Each edit's key is spliced up the edited area's spine (graphs.edited_key);
+a key the side has seen is skipped, one the other side holds joins them,
+and a new key joins the next frontier as the state it came from, the edit
+and the key.  Its graph is built, carrying that key, only when a layer or
+the scan reaches it; no edit past the cap is offered, so no size is
+measured.  The states expanded, their order and the scripts found are
+those of building every successor.  Depth-5 ``p | ~p`` builds the 316
+states it expands after the start, where building every new key built 555
+and building every successor 2,700.
 
-The sides record keys alone.  The script is read back along the keys
+The sides record each key with the key it came from and the position of
+its edit in that state's listing.  The script is read back along the keys
 through the meeting: at each step, the first of the state's moves whose
 edit reaches the next key, and only that move's rule instance is built.
+A step the forward side recorded takes the move at its position, keyed
+once as a check; the other steps list the moves.
 ``max_visited`` bounds the states expanded, on both sides together.
 Every script found is re-checked through check_script before being
 returned; a failed re-check raises CertificationError.
@@ -80,6 +89,7 @@ returned; a failed re-check raises CertificationError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional
 
 from . import formulas as fm
@@ -91,6 +101,7 @@ from .calculus import (
     edits,
     moves,
     predecessor_edits,
+    unlisted_edits,
 )
 from .errors import BoundsExceededError, CertificationError, DialectError, TooManyAtomsError
 from .graphs import (
@@ -153,13 +164,19 @@ def derive(system: System, start: Graph, goal: Graph,
 
 
 def _entailed_by(system: System, start: Graph) -> Callable[[Graph], bool]:
-    """Whether ``start`` entails a graph in the system's logic; in the
-    intuitionistic one a truth table rules out most graphs before G4ip."""
+    """Whether ``start`` entails a graph in the system's logic, decided once
+    per key; in the intuitionistic one a truth table rules out most graphs
+    before G4ip."""
     premise = graph_to_formula(start)
+    verdicts: dict[str, bool] = {}
 
     def entailed(g: Graph) -> bool:
-        step = fm.Imp(premise, graph_to_formula(g))
-        return taut_classical(step) and (system is System.CLASSICAL or taut_int(step))
+        verdict = verdicts.get(g.key)
+        if verdict is None:
+            step = fm.Imp(premise, graph_to_formula(g))
+            verdict = verdicts[g.key] = taut_classical(step) and (
+                system is System.CLASSICAL or taut_int(step))
+        return verdict
     return entailed
 
 
@@ -195,12 +212,22 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
     when ``entailed`` is given and expands only the states it accepts,
     tested as their layer is expanded (frontier sizes count untested
     states).  ``ahead`` and ``behind`` map each key a side reached to the
-    key it came from and its distance from that side's end."""
+    key it came from, its distance from that side's end, and the position
+    of its edit in the listing of the state it came from (None where
+    ``nearest`` recorded it).  A frontier holds each new key's state as
+    the state it came from, the edit and the key, built when reached."""
     if start.key == goal.key:
         return []
-    ahead: dict[str, tuple[Optional[str], int]] = {start.key: (None, 0)}
-    behind: dict[str, tuple[Optional[str], int]] = {goal.key: (None, 0)}
+    ahead: dict[str, tuple] = {start.key: (None, 0, None)}
+    behind: dict[str, tuple] = {goal.key: (None, 0, None)}
     budget = bounds.max_visited
+
+    def reach(states, i):
+        """The graph of ``states[i]``, built in its place when it is an edit."""
+        state = states[i]
+        if type(state) is tuple:
+            state = states[i] = _apply_fast(*state)
+        return state
 
     def layer(states, seen, other, distance, successors, accept=None):
         """The layer after ``states`` and None, or None and the key where
@@ -208,35 +235,39 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
         forward side the first of least total depth."""
         nonlocal budget
         found = []
-        for i, g in enumerate(states):
+        for i in range(len(states)):
+            g = reach(states, i)
             if accept and not accept(g):
                 continue
             budget -= 1
             if budget < 0:
                 raise BoundsExceededError("visited-state budget exhausted")
-            for parts, contents in successors(system, g, vocabulary, cap - node_count(g)):
+            listed = successors(system, g, vocabulary, cap - node_count(g))
+            for position, (parts, contents) in enumerate(listed):
                 key = edited_key(g, parts, contents)
                 if key in seen:
                     continue
-                seen[key] = (g.key, distance + 1)
+                seen[key] = (g.key, distance + 1, position)
                 meet = other.get(key)
                 if meet is not None and distance + 1 + meet[1] <= bounds.max_depth:
-                    return None, key if seen is behind else nearest(states[i:], key, distance)
-                found.append(_apply_fast(g, parts, contents))
+                    return None, key if seen is behind else nearest(states, i, key, distance)
+                found.append((g, parts, contents, key))
         return found, None
 
-    def nearest(states, key, distance):
-        """Of ``key`` and the keys of ``behind`` that edits of ``states``
-        adding no node reach, the first nearest the goal.  An edit adding
-        nodes starts at a listed predecessor of its result, so a result
-        nearer the goal than ``key`` would have met the other side already."""
+    def nearest(states, i, key, distance):
+        """Of ``key`` and the keys of ``behind`` that edits of ``states[i:]``
+        reach, the first nearest the goal.  Only the edits that no listed
+        predecessor of their result undoes are keyed: from any other
+        result nearer the goal than ``key``, the backward side would have
+        listed the state, and the sides would have met already."""
         far = behind[key][1]
-        for g in states:
-            for parts, contents in edits(system, g, vocabulary, 0):
+        for i in range(i, len(states)):
+            g = reach(states, i)
+            for parts, contents in unlisted_edits(system, g, vocabulary):
                 near = edited_key(g, parts, contents)
                 if behind.get(near, (None, far))[1] < far:
                     key, far = near, behind[near][1]
-                    ahead[key] = (g.key, distance + 1)
+                    ahead[key] = (g.key, distance + 1, None)
         return key
 
     frontier, back_frontier = [start], [goal] if entailed else []
@@ -252,7 +283,7 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
             depth += 1
         if meeting is not None:
             keys = _trail(ahead, meeting)[::-1] + _trail(behind, meeting)[1:]
-            return _replay(system, start, keys, vocabulary, cap)
+            return _replay(system, start, keys, vocabulary, cap, ahead)
         if not frontier:
             return None
     return None
@@ -266,22 +297,27 @@ def _trail(side: dict, key: str) -> list[str]:
     return keys
 
 
-def _replay(system: System, start: Graph, keys: list[str],
-            vocabulary: tuple[Graph, ...], cap: int) -> list[RuleInstance]:
+def _replay(system: System, start: Graph, keys: list[str], vocabulary: tuple[Graph, ...],
+            cap: int, ahead: Optional[dict] = None) -> list[RuleInstance]:
     """For each step, the instance of the first move (calculus.moves) whose
-    edit reaches the next key; only that instance is built.  On the
-    forward side that is the move the search recorded, because it expanded
-    the same representatives in the same order.  No key after the start
-    has more than ``cap`` nodes."""
+    edit reaches the next key; only that instance is built.  A step that
+    ``ahead`` records from the previous key takes the move at the recorded
+    position, keyed once as a check: the forward side expanded the same
+    representatives in the same order, and recorded the first edit to
+    reach each key.  No key after the start has more than ``cap`` nodes."""
     chain: list[RuleInstance] = []
     g = start
-    for key in keys[1:]:
-        for kind, rule, ops in moves(system, g, vocabulary, cap - node_count(g)):
+    for previous, key in zip(keys, keys[1:]):
+        listed = moves(system, g, vocabulary, cap - node_count(g))
+        parent, _, position = (ahead or {}).get(key, (None, 0, None))
+        if parent == previous and position is not None:
+            listed = islice(listed, position, position + 1)
+        for kind, rule, ops in listed:
             parts, contents = rule.edit(*ops)
             if edited_key(g, parts, contents) == key:
                 break
         else:
             raise CertificationError("search chain cannot be replayed")
         chain.append(kind(*ops[::2]))
-        g = _apply_fast(g, parts, contents)
+        g = _apply_fast(g, parts, contents, key)
     return chain

@@ -2,6 +2,7 @@ import collections
 import functools
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -129,6 +130,35 @@ class TestDerive:
             least.append(budget)
         assert least == [3, 7, 3, 4, 3, 7, 8, 3]
 
+    def test_each_state_is_decided_once(self, monkeypatch):
+        # size_cap and the backward layers share one verdict per key: no
+        # key reaches the oracles twice in one search
+        decided = {"taut_classical": [], "taut_int": []}
+        translated = []
+        translate = search.graph_to_formula
+
+        def translating(g):
+            translated[:] = [g.key]
+            return translate(g)
+
+        def counting(name, oracle):
+            def counted(formula):
+                decided[name].append(translated[0])
+                return oracle(formula)
+            return counted
+        monkeypatch.setattr(search, "graph_to_formula", translating)
+        for name in decided:
+            monkeypatch.setattr(search, name, counting(name, getattr(search, name)))
+        totals = dict.fromkeys(decided, 0)
+        for system, text in C6_PROVABLE:
+            for keys in decided.values():
+                keys.clear()
+            assert derive(system, Graph(), goal_graph(text, system)) is not None
+            for name, keys in decided.items():
+                assert len(keys) == len(set(keys)), (text, name)
+                totals[name] += len(keys)
+        assert totals == {"taut_classical": 32, "taut_int": 10}
+
     @pytest.mark.parametrize("final", [None, Graph()])
     def test_certification_is_unconditional(self, monkeypatch, final):
         # a rejected script and a script ending elsewhere both raise,
@@ -252,6 +282,14 @@ class TestPredecessors:
                                  search._entailed_by(system, start))
             assert (plain is None) == (two is None), (print_graph(start), print_graph(goal))
             verdicts.append(two is not None)
+            for chain in (plain, two):
+                # a step the forward side recorded replays its first listed move
+                if chain is not None:
+                    keys, graph = [start.key], start
+                    for rule in chain:
+                        graph = apply_rule(system, graph, rule)
+                        keys.append(graph.key)
+                    assert chain == _reference_replay(system, start, keys, vocab, cap)
             if two is not None:
                 assert len(two) >= len(plain)
                 script = ProofScript(system, start, tuple((rule, None) for rule in two))
@@ -305,6 +343,30 @@ class TestPredecessors:
                 else:
                     unlisted += not listed
         assert growing > 2000 and unlisted >= 10
+
+    def test_the_scan_skips_only_moves_with_a_listed_undo(self):
+        # a move adding no node that the scan after a meeting skips has u
+        # among the listed predecessors of its result w, within the cap, so
+        # a w nearer the goal would have met the forward side already; the
+        # moves it keys have no listed undo
+        rng = random.Random(131)
+        skipped = keyed = 0
+        for _ in range(300):
+            system = rng.choice([CL, IN])
+            u, other = (random_graph(rng, depth=3, atoms=2, dialect=system, width=2)
+                        for _ in range(2))
+            vocab = default_vocabulary(u, other)
+            cap = node_count(u) + node_count(other)
+            scanned = {graphs.edited_key(u, *edit)
+                       for edit in calculus.unlisted_edits(system, u, vocab)}
+            for edit in calculus.edits(system, u, vocab, 0):
+                w = graphs.edited(u, *edit)
+                undos = calculus.predecessor_edits(system, w, vocab, cap - node_count(w))
+                listed = u.key in {graphs.edited_key(w, *undo) for undo in undos}
+                assert listed != (w.key in scanned), (print_graph(u), print_graph(w))
+                skipped += listed
+                keyed += not listed
+        assert skipped > 500 and keyed >= 10
 
 
 def formulas_of_size(size):
@@ -504,9 +566,10 @@ class TestVocabularyCheck:
 
 class TestKeyFirst:
     def test_exhaustion_builds_only_the_states_it_keeps(self, monkeypatch):
-        # successors are keyed first: a graph is built once per new key
-        # within the cap (4 nodes), 555 of them at depth 5, where building
-        # every successor built 2,700
+        # successors are keyed first, and a graph is built once per state
+        # a layer reaches, within the cap (4 nodes): the 316 expanded after
+        # the start at depth 5, where building every new key built 555 and
+        # building every successor 2,700
         built = []
         build = search._apply_fast
 
@@ -517,12 +580,13 @@ class TestKeyFirst:
         monkeypatch.setattr(search, "_apply_fast", counting)
         goal = goal_graph("p | ~p", IN)
         assert derive(IN, Graph(), goal, SearchBounds(max_depth=5)) is None
-        assert len(built) == len(set(built)) == 555
+        assert len(built) == len(set(built)) == 316
         assert Graph().key not in built and max(map(graphs.key_size, built)) <= 4
 
     def test_c6_goals_build_a_fixed_number_of_graphs(self, monkeypatch):
-        # one graph per new key: an edit past the cap would be built and
-        # counted here, so this holds the calculus to the search's cap
+        # one graph per state a layer or the scan reaches: an edit past
+        # the cap would be reached and counted here, so this holds the
+        # calculus to the search's cap
         built = []
         build = search._apply_fast
 
@@ -534,8 +598,8 @@ class TestKeyFirst:
             built.append(0)
             assert derive(system, Graph(), goal_graph(text, system),
                           SearchBounds(max_depth=12, max_visited=10_000)) is not None
-        assert built == [10, 116, 11, 23, 10, 81, 84, 13]
-        assert sum(built) == 348
+        assert built == [4, 26, 4, 6, 4, 21, 21, 4]
+        assert sum(built) == 90
 
     # sha256 of `eg prove` stdout: the C6 goals and the depth-5 exhaustion
     @pytest.mark.parametrize("argv,code,digest", [
@@ -571,34 +635,34 @@ class TestKeyFirstBackward:
         # the random two-sided searches of TestPredecessors: on each side a
         # graph is built once per key that side had not reached, within the
         # cap, and never for the side's own end; the backward side's
-        # predecessors are keyed first like the forward side's successors
+        # predecessors are keyed first like the forward side's successors.
+        # A build is tagged by the call that makes it: a layer given the
+        # backward side's filter, a forward layer or its scan, or the replay
         built = {"ahead": [], "behind": [], "replay": []}
         offered = collections.Counter()
-        side = []
 
-        def tagging(name, edits):
-            def tagged(*args):
-                for edit in edits(*args):
-                    side[:] = [name]
-                    offered[name] += 1
-                    yield edit
-            return tagged
+        def tagged(*args):
+            for edit in predecessor_edits(*args):
+                offered["behind"] += 1
+                yield edit
 
-        def counting(g, parts, contents):
-            graph = build(g, parts, contents)
-            built[side[0]].append(graph.key)
+        def maker():
+            frame = sys._getframe(2)
+            while frame.f_code.co_name not in ("layer", "nearest", "_replay"):
+                frame = frame.f_back
+            if frame.f_code.co_name == "_replay":
+                return "replay"
+            return "behind" if frame.f_locals.get("accept") else "ahead"
+
+        def counting(*args):
+            graph = build(*args)
+            built[maker()].append(graph.key)
             return graph
-        def replaying(*args):
-            side[:] = ["replay"]
-            return replay(*args)
-        build, replay = search._apply_fast, search._replay
-        monkeypatch.setattr(search, "_replay", replaying)
-        monkeypatch.setattr(search, "edits", tagging("ahead", search.edits))
-        monkeypatch.setattr(search, "predecessor_edits",
-                            tagging("behind", search.predecessor_edits))
+        build, predecessor_edits = search._apply_fast, search.predecessor_edits
+        monkeypatch.setattr(search, "predecessor_edits", tagged)
         monkeypatch.setattr(search, "_apply_fast", counting)
         rng = random.Random(89)
-        backward = 0
+        cases = []
         for case in range(40):
             system = rng.choice([CL, IN])
             start = random_graph(rng, depth=2, atoms=2, dialect=system, width=2)
@@ -609,12 +673,19 @@ class TestKeyFirstBackward:
                 for _ in range(rng.randint(1, 3)):
                     rules = enumerate_rule_instances(system, goal, _vocabulary(rng, system))
                     goal = apply_rule(system, goal, rng.choice(rules))
+            cases.append((system, start, goal, 3))
+        # a state is built only when a layer reaches it, and these shallow
+        # searches reach 6 backward states past the goal's layer; this
+        # search reaches 105
+        cases.append((IN, Graph(), goal_graph("p -> (q -> (r -> p))", IN), 12))
+        backward = 0
+        for system, start, goal, depth in cases:
             vocab = default_vocabulary(start, goal)
             cap = node_count(start) + node_count(goal)
             for keys in built.values():
                 keys.clear()
             search._search(system, start, goal, vocab, cap,
-                           SearchBounds(max_depth=3, max_visited=100_000),
+                           SearchBounds(max_depth=depth, max_visited=100_000),
                            search._entailed_by(system, start))
             for name, end in (("ahead", start), ("behind", goal)):
                 keys = built[name]
