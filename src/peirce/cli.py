@@ -12,16 +12,47 @@ import argparse
 import sys
 from pathlib import Path as FsPath
 
-from . import continuum as ct
-from .calculus import System, check_script
 from .errors import PeirceError
 from .graphs import Dialect, canonicalize
 from .kripke import MAX_WORLDS, kripke_countermodel
 from .notation import parse_formula, parse_graph, print_formula, print_graph
-from .render import render_svg
-from .scriptfile import format_script, parse_script
-from .search import SearchBounds, derive
 from .semantics import formula_to_graph, graph_to_formula, taut_classical, taut_int
+
+# deferred name: the module that defines it
+_DEFERRED = {"check_script": "calculus", "parse_script": "scriptfile",
+             "format_script": "scriptfile", "SearchBounds": "search",
+             "derive": "search", "render_svg": "render", "ct": "continuum"}
+
+
+def __getattr__(name: str):
+    """Loading rule: this module imports at load only the modules that
+    ``parse``, ``taut`` and ``translate`` run; the graph calculus, search,
+    script files, rendering and the continuum load when a command first
+    needs them.  The formula modules (``semantics``, ``notation``,
+    ``kripke``) stay eager although only some commands run them: a caller
+    running many commands in one process would otherwise pay their import
+    inside its first ``taut``.
+
+    A deferred name's first read through the module binds it as a module
+    global, and each handler calls it by that global after ``_bind``, so a
+    wrapper set on this module's name from outside, as the benchmark's
+    tracer sets one, sees every call."""
+    module = _DEFERRED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # imported as in the package's __getattr__, so -X importtime shows it
+    __import__(f"{__package__}.{module}")
+    value = sys.modules[f"{__package__}.{module}"]
+    if name != "ct":
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def _bind(*names: str) -> None:
+    """Binds each of the deferred names not bound yet."""
+    for name in names:
+        getattr(sys.modules[__name__], name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,8 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", choices=dialects, required=True)
     p.add_argument("--goal", required=True)
     p.add_argument("--from", dest="start", default="")
-    p.add_argument("--depth", type=int, default=SearchBounds.max_depth)
-    p.add_argument("--max-visited", type=int, default=SearchBounds.max_visited)
+    # no default here: _prove takes SearchBounds' when the flag is absent
+    p.add_argument("--depth", type=int)
+    p.add_argument("--max-visited", type=int)
 
     p = sub.add_parser("taut", help="decide tautology / theoremhood")
     p.set_defaults(run=_taut)
@@ -128,6 +160,7 @@ def _parse(args: argparse.Namespace) -> int:
 
 
 def _check(args: argparse.Namespace) -> int:
+    _bind("parse_script", "check_script")
     script = parse_script(FsPath(args.script).read_text(encoding="utf-8"))
     report = check_script(script)
     for step in report.results:
@@ -143,16 +176,18 @@ def _check(args: argparse.Namespace) -> int:
 
 
 def _prove(args: argparse.Namespace) -> int:
-    for flag, value in (("--depth", args.depth), ("--max-visited", args.max_visited)):
+    _bind("SearchBounds", "derive", "format_script")
+    depth = SearchBounds.max_depth if args.depth is None else args.depth
+    visited = SearchBounds.max_visited if args.max_visited is None else args.max_visited
+    for flag, value in (("--depth", depth), ("--max-visited", visited)):
         if value < 0:
             raise PeirceError(f"{flag} must be at least 0, not {value}")
-    system = System(args.system)
+    system = Dialect(args.system)
     goal = parse_graph(args.goal, system)
     start = parse_graph(args.start, system)
-    bounds = SearchBounds(max_depth=args.depth, max_visited=args.max_visited)
-    script = derive(system, start, goal, bounds)
+    script = derive(system, start, goal, SearchBounds(max_depth=depth, max_visited=visited))
     if script is None:
-        print(f"no derivation within depth {args.depth}")
+        print(f"no derivation within depth {depth}")
         return 1
     sys.stdout.write(format_script(script))
     return 0
@@ -187,6 +222,7 @@ def _translate(args: argparse.Namespace) -> int:
 
 
 def _render(args: argparse.Namespace) -> int:
+    _bind("render_svg")
     g = parse_graph(_text_argument(args), Dialect.INTUITIONISTIC)
     FsPath(args.output).write_text(render_svg(g), encoding="utf-8")
     return 0
@@ -205,6 +241,7 @@ _OPERATIONS = {
 
 
 def _continuum(args: argparse.Namespace) -> int:
+    _bind("ct")
     need, run = _OPERATIONS[args.operation]
     if len(args.elements) != need:
         raise PeirceError(f"continuum {args.operation} takes {need} element(s)")

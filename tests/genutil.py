@@ -1,12 +1,16 @@
-"""Seeded random generators, and a check of the node classes, shared by
-unit and acceptance tests."""
+"""Seeded random generators, a check of the node classes, and a fresh
+interpreter to run code in, shared by unit and acceptance tests."""
 
 from __future__ import annotations
 
 import dataclasses
 import inspect
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from peirce import formulas as fm
 from peirce.continuum import (
@@ -19,6 +23,8 @@ from peirce.continuum import (
     w_pow,
 )
 from peirce.graphs import Atom, Dialect, Graph, Scroll
+
+ROOT = Path(__file__).parents[1]
 
 ATOM_POOL = ("p", "q", "r", "s", "t")
 
@@ -107,3 +113,13 @@ def check_frozen_node(node) -> None:
     values = {field.name: getattr(node, field.name) for field in fields}
     for twin in (type(node)(**values), dataclasses.replace(node)):
         assert twin == node and repr(twin) == repr(node) and twin is not node
+
+
+def fresh(code: str, cwd=None) -> str:
+    """The stdout of ``code`` run in a fresh interpreter with the package
+    on its path, so that no other test's imports count."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

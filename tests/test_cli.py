@@ -1,14 +1,11 @@
 import argparse
 import hashlib
 import io
-import os
 import random
 import re
-import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +13,9 @@ from hypothesis import strategies as st
 
 from peirce import cli
 from peirce.cli import main
+from peirce.search import SearchBounds
+
+from genutil import ROOT, fresh
 
 
 def run(capsys, *argv):
@@ -181,6 +181,13 @@ class TestProve:
         message = f"eg: --max-visited must be at least 0, not {argv[-1]}\n"
         assert (code, out, err) == (2, "", message)
 
+    def test_default_bounds_are_search_bounds(self, capsys, monkeypatch):
+        bounds, derive = [], cli.derive
+        monkeypatch.setattr(cli, "derive", lambda *args: bounds.append(args[-1]) or derive(*args))
+        code, out, _ = run(capsys, "prove", "--system", "classical", "--goal", "q")
+        assert (code, out) == (1, f"no derivation within depth {SearchBounds.max_depth}\n")
+        assert bounds == [SearchBounds()]
+
     def test_from_start(self, capsys):
         code, out, _ = run(capsys, "prove", "--system", "classical",
                            "--goal", "p", "--from", "((p))", "--depth", "2")
@@ -199,16 +206,77 @@ class TestTranslate:
         assert (code, out) == (0, "(p (q))\n")
 
 
+# what every command imports of the package besides itself: the command
+# line and the formula modules
+FORMULA_MODULES = "cli errors formulas graphs kripke notation semantics"
+
+
 class TestStartup:
     def test_import_loads_no_network_module(self):
-        # a fresh interpreter, so no other test's imports count
         code = ("import sys, peirce.cli\n"
                 "print(sorted({'socket', 'ssl', 'http.client', 'urllib.request', 'email',"
                 " 'xml.sax'} & sys.modules.keys()))\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=60)
-        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+        assert fresh(code) == "[]\n"
+
+    def test_importing_the_package_loads_no_module(self):
+        code = "import sys, peirce\nprint(*sorted(m for m in sys.modules if 'peirce' in m))\n"
+        assert fresh(code) == "peirce\n"
+
+    @pytest.mark.parametrize("argv, more", [
+        (["parse", "--dialect", "classical", "q p"], ""),
+        (["taut", "--logic", "classical", "p -> p"], ""),
+        (["translate", "--to", "graph", "--dialect", "intuitionistic", "p -> q"], ""),
+        (["check", "proof.eg"], "calculus scriptfile"),
+        (["prove", "--system", "classical", "--goal", "(p (p))"], "calculus scriptfile search"),
+        (["render", "-o", "out.svg", "[p | q]"], "render"),
+        (["continuum", "cmp", "[1:3]", "[1:3][w:7]"], "continuum"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_a_subcommand_loads_only_the_modules_it_runs(self, tmp_path, argv, more):
+        (tmp_path / "proof.eg").write_text("system classical\ngraph p (q)\n"
+                                           "iterate 0 -> 1.outer\nexpect p (p q)\n")
+        code = ("import contextlib, io, sys\n"
+                "from peirce.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = main({argv!r})\n"
+                "print(code, *sorted(m for m in sys.modules if m.startswith('peirce.')))\n")
+        loaded = sorted(f"peirce.{m}" for m in f"{FORMULA_MODULES} {more}".split())
+        assert fresh(code, cwd=tmp_path).split() == ["0", *loaded]
+
+    def test_the_tracers_bindings_stay_wrappable(self, tmp_path):
+        # the benchmark's tracer wraps names of peirce.cli and of a proxy it
+        # sets for peirce.cli.ct; each must resolve before any command runs,
+        # and each handler must call the wrapper set in its place
+        (tmp_path / "proof.eg").write_text("system classical\ngraph p\n")
+        code = f"""
+import contextlib, io, sys, types
+sys.path.insert(0, {str(ROOT / "benchmarks")!r})
+from spans import BINDINGS
+from peirce import cli
+names = [attr for owner, attr, _ in BINDINGS if owner == "peirce.cli"]
+ct_names = [attr for owner, attr, _ in BINDINGS if owner == "peirce.cli.ct"]
+print([n for n in names if getattr(cli, n, None) is None],
+      [n for n in ct_names if getattr(cli.ct, n, None) is None])
+called = set()
+def recording(owner, name):
+    fn = getattr(owner, name)
+    def wrapper(*args, **kwargs):
+        called.add(name)
+        return fn(*args, **kwargs)
+    setattr(owner, name, wrapper)
+for name in ("derive", "check_script", "parse_script", "render_svg"):
+    recording(cli, name)
+cli.ct = types.SimpleNamespace(**vars(cli.ct))
+for name in ct_names:
+    recording(cli.ct, name)
+argvs = [["check", "proof.eg"], ["prove", "--system", "classical", "--goal", "(p (p))"],
+         ["render", "-o", "out.svg", "p"], ["continuum", "cmp", "[1:3]", "[1:3][w:7]"],
+         ["continuum", "extends", "[1:3][w:7]", "[1:3]"], ["continuum", "tail", "[1:3]", "[1:3][w:7]"],
+         ["continuum", "concat", "[1:3]", "[w:7]"], ["continuum", "domain", "[1:3]"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+print(codes, sorted(set(["derive", "check_script", "parse_script", "render_svg", *ct_names]) - called))
+"""
+        assert fresh(code, cwd=tmp_path) == "[] []\n[0, 0, 0, 0, 0, 0, 0, 0] []\n"
 
 
 def loop_ladder(levels):
