@@ -440,12 +440,7 @@ def enumerate_rule_instances(system: System, g: Graph,
 def edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),
           max_growth: Optional[int] = None) -> Iterator[tuple]:
     """The edits of the moves, in their order."""
-    walk = Walk(system, g, vocabulary, max_growth)
-    for kind in SYSTEM_RULES[system]:
-        rule = RULES[kind]
-        edit = rule.edit
-        for ops in accepted(rule, walk):
-            yield edit(*ops)
+    return (rule.edit(*ops) for _, rule, ops in moves(system, g, vocabulary, max_growth))
 
 
 def predecessor_edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),

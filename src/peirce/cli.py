@@ -18,10 +18,9 @@ from .kripke import MAX_WORLDS, kripke_countermodel
 from .notation import parse_formula, parse_graph, print_formula, print_graph
 from .semantics import formula_to_graph, graph_to_formula, taut_classical, taut_int
 
-# deferred name: the module that defines it
-_DEFERRED = {"check_script": "calculus", "parse_script": "scriptfile",
-             "format_script": "scriptfile", "SearchBounds": "search",
-             "derive": "search", "render_svg": "render", "ct": "continuum"}
+# names read from the package on first use; ``ct`` is the continuum module
+_DEFERRED = {"check_script", "parse_script", "format_script", "SearchBounds",
+             "derive", "render_svg", "ct"}
 
 
 def __getattr__(name: str):
@@ -37,14 +36,11 @@ def __getattr__(name: str):
     global, and each handler calls it by that global after ``_bind``, so a
     wrapper set on this module's name from outside, as the benchmark's
     tracer sets one, sees every call."""
-    module = _DEFERRED.get(name)
-    if module is None:
+    if name not in _DEFERRED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # imported as in the package's __getattr__, so -X importtime shows it
-    __import__(f"{__package__}.{module}")
-    value = sys.modules[f"{__package__}.{module}"]
-    if name != "ct":
-        value = getattr(value, name)
+    # the package's __getattr__ finds the defining module and imports it
+    # with __import__, so -X importtime shows it
+    value = getattr(sys.modules[__package__], "continuum" if name == "ct" else name)
     globals()[name] = value
     return value
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Union
 
 from .errors import InvalidPathError
 
@@ -306,22 +306,16 @@ def replace_at(g: Graph, area: Path, new_contents: Graph) -> Graph:
 # builds the graph an edit gives; ``edited_key`` gives its key without
 # building a node.  Both are unchecked: ``parts`` must address an area.
 
-def edited(g: Graph, parts: tuple, contents: Callable[[Graph], tuple],
-           key: Optional[str] = None) -> Graph:
+def edited(g: Graph, parts: tuple, contents: Callable[[Graph], tuple]) -> Graph:
     """``g`` with the area at ``parts`` holding ``contents(area)``.  Like a
-    parsed graph, the result computes its key when the key is first read,
-    unless ``key`` gives it: ``edited_key`` of the same edit."""
-    if parts:
-        index, region = parts[0], parts[1]
-        regions = g.items[index].regions
-        regions = (regions[:region] + (edited(regions[region], parts[2:], contents),)
-                   + regions[region + 1:])
-        result = Graph(g.items[:index] + (Scroll(regions[0], regions[1:]),) + g.items[index + 1:])
-    else:
-        result = Graph(contents(g))
-    if key is not None:
-        result.__dict__["key"] = key
-    return result
+    parsed graph, the result computes its key when the key is first read."""
+    if not parts:
+        return Graph(contents(g))
+    index, region = parts[0], parts[1]
+    regions = g.items[index].regions
+    regions = (regions[:region] + (edited(regions[region], parts[2:], contents),)
+               + regions[region + 1:])
+    return Graph(g.items[:index] + (Scroll(regions[0], regions[1:]),) + g.items[index + 1:])
 
 
 def edited_key(g: Graph, parts: tuple, contents: Callable[[Graph], tuple]) -> str:

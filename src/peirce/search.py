@@ -67,20 +67,18 @@ Both sides expand a layer alike.  A state's edits, in the order of its
 moves, are only those that add at most ``cap - node_count(g)`` nodes.
 Each edit's key is spliced up the edited area's spine (graphs.edited_key);
 a key the side has seen is skipped, one the other side holds joins them,
-and a new key joins the next frontier as the state it came from, the edit
-and the key.  Its graph is built, carrying that key, only when a layer or
-the scan reaches it; no edit past the cap is offered, so no size is
-measured.  The states expanded, their order and the scripts found are
-those of building every successor.  Depth-5 ``p | ~p`` builds the 316
-states it expands after the start, where building every new key built 555
-and building every successor 2,700.
+and a new key joins the next frontier as the state it came from and the
+edit.  Its graph is built only when a layer or the scan reaches it, and
+computes its key when the layer first reads it; no edit past the cap is
+offered, so no size is measured.  The states expanded, their order and
+the scripts found are those of building every successor.  Depth-5
+``p | ~p`` builds the 316 states it expands after the start, where
+building every new key built 555 and building every successor 2,700.
 
-The sides record each key with the key it came from and the position of
-its edit in that state's listing.  The script is read back along the keys
-through the meeting: at each step, the first of the state's moves whose
-edit reaches the next key, and only that move's rule instance is built.
-A step the forward side recorded takes the move at its position, keyed
-once as a check; the other steps list the moves.
+The sides record each key with the key it came from and its distance.
+The script is read back along the keys through the meeting by listing
+the moves at each step: the first move whose edit reaches the next key
+is taken, and only that move's rule instance is built.
 ``max_visited`` bounds the states expanded, on both sides together.
 Every script found is re-checked through check_script before being
 returned; a failed re-check raises CertificationError.
@@ -89,7 +87,6 @@ returned; a failed re-check raises CertificationError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Optional
 
 from . import formulas as fm
@@ -212,14 +209,13 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
     when ``entailed`` is given and expands only the states it accepts,
     tested as their layer is expanded (frontier sizes count untested
     states).  ``ahead`` and ``behind`` map each key a side reached to the
-    key it came from, its distance from that side's end, and the position
-    of its edit in the listing of the state it came from (None where
-    ``nearest`` recorded it).  A frontier holds each new key's state as
-    the state it came from, the edit and the key, built when reached."""
+    key it came from and its distance from that side's end.  A frontier
+    holds each new key's state as the state it came from and the edit,
+    built when reached."""
     if start.key == goal.key:
         return []
-    ahead: dict[str, tuple] = {start.key: (None, 0, None)}
-    behind: dict[str, tuple] = {goal.key: (None, 0, None)}
+    ahead: dict[str, tuple[Optional[str], int]] = {start.key: (None, 0)}
+    behind: dict[str, tuple[Optional[str], int]] = {goal.key: (None, 0)}
     budget = bounds.max_visited
 
     def reach(states, i):
@@ -242,16 +238,15 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
             budget -= 1
             if budget < 0:
                 raise BoundsExceededError("visited-state budget exhausted")
-            listed = successors(system, g, vocabulary, cap - node_count(g))
-            for position, (parts, contents) in enumerate(listed):
+            for parts, contents in successors(system, g, vocabulary, cap - node_count(g)):
                 key = edited_key(g, parts, contents)
                 if key in seen:
                     continue
-                seen[key] = (g.key, distance + 1, position)
+                seen[key] = (g.key, distance + 1)
                 meet = other.get(key)
                 if meet is not None and distance + 1 + meet[1] <= bounds.max_depth:
                     return None, key if seen is behind else nearest(states, i, key, distance)
-                found.append((g, parts, contents, key))
+                found.append((g, parts, contents))
         return found, None
 
     def nearest(states, i, key, distance):
@@ -267,7 +262,7 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
                 near = edited_key(g, parts, contents)
                 if behind.get(near, (None, far))[1] < far:
                     key, far = near, behind[near][1]
-                    ahead[key] = (g.key, distance + 1, None)
+                    ahead[key] = (g.key, distance + 1)
         return key
 
     frontier, back_frontier = [start], [goal] if entailed else []
@@ -283,7 +278,7 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
             depth += 1
         if meeting is not None:
             keys = _trail(ahead, meeting)[::-1] + _trail(behind, meeting)[1:]
-            return _replay(system, start, keys, vocabulary, cap, ahead)
+            return _replay(system, start, keys, vocabulary, cap)
         if not frontier:
             return None
     return None
@@ -297,27 +292,22 @@ def _trail(side: dict, key: str) -> list[str]:
     return keys
 
 
-def _replay(system: System, start: Graph, keys: list[str], vocabulary: tuple[Graph, ...],
-            cap: int, ahead: Optional[dict] = None) -> list[RuleInstance]:
+def _replay(system: System, start: Graph, keys: list[str],
+            vocabulary: tuple[Graph, ...], cap: int) -> list[RuleInstance]:
     """For each step, the instance of the first move (calculus.moves) whose
-    edit reaches the next key; only that instance is built.  A step that
-    ``ahead`` records from the previous key takes the move at the recorded
-    position, keyed once as a check: the forward side expanded the same
-    representatives in the same order, and recorded the first edit to
-    reach each key.  No key after the start has more than ``cap`` nodes."""
+    edit reaches the next key; only that instance is built.  On the
+    forward side that is the move whose edit the search first keyed
+    there, because it expanded the same representatives in the same
+    order.  No key after the start has more than ``cap`` nodes."""
     chain: list[RuleInstance] = []
     g = start
-    for previous, key in zip(keys, keys[1:]):
-        listed = moves(system, g, vocabulary, cap - node_count(g))
-        parent, _, position = (ahead or {}).get(key, (None, 0, None))
-        if parent == previous and position is not None:
-            listed = islice(listed, position, position + 1)
-        for kind, rule, ops in listed:
+    for key in keys[1:]:
+        for kind, rule, ops in moves(system, g, vocabulary, cap - node_count(g)):
             parts, contents = rule.edit(*ops)
             if edited_key(g, parts, contents) == key:
                 break
         else:
             raise CertificationError("search chain cannot be replayed")
         chain.append(kind(*ops[::2]))
-        g = _apply_fast(g, parts, contents, key)
+        g = _apply_fast(g, parts, contents)
     return chain

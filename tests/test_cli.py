@@ -278,6 +278,22 @@ print(codes, sorted(set(["derive", "check_script", "parse_script", "render_svg",
 """
         assert fresh(code, cwd=tmp_path) == "[] []\n[0, 0, 0, 0, 0, 0, 0, 0] []\n"
 
+    def test_the_deferred_names_are_the_packages(self):
+        # each deferred name of peirce.cli is the package's object, and ct
+        # its continuum module; other names are not found on peirce.cli
+        code = """
+import peirce, peirce.cli as cli
+names = ["check_script", "parse_script", "format_script", "SearchBounds", "derive",
+         "render_svg"]
+print([n for n in names if getattr(cli, n) is not getattr(peirce, n)], cli.ct is peirce.continuum)
+try:
+    cli.no_such_name
+except AttributeError as error:
+    print(error)
+"""
+        assert fresh(code) == ("[] True\n"
+                               "module 'peirce.cli' has no attribute 'no_such_name'\n")
+
 
 def loop_ladder(levels):
     """[p | [p | ... [p | p]]]"""
