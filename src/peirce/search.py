@@ -63,17 +63,23 @@ steps at depth 4 but 5 at depth 5, where plain BFS takes 4, the last an
 found exactly when the forward side alone finds one: it runs to the full
 depth unless the sides meet.
 
-Both sides expand a layer alike.  A state's edits, in the order of its
-moves, are only those that add at most ``cap - node_count(g)`` nodes.
-Each edit's key is spliced up the edited area's spine (graphs.edited_key);
-a key the side has seen is skipped, one the other side holds joins them,
-and a new key joins the next frontier as the state it came from and the
-edit.  Its graph is built only when a layer or the scan reaches it, and
-computes its key when the layer first reads it; no edit past the cap is
-offered, so no size is measured.  The states expanded, their order and
-the scripts found are those of building every successor.  Depth-5
-``p | ~p`` builds the 316 states it expands after the start, where
-building every new key built 555 and building every successor 2,700.
+Both sides expand a layer alike but for the forward side's last.  A
+state's edits, in the order of its moves, are only those that add at most
+``cap - node_count(g)`` nodes.  Each edit's key is spliced up the edited
+area's spine (graphs.edited_key); a key the side has seen is skipped, one
+the other side holds joins them, and a new key joins the next frontier as
+the state it came from and the edit.  Its graph is built only when a
+layer or the scan reaches it, and computes its key when the layer first
+reads it; no edit past the cap is offered, so no size is measured.  In the
+last forward layer only the goal can be met, so the bound there is
+``node_count(goal) - node_count(g)``; only an empty loop's removal keeps
+the node count, and it drops one key code, so a state of the goal's size
+lists its moves only when its key is one code longer than the goal's.
+The states expanded, their order and the scripts found are those of
+building every successor.  Depth-5 ``p | ~p`` builds the 316 states it
+expands after the start, where building every new key built 555 and
+building every successor 2,700; it lists the moves of 145 of its 317
+states and keys 1,721 edits, where listing every state's keyed 2,700.
 
 The sides record each key with the key it came from and its distance.
 The script is read back along the keys through the meeting by listing
@@ -225,12 +231,16 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
             state = states[i] = _apply_fast(*state)
         return state
 
-    def layer(states, seen, other, distance, successors, accept=None):
+    def layer(states, seen, other, distance, successors, accept=None, last=False):
         """The layer after ``states`` and None, or None and the key where
         the sides meet: on the backward side the first meeting, on the
-        forward side the first of least total depth."""
+        forward side the first of least total depth.  In the ``last``
+        forward layer only the goal can be met: a state lists only the
+        edits that may give the goal's node count, and none when it has
+        that count and a key not one code longer than the goal's."""
         nonlocal budget
         found = []
+        size = node_count(goal) if last else cap
         for i in range(len(states)):
             g = reach(states, i)
             if accept and not accept(g):
@@ -238,7 +248,10 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
             budget -= 1
             if budget < 0:
                 raise BoundsExceededError("visited-state budget exhausted")
-            for parts, contents in successors(system, g, vocabulary, cap - node_count(g)):
+            room = size - node_count(g)
+            if last and room == 0 and len(g.key) != len(goal.key) + 1:
+                continue
+            for parts, contents in successors(system, g, vocabulary, max(room, 0)):
                 key = edited_key(g, parts, contents)
                 if key in seen:
                     continue
@@ -274,7 +287,8 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
                                            predecessor_edits, entailed)
             back_depth += 1
         else:
-            frontier, meeting = layer(frontier, ahead, behind, depth, edits)
+            frontier, meeting = layer(frontier, ahead, behind, depth, edits,
+                                      last=depth == bounds.max_depth - 1)
             depth += 1
         if meeting is not None:
             keys = _trail(ahead, meeting)[::-1] + _trail(behind, meeting)[1:]

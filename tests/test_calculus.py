@@ -40,6 +40,7 @@ from peirce.calculus import in_scope
 from peirce.graphs import OUTER, walk
 from peirce.notation import parse_graph, print_graph
 from peirce.scriptfile import parse_script
+from peirce.search import default_vocabulary
 from peirce.semantics import graph_to_formula, taut_classical, taut_int
 from peirce import formulas as fm
 
@@ -539,6 +540,31 @@ class TestEdits:
             assert offered == expected, print_graph(graph)
             repeated += len(expected) - len(items)
         assert repeated > 100
+
+    def test_only_an_empty_loops_removal_keeps_the_node_count(self):
+        # search._search's last forward layer rests on this: there only the
+        # goal can be met, so a state with the goal's node count lists its
+        # moves only when its key is one code longer than the goal's.  A
+        # loop copy or a loop merge rule (ROADMAP direction 1) applied to an
+        # empty loop would break it, adding or removing one END_AREA code;
+        # the last layer must then accept a key one code longer or shorter.
+        rng = random.Random(157)
+        changed = kept = 0
+        for _ in range(1_200):
+            system = rng.choice([CL, IN])
+            graph, other = (random_graph(rng, depth=4, atoms=2, dialect=system)
+                            for _ in range(2))
+            vocab = default_vocabulary(graph, other)
+            for kind, rule, ops in moves(system, graph, vocab):
+                key = graphs.edited_key(graph, *rule.edit(*ops))
+                if graphs.key_size(key) != node_count(graph):
+                    changed += 1
+                    continue
+                assert kind is LoopRemove and not ops[1].loops[ops[2]].items, (
+                    print_graph(graph), kind(*ops[::2]))
+                assert len(key) == len(graph.key) - 1
+                kept += 1
+        assert changed > 90_000 and kept > 200
 
     def test_sizes_once_per_state(self, monkeypatch):
         # the size bound is decided once per state: one size for each item

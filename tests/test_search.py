@@ -601,6 +601,25 @@ class TestKeyFirst:
         assert built == [4, 26, 4, 6, 4, 21, 21, 4]
         assert sum(built) == 90
 
+    def test_the_last_layer_lists_moves_only_where_the_goal_may_be_one_move_away(
+            self, monkeypatch):
+        # of the 317 states the depth-5 exhaustion expands, 242 sit in the
+        # last layer, where only the goal can be met; 172 of them have the
+        # goal's node count (4) but a key not one code longer than the
+        # goal's, and list no edit
+        listed, keyed = [], []
+        listing, key = search.edits, search.edited_key
+
+        def counting(*args):
+            listed.append(args[1].key)
+            return listing(*args)
+        monkeypatch.setattr(search, "edits", counting)
+        monkeypatch.setattr(search, "edited_key", lambda *args: keyed.append(1) or key(*args))
+        goal = goal_graph("p | ~p", IN)
+        assert derive(IN, Graph(), goal, SearchBounds(max_depth=5)) is None
+        assert len(listed) == len(set(listed)) == 145
+        assert len(keyed) == 1_721
+
     # sha256 of `eg prove` stdout: the C6 goals and the depth-5 exhaustion
     @pytest.mark.parametrize("argv,code,digest", [
         (["--system", "classical", "--goal", "(p (p))"], 0,
@@ -693,6 +712,84 @@ class TestKeyFirstBackward:
                 assert all(graphs.key_size(key) <= cap for key in keys)
             backward += len(built["behind"])
         assert backward > 100 and offered["behind"] > backward + 100
+
+
+def _reference_distance(system, start, goal, vocab, cap, depth):
+    """The fewest moves from ``start`` to ``goal`` within ``depth``, or None:
+    a BFS over keys through the cap, each enumerated instance applied
+    through the checker."""
+    frontier, seen = [start], {start.key}
+    for distance in range(depth + 1):
+        if goal.key in {g.key for g in frontier}:
+            return distance
+        following = []
+        for g in frontier if distance < depth else ():
+            for rule in enumerate_rule_instances(system, g, vocab, cap - node_count(g)):
+                h = apply_rule(system, g, rule)
+                if h.key not in seen:
+                    seen.add(h.key)
+                    following.append(h)
+        frontier = following
+    return None
+
+
+class TestLastLayer:
+    """In the last forward layer only the goal can be met, so a state lists
+    only the moves that could give the goal's node count, and none when it
+    has that count already, unless its key is one code longer than the
+    goal's: the removal of an empty loop keeps the node count."""
+
+    def test_an_empty_loops_removal_is_found_in_the_last_layer(self):
+        start, goal = parse_graph("([p | ])", IN), parse_graph("((p))", IN)
+        assert node_count(start) == node_count(goal)
+        script = derive(IN, start, goal, SearchBounds(max_depth=1))
+        assert script is not None
+        assert format_script(script).splitlines()[2:] == ["loopremove 0.outer.0 0"]
+
+    def test_a_derivation_is_found_exactly_when_a_bfs_over_keys_finds_one(self):
+        # goals k = 1-4 random moves from their start, searched at depth
+        # k - 1, k and k + 1, plain and two-sided, against a BFS that
+        # shares nothing with _search but the listing of moves.  Half the
+        # intuitionistic starts hold ([a | ]) for an atom a, and a walk ends
+        # with the removal of an empty loop whenever one is offered
+        rng = random.Random(163)
+        found = missed = last = emptied = searched = 0
+        while searched < 160:
+            system = rng.choice([CL, IN])
+            start = random_graph(rng, depth=2, atoms=2, dialect=system, width=2)
+            if system is IN and searched % 2:
+                start = Graph(start.items + parse_graph(f"([{rng.choice('pq')} | ])", IN).items)
+            k, goal = rng.randint(1, 4), start
+            for step in range(k):
+                rules = enumerate_rule_instances(system, goal, _vocabulary(rng, system))
+                empty = [rule for rule in rules if isinstance(rule, calculus.LoopRemove)
+                         and not graphs.resolve_item(goal, rule.item).loops[rule.loop].items]
+                ends_empty = bool(empty) and step == k - 1
+                goal = apply_rule(system, goal, rng.choice(empty if ends_empty else rules))
+            vocab = default_vocabulary(start, goal)
+            cap = node_count(start) + node_count(goal)
+            if cap > 7:
+                # the reference BFS grows too fast past this
+                continue
+            searched += 1
+            emptied += ends_empty
+            distance = _reference_distance(system, start, goal, vocab, cap, k + 1)
+            for depth in (k - 1, k, k + 1):
+                bounds = SearchBounds(max_depth=depth, max_visited=100_000)
+                for entailed in (None, search._entailed_by(system, start)):
+                    chain = search._search(system, start, goal, vocab, cap, bounds, entailed)
+                    reached = distance is not None and distance <= depth
+                    assert (chain is not None) == reached, (
+                        print_graph(start), print_graph(goal), depth, entailed is not None)
+                    if chain is None:
+                        missed += 1
+                        continue
+                    script = ProofScript(system, start, tuple((rule, None) for rule in chain))
+                    report = check_script(script)
+                    assert report.ok and equals(report.final, goal)
+                    found += 1
+                    last += distance == depth
+        assert found > 600 and missed > 200 and last > 200 and emptied > 15
 
 
 class TestPredecessorEdits:
