@@ -28,10 +28,9 @@ and not inside the item itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
-from .errors import IllegalRuleError, InvalidPathError
+from .errors import IllegalRuleError, InvalidPathError, Record
 from .graphs import (
     EVEN,
     ODD,
@@ -55,65 +54,54 @@ from .graphs import (
 System = Dialect
 
 
-@dataclass(frozen=True)
-class Erase:
+class Erase(Record):
     item: Path
 
 
-@dataclass(frozen=True)
-class Insert:
+class Insert(Record):
     area: Path
     graph: Graph
 
 
-@dataclass(frozen=True)
-class Iterate:
+class Iterate(Record):
     source: Path
     target: Path
 
 
-@dataclass(frozen=True)
-class Deiterate:
+class Deiterate(Record):
     item: Path
     witness: Path
 
 
-@dataclass(frozen=True)
-class DoubleCutIntro:
+class DoubleCutIntro(Record):
     area: Path
     indices: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class DoubleCutElim:
+class DoubleCutElim(Record):
     item: Path
 
 
-@dataclass(frozen=True)
-class ScrollWrap:
+class ScrollWrap(Record):
     area: Path
     indices: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class ScrollUnwrap:
+class ScrollUnwrap(Record):
     item: Path
 
 
-@dataclass(frozen=True)
-class LoopAdd:
+class LoopAdd(Record):
     item: Path
     graph: Graph
 
 
-@dataclass(frozen=True)
-class LoopRemove:
+class LoopRemove(Record):
     item: Path
     loop: int
 
 
-@dataclass(frozen=True)
-class Detach:
+class Detach(Record):
     item: Path
 
 
@@ -156,13 +144,12 @@ class Walk:
     def __init__(self, system: System, g: Graph, vocabulary: tuple[Graph, ...], max_growth=None):
         self.areas, self.items = walk(g)
         self.scrolls = [site for site in self.items if isinstance(site[1], Scroll)]
-        self.drawn = [(v,) for v in vocabulary if not v.violations[system]]
+        self.drawn = [(v,) for v in vocabulary if not well_formed(v, system)]
         self.limit = float("inf") if max_growth is None else max_growth
         self.fitting = [site for site in self.drawn if node_count(site[0]) <= self.limit]
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     """One rule of the calculus.  Its first operand comes from the Walk list
     ``site``, and ``more`` gives the candidates for the rest at one site
     (None: the site is all).  Side conditions, checked in this order: the
@@ -377,7 +364,7 @@ def _operands(g: Graph, rule: RuleInstance) -> tuple:
     """The rule's operands in ``g``."""
     ops = []
     try:
-        for name, value in vars(rule).items():
+        for name, value in zip(rule._fields, rule._values()):
             ops.append(value)
             if name in ("area", "target"):
                 ops.append(resolve_area(g, value))
@@ -397,7 +384,7 @@ def apply_rule(system: System, g: Graph, rule: RuleInstance) -> Graph:
     reason = entry.condition and entry.condition(*ops)
     if not reason and not entry.fits(ops[0]):
         reason = f"wrong polarity: {entry.name} needs an {entry.polarity} area"
-    bad = not reason and entry.drawn and ops[-1].violations[system]
+    bad = not reason and entry.drawn and well_formed(ops[-1], system)
     if bad:
         reason = f"{entry.drawn} graph not in dialect: {bad[0].reason}"
     if reason:
@@ -494,23 +481,20 @@ def unlisted_edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = ())
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProofScript:
+class ProofScript(Record):
     system: System
     start: Graph
     steps: tuple[tuple[RuleInstance, Optional[Graph]], ...]
 
 
-@dataclass
-class StepResult:
+class StepResult(Record):
     index: int
     rule: RuleInstance
     graph: Optional[Graph]
     error: Optional[str]
 
 
-@dataclass
-class Report:
+class Report(Record):
     ok: bool
     results: list[StepResult]
     failed_step: Optional[int]

@@ -16,28 +16,34 @@ monad and the whole space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import EmptyElementError, NotInMonadError, OrdinalUnderflowError, ParseError
+from .errors import EmptyElementError, NotInMonadError, OrdinalUnderflowError, ParseError, Record
 
 # ---------------------------------------------------------------------------
 # Ordinals in Cantor normal form
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Ordinal:
-    terms: tuple[tuple["Ordinal", int], ...] = ()
+class Ordinal(Record):
+    terms: tuple[tuple[Ordinal, int], ...]
 
-    def __post_init__(self):
-        for exponent, coeff in self.terms:
+    def __init__(self, terms: tuple[tuple[Ordinal, int], ...] = ()):
+        for exponent, coeff in terms:
             if coeff < 1:
                 raise ValueError("coefficients must be positive")
-        for (e1, _), (e2, _) in zip(self.terms, self.terms[1:]):
+        for (e1, _), (e2, _) in zip(terms, terms[1:]):
             if e1 <= e2:
                 raise ValueError("exponents must strictly decrease")
+        object.__setattr__(self, "terms", terms)
+
+    # ``a > b`` and ``a >= b`` are read as ``b < a`` and ``b <= a``
+    def __lt__(self, other: Ordinal) -> bool:
+        return self.terms < other.terms
+
+    def __le__(self, other: Ordinal) -> bool:
+        return self.terms <= other.terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -217,8 +223,7 @@ class LexRelation(Enum):
     PROPER_EXTENSION = "proper_extension"
 
 
-@dataclass(frozen=True)
-class ContinuumElement:
+class ContinuumElement(Record):
     """Pieces (length, value): a piecewise-constant map from the ordinal
     interval [0, domain) to rationals.  Canonical by construction: adjacent
     pieces of equal value merge (lengths add as ordinals), and no piece, or a
@@ -226,11 +231,11 @@ class ContinuumElement:
 
     pieces: tuple[tuple[Ordinal, Fraction], ...]
 
-    def __post_init__(self):
-        if not self.pieces:
+    def __init__(self, pieces: tuple[tuple[Ordinal, Fraction], ...]):
+        if not pieces:
             raise EmptyElementError("an element needs at least one piece")
         merged: list[tuple[Ordinal, Fraction]] = []
-        for length, value in self.pieces:
+        for length, value in pieces:
             if length.is_zero():
                 raise EmptyElementError("piece lengths must be positive ordinals")
             if merged and merged[-1][1] == value:

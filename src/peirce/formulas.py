@@ -2,79 +2,76 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
+from .errors import Record
 
-def _node(cls):
-    """A frozen dataclass whose hash is the one its ``__init__`` stores."""
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = lambda node: node._hash
-    return cls
-
-
-# Each node's __init__ writes its fields into the instance dict in one
-# step, where a frozen dataclass's own sets each through object.__setattr__,
-# and with them the dataclass's own hash, that of the tuple of the fields,
-# taken from their stored hashes, so hashing never recurses.  The dict so
-# built has keys of its own, not the ones the class's instances share: a
-# node takes about 90 bytes more, and CPython 3.11 specialises the reads of
-# its fields, which G4ip and the Kripke search make by the thousand.
+# Each node stores the hash a record computes, that of the tuple of its
+# fields, taken from their stored hashes, so hashing never recurses.  The
+# fields and the hash sit in slots, whose reads CPython 3.11 specialises:
+# G4ip and the Kripke search make them by the thousand.
+_set = object.__setattr__
 
 
-def _constant(node) -> None:
-    node.__dict__["_hash"] = hash(())
+class _Node(Record):
+    """A formula node; built with no fields, it is a constant."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self):
+        _set(self, "_hash", hash(()))
+
+    def __hash__(self):
+        return self._hash
 
 
-def _pair(node, left: "Formula", right: "Formula") -> None:
-    node.__dict__.update(left=left, right=right, _hash=hash((left, right)))
-
-
-@_node
-class Atom:
+class Atom(_Node):
+    __slots__ = ("name",)
     name: str
 
     def __init__(self, name: str):
-        self.__dict__.update(name=name, _hash=hash((name,)))
+        _set(self, "name", name)
+        _set(self, "_hash", hash((name,)))
 
 
-@_node
-class Top:
-    __init__ = _constant
+class Top(_Node):
+    __slots__ = ()
 
 
-@_node
-class Bot:
-    __init__ = _constant
+class Bot(_Node):
+    __slots__ = ()
 
 
-@_node
-class Not:
-    body: "Formula"
+class Not(_Node):
+    __slots__ = ("body",)
+    body: Formula
 
-    def __init__(self, body: "Formula"):
-        self.__dict__.update(body=body, _hash=hash((body,)))
-
-
-@_node
-class And:
-    left: "Formula"
-    right: "Formula"
-    __init__ = _pair
+    def __init__(self, body: Formula):
+        _set(self, "body", body)
+        _set(self, "_hash", hash((body,)))
 
 
-@_node
-class Or:
-    left: "Formula"
-    right: "Formula"
-    __init__ = _pair
+class _Pair(_Node):
+    __slots__ = ("left", "right")
+    left: Formula
+    right: Formula
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((left, right)))
 
 
-@_node
-class Imp:
-    left: "Formula"
-    right: "Formula"
-    __init__ = _pair
+class And(_Pair):
+    __slots__ = ()
+
+
+class Or(_Pair):
+    __slots__ = ()
+
+
+class Imp(_Pair):
+    __slots__ = ()
 
 
 Formula = Union[Atom, Top, Bot, Not, And, Or, Imp]

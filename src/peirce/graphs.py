@@ -7,7 +7,9 @@ type covers both dialects.  Boundaries nest and never intersect, which the
 tree representation gives for free.
 
 Areas are stored in author order so paths stay stable; equality is by
-multiset, via each node's canonical ``key``.
+multiset, via each node's canonical ``key``.  Nodes are frozen records
+(``errors.Record``), and each computes its ``key`` and ``flaws`` as it is
+built, from its children's.
 
 A scroll's regions are numbered: region ``OUTER`` (0) is its outer area
 and region ``k + 1`` its loop ``k``, so ``scroll.regions[r]`` is region
@@ -17,11 +19,11 @@ and region ``k + 1`` its loop ``k``, so ``scroll.regions[r]`` is region
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Iterator, Union
 
-from .errors import InvalidPathError
+from .errors import InvalidPathError, Record
 
 ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -32,22 +34,6 @@ ODD = "odd"
 class Dialect(Enum):
     CLASSICAL = "classical"
     INTUITIONISTIC = "intuitionistic"
-
-
-class _cached:
-    """An attribute computed once per immutable node: the first read stores
-    the value in the instance's ``__dict__``, where later reads find it
-    before this descriptor."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-
-    def __get__(self, node, owner=None):
-        if node is None:
-            return self
-        value = node.__dict__[self.name] = self.fn(node)
-        return value
 
 
 # Canonical keys are strings over a prefix-free code: an atom is
@@ -63,75 +49,64 @@ class _cached:
 # a node's ``flaws`` test its names themselves and are not read off its key.
 _END_NAME, _END_LOOPS, _END_AREA, _ATOM, _SCROLL = "\x00", "\x01", "\x02", "\x03", "\x04"
 
-# A node's ``flaws`` are bits: a bad atom name in it, a loop in it.  Each
-# node computes them once from its children's, so a graph built by an edit
-# computes them only for its new spine.  A dialect forbids the bits it maps to.
+# A node's ``flaws`` are bits: a bad atom name in it, a loop in it.  A
+# dialect forbids the bits it maps to.
 _BAD_NAME, _LOOPS = 1, 2
 _FORBIDDEN = {Dialect.CLASSICAL: _BAD_NAME | _LOOPS, Dialect.INTUITIONISTIC: _BAD_NAME}
 
 
-@dataclass(frozen=True)
-class Atom:
+_set = object.__setattr__
+
+# A node sets its ``key`` and ``flaws`` as it is built, in slots beside its
+# fields, from its children's, which are set already: a graph built by an
+# edit computes them only for its new spine.
+
+
+class Atom(Record):
+    __slots__ = ("name", "key", "flaws")
     name: str
 
-    @_cached
-    def key(self) -> str:
-        return _ATOM + self.name + _END_NAME
-
-    @_cached
-    def flaws(self) -> int:
-        return 0 if ATOM_NAME.match(self.name) else _BAD_NAME
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _set(self, "key", _ATOM + name + _END_NAME)
+        _set(self, "flaws", 0 if ATOM_NAME.match(name) else _BAD_NAME)
 
 
-@dataclass(frozen=True)
-class Scroll:
-    outer: "Graph"
-    loops: tuple["Graph", ...] = ()
+class Scroll(Record):
+    __slots__ = ("outer", "loops", "regions", "key", "flaws")
+    outer: Graph
+    loops: tuple[Graph, ...]
+
+    def __init__(self, outer: Graph, loops: tuple[Graph, ...] = ()):
+        _set(self, "outer", outer)
+        _set(self, "loops", loops)
+        _set(self, "regions", (outer,) + loops)
+        _set(self, "key", _SCROLL + outer.key
+             + "".join(sorted([loop.key for loop in loops])) + _END_LOOPS)
+        flaws = outer.flaws
+        for loop in loops:
+            flaws |= loop.flaws | _LOOPS
+        _set(self, "flaws", flaws)
 
     @property
     def is_cut(self) -> bool:
         return not self.loops
 
-    @_cached
-    def regions(self) -> tuple["Graph", ...]:
-        """The outer area, then the loops: region ``r`` is ``regions[r]``."""
-        return (self.outer,) + self.loops
-
-    @_cached
-    def key(self) -> str:
-        return (_SCROLL + self.outer.key
-                + "".join(sorted([loop.key for loop in self.loops])) + _END_LOOPS)
-
-    @_cached
-    def flaws(self) -> int:
-        flaws = self.outer.flaws
-        for loop in self.loops:
-            flaws |= loop.flaws | _LOOPS
-        return flaws
-
 
 Item = Union[Atom, Scroll]
 
 
-@dataclass(frozen=True)
-class Graph:
-    items: tuple[Item, ...] = ()
+class Graph(Record):
+    __slots__ = ("items", "key", "flaws")
+    items: tuple[Item, ...]
 
-    @_cached
-    def key(self) -> str:
-        return "".join(sorted([item.key for item in self.items])) + _END_AREA
-
-    @_cached
-    def flaws(self) -> int:
+    def __init__(self, items: tuple[Item, ...] = ()):
+        _set(self, "items", items)
+        _set(self, "key", "".join(sorted([item.key for item in items])) + _END_AREA)
         flaws = 0
-        for item in self.items:
+        for item in items:
             flaws |= item.flaws
-        return flaws
-
-    @_cached
-    def violations(self) -> dict:
-        """well_formed in each dialect, computed once per graph."""
-        return {dialect: well_formed(self, dialect) for dialect in Dialect}
+        _set(self, "flaws", flaws)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -174,8 +149,7 @@ def parse_index(digits: str) -> int:
         raise InvalidPathError(f"index of {len(digits)} digits is too long") from None
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """An address into a graph.
 
     ``parts`` alternates item indices and region numbers (``OUTER`` for
@@ -184,15 +158,18 @@ class Path:
     an item; a path ending after a region addresses an area.  The empty
     path addresses the sheet.  Text form is dot-separated (``1.outer.0``,
     ``2.loop0``), with the empty path written ``/``; ``Path.parse`` builds
-    a path from it.
+    a path from it.  ``is_odd``: whether the area addressed (for an item
+    path, the item's area) is odd; an outer curve counts one, a loop two.
     """
 
-    parts: tuple = ()
+    __slots__ = ("parts", "is_odd")
+    parts: tuple
 
-    def __post_init__(self):
-        for pos, part in enumerate(self.parts):
+    def __init__(self, parts: tuple = ()):
+        for pos, part in enumerate(parts):
             if not isinstance(part, int) or part < 0:
                 raise InvalidPathError(f"step {pos}: expected a non-negative int, got {part!r}")
+        _fill(self, parts)
 
     @property
     def is_area(self) -> bool:
@@ -211,12 +188,6 @@ class Path:
         if not self.is_item:
             raise InvalidPathError("only item paths have a parent area")
         return _trusted(self.parts[:-1])
-
-    @_cached
-    def is_odd(self) -> bool:
-        """Whether the area addressed (for an item path, the item's area) is
-        odd: entering an outer area crosses one curve, a loop two."""
-        return self.parts[1::2].count(OUTER) % 2 == 1
 
     def starts_with(self, prefix: "Path") -> bool:
         return self.parts[: len(prefix.parts)] == prefix.parts
@@ -245,12 +216,16 @@ class Path:
                         else f"loop{part - 1}" for pos, part in enumerate(self.parts)) or "/"
 
 
+def _fill(path: Path, parts: tuple) -> Path:
+    _set(path, "parts", parts)
+    _set(path, "is_odd", parts[1::2].count(OUTER) % 2 == 1)
+    return path
+
+
 def _trusted(parts: tuple) -> Path:
     """A Path over parts taken from valid paths, built without validation:
     the walks and the rules derive many paths and validate none of them."""
-    path = object.__new__(Path)
-    path.__dict__["parts"] = parts
-    return path
+    return _fill(object.__new__(Path), parts)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +282,9 @@ def replace_at(g: Graph, area: Path, new_contents: Graph) -> Graph:
 # building a node.  Both are unchecked: ``parts`` must address an area.
 
 def edited(g: Graph, parts: tuple, contents: Callable[[Graph], tuple]) -> Graph:
-    """``g`` with the area at ``parts`` holding ``contents(area)``.  Like a
-    parsed graph, the result computes its key when the key is first read."""
+    """``g`` with the area at ``parts`` holding ``contents(area)``.  Its new
+    nodes, the spine down to the area, compute their keys and flaws as
+    they are built."""
     if not parts:
         return Graph(contents(g))
     index, region = parts[0], parts[1]
@@ -338,8 +314,7 @@ def edited_key(g: Graph, parts: tuple, contents: Callable[[Graph], tuple]) -> st
 # Canonical form and equality
 # ---------------------------------------------------------------------------
 
-def _key(node) -> str:
-    return node.key
+_key = attrgetter("key")
 
 
 def canonicalize(g: Graph) -> Graph:
@@ -383,8 +358,7 @@ def _walk(area: Graph, prefix: tuple, areas: list, items: list) -> None:
                 _walk(inner, parts + (region,), areas, items)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     path: Path
     reason: str
 

@@ -26,19 +26,17 @@ raised.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from . import formulas as fm
-from .errors import BoundsExceededError, CertificationError
+from .errors import BoundsExceededError, CertificationError, Record
 
 MAX_WORLDS = 5
 MAX_LANES = 4096            # valuations evaluated in one pass
 MAX_VALUATIONS = 50_000_000  # valuations one search may try
 
 
-@dataclass(frozen=True)
-class KripkeModel:
+class KripkeModel(Record):
     """Worlds 0..n-1, a reflexive-transitive order as up-masks (bit b of
     ``up[a]`` set when a <= b), and a monotone valuation."""
 

@@ -79,8 +79,8 @@ def parse_graph(text: str, dialect: Dialect) -> Graph:
     """The graph ``text`` denotes, or DialectError at its first violation
     of ``dialect``.  The reader rejects bad atom names itself, and a text
     that reads holds a loop exactly when it holds a '|', so only a
-    classical text with a '|' is checked, by the walk, which nests one
-    frame per level where the nodes' ``flaws`` nest four."""
+    classical text with a '|' is checked, by the walk, which names the
+    loop's path."""
     graph = _read(text, _parse_area, {})
     if dialect is Dialect.CLASSICAL and "|" in text:
         bad = walk_violations(graph, dialect)[0]

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 # the three replacements of xml.sax.saxutils.escape (&, <, >), without the
 # network modules that importing xml.sax loads
 from html import escape
+from operator import attrgetter
 from typing import Optional
 
-from .errors import PeirceError
+from .errors import PeirceError, Record
 from .graphs import Atom, Graph, Item, Scroll
 
 PAD = 8.0
@@ -40,15 +40,17 @@ MARGIN = 10.0
 MAX_RADIUS = 2.0 ** 53
 
 
-@dataclass
 class GeometryNode:
-    kind: str  # "sheet", "ellipse" or "text"
-    cx: float = 0.0
-    cy: float = 0.0
-    rx: float = 0.0
-    ry: float = 0.0
-    text: Optional[str] = None
-    children: list["GeometryNode"] = field(default_factory=list)
+    """A mutable layout node ("sheet", "ellipse" or "text"), compared and printed as a record."""
+
+    _fields = ("kind", "cx", "cy", "rx", "ry", "text", "children")
+    _compared = attrgetter(*_fields)
+    __eq__, __repr__ = Record.__eq__, Record.__repr__
+
+    def __init__(self, kind: str, cx: float = 0.0, cy: float = 0.0, rx: float = 0.0,
+                 ry: float = 0.0, text: Optional[str] = None, children: Optional[list] = None):
+        self.kind, self.cx, self.cy, self.rx, self.ry, self.text = kind, cx, cy, rx, ry, text
+        self.children = [] if children is None else children
 
 
 # sizing ---------------------------------------------------------------------

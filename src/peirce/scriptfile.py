@@ -28,8 +28,6 @@ and the usage quoted when a line lacks them.
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 from .calculus import (
     Deiterate,
     Detach,
@@ -99,7 +97,8 @@ def parse_script(text: str) -> ProofScript:
 
 # keyword: (rule, text written between its operands, text the reader splits
 # them at, usage quoted when that split or the index is missing, or "" where
-# the split may fail).  An operand's kind is its field's annotation.
+# the split may fail).  An operand's kind is its field's annotation, read
+# from the rule's class as the (name, kind) pairs of ``_FIELDS``.
 _STEPS = {
     "erase": (Erase, "", "", ""),
     "insert": (Insert, " ", " ", ""),
@@ -114,7 +113,7 @@ _STEPS = {
     "detach": (Detach, "", "", ""),
 }
 _KEYWORDS = {rule: keyword for keyword, (rule, *_) in _STEPS.items()}
-_FIELDS = {rule: fields(rule) for rule in _KEYWORDS}
+_FIELDS = {rule: tuple(rule.__annotations__.items()) for rule in _KEYWORDS}
 
 
 def _parse_step(keyword: str, rest: str, system: System, lineno: int) -> RuleInstance:
@@ -124,7 +123,7 @@ def _parse_step(keyword: str, rest: str, system: System, lineno: int) -> RuleIns
     operands = _FIELDS[rule]  # the first operand is always a path
     if len(operands) == 1:
         return rule(Path.parse(rest))
-    kind = operands[1].type
+    kind = operands[1][1]
     head, sep, tail = rest.partition(split)
     # the split, an index and an items list are checked before the path is read
     if (usage and not sep) or (kind == "int" and not tail.strip().isdecimal()):
@@ -160,11 +159,11 @@ def _format_step(rule: RuleInstance) -> str:
     if keyword is None:
         raise PeirceError(f"unknown rule {rule!r}")
     operands = []
-    for field in _FIELDS[type(rule)]:
-        value = getattr(rule, field.name)
-        if field.type == "Graph":
+    for name, kind in _FIELDS[type(rule)]:
+        value = getattr(rule, name)
+        if kind == "Graph":
             operands.append(print_graph(value))
-        elif field.type == "frozenset[int]":
+        elif kind == "frozenset[int]":
             operands.append(",".join(str(i) for i in sorted(value)))
         else:
             operands.append(str(value))

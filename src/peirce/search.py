@@ -69,8 +69,8 @@ state's edits, in the order of its moves, are only those that add at most
 area's spine (graphs.edited_key); a key the side has seen is skipped, one
 the other side holds joins them, and a new key joins the next frontier as
 the state it came from and the edit.  Its graph is built only when a
-layer or the scan reaches it, and computes its key when the layer first
-reads it; no edit past the cap is offered, so no size is measured.  In the
+layer or the scan reaches it, and computes its key as it is built; no
+edit past the cap is offered, so no size is measured.  In the
 last forward layer only the goal can be met, so the bound there is
 ``node_count(goal) - node_count(g)``; only an empty loop's removal keeps
 the node count, and it drops one key code, so a state of the goal's size
@@ -81,10 +81,11 @@ expands after the start, where building every new key built 555 and
 building every successor 2,700; it lists the moves of 145 of its 317
 states and keys 1,721 edits, where listing every state's keyed 2,700.
 
-The sides record each key with the key it came from and its distance.
-The script is read back along the keys through the meeting by listing
-the moves at each step: the first move whose edit reaches the next key
-is taken, and only that move's rule instance is built.
+The sides record each key with the key it came from and its distance,
+but for the last forward layer, which records only a meeting.  The
+script is read back along the keys through the meeting by listing the
+moves at each step: the first move whose edit reaches the next key is
+taken, and only that move's rule instance is built.
 ``max_visited`` bounds the states expanded, on both sides together.
 Every script found is re-checked through check_script before being
 returned; a failed re-check raises CertificationError.
@@ -92,7 +93,6 @@ returned; a failed re-check raises CertificationError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import formulas as fm
@@ -106,7 +106,7 @@ from .calculus import (
     predecessor_edits,
     unlisted_edits,
 )
-from .errors import BoundsExceededError, CertificationError, DialectError, TooManyAtomsError
+from .errors import BoundsExceededError, CertificationError, DialectError, Record, TooManyAtomsError
 from .graphs import (
     Graph,
     canonicalize,
@@ -123,8 +123,7 @@ from .notation import print_graph
 from .semantics import graph_to_formula, taut_classical, taut_int
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(Record):
     max_depth: int = 12
     max_visited: int = 500_000
 
@@ -214,7 +213,7 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
     """Rule instances from ``start`` to ``goal``.  The backward side runs
     when ``entailed`` is given and expands only the states it accepts,
     tested as their layer is expanded (frontier sizes count untested
-    states).  ``ahead`` and ``behind`` map each key a side reached to the
+    states).  ``ahead`` and ``behind`` map each key a side recorded to the
     key it came from and its distance from that side's end.  A frontier
     holds each new key's state as the state it came from and the edit,
     built when reached."""
@@ -234,10 +233,10 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
     def layer(states, seen, other, distance, successors, accept=None, last=False):
         """The layer after ``states`` and None, or None and the key where
         the sides meet: on the backward side the first meeting, on the
-        forward side the first of least total depth.  In the ``last``
-        forward layer only the goal can be met: a state lists only the
-        edits that may give the goal's node count, and none when it has
-        that count and a key not one code longer than the goal's."""
+        forward side the first of least total depth.  The ``last`` forward
+        layer can meet only the goal and records no other key; a state
+        there lists only the edits that may give the goal's node count,
+        and none when it has it and a key not one code longer."""
         nonlocal budget
         found = []
         size = node_count(goal) if last else cap
@@ -255,11 +254,13 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
                 key = edited_key(g, parts, contents)
                 if key in seen:
                     continue
-                seen[key] = (g.key, distance + 1)
                 meet = other.get(key)
                 if meet is not None and distance + 1 + meet[1] <= bounds.max_depth:
+                    seen[key] = (g.key, distance + 1)
                     return None, key if seen is behind else nearest(states, i, key, distance)
-                found.append((g, parts, contents))
+                if not last:
+                    seen[key] = (g.key, distance + 1)
+                    found.append((g, parts, contents))
         return found, None
 
     def nearest(states, i, key, distance):

@@ -58,25 +58,32 @@ def formula_to_graph(f: fm.Formula, dialect: Dialect) -> Graph:
 
 
 def _encode(f: fm.Formula, d: Dialect) -> tuple[Item, ...]:
-    if isinstance(f, fm.Atom):
-        return (Atom(f.name),)
-    if isinstance(f, fm.Top):
-        return ()
-    if isinstance(f, fm.Bot):
-        return (Scroll(Graph()),)
-    if isinstance(f, fm.And):
-        return _encode(f.left, d) + _encode(f.right, d)
-    if isinstance(f, fm.Not):
-        return (Scroll(Graph(_encode(f.body, d))),)
-    if d is Dialect.CLASSICAL:
-        # A -> B  ~>  (A (B)), and A | B is ~A -> B  ~>  ((A) (B))
-        left = _encode(f.left, d)
-        left = left if isinstance(f, fm.Imp) else (Scroll(Graph(left)),)
-        return (Scroll(Graph(left + (Scroll(Graph(_encode(f.right, d))),))),)
-    if isinstance(f, fm.Imp):
-        return (Scroll(Graph(_encode(f.left, d)), (Graph(_encode(f.right, d)),)),)
-    # A | B  ~>  [ | A | B]
-    return (Scroll(Graph(), (Graph(_encode(f.left, d)), Graph(_encode(f.right, d)))),)
+    """The items of ``f``'s graph; the conjuncts of an ``&`` come from a
+    stack, left to right, so a long chain of them takes no recursion."""
+    items, todo = [], [f]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, fm.And):
+            todo += f.right, f.left
+        elif isinstance(f, fm.Atom):
+            items.append(Atom(f.name))
+        elif isinstance(f, fm.Bot):
+            items.append(Scroll(Graph()))
+        elif isinstance(f, fm.Not):
+            items.append(Scroll(Graph(_encode(f.body, d))))
+        elif isinstance(f, fm.Top):
+            pass
+        elif d is Dialect.CLASSICAL:
+            # A -> B  ~>  (A (B)), and A | B is ~A -> B  ~>  ((A) (B))
+            left = _encode(f.left, d)
+            left = left if isinstance(f, fm.Imp) else (Scroll(Graph(left)),)
+            items.append(Scroll(Graph(left + (Scroll(Graph(_encode(f.right, d))),))))
+        elif isinstance(f, fm.Imp):
+            items.append(Scroll(Graph(_encode(f.left, d)), (Graph(_encode(f.right, d)),)))
+        else:
+            # A | B  ~>  [ | A | B]
+            items.append(Scroll(Graph(), (Graph(_encode(f.left, d)), Graph(_encode(f.right, d)))))
+    return tuple(items)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ interpreter to run code in, shared by unit and acceptance tests."""
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import os
 import random
@@ -93,26 +92,25 @@ def random_element(rng: random.Random, pieces: int = 3) -> ContinuumElement:
     return elem_canonicalize(ContinuumElement(parts))
 
 
-def check_frozen_node(node) -> None:
-    """``node``'s class is still a frozen dataclass whatever ``__init__`` it
-    has: its fields refuse assignment, its signature is its fields, and it
-    is built by keyword and by ``dataclasses.replace`` into an equal node
-    with the same repr."""
-    fields = dataclasses.fields(node)
-    for name in [field.name for field in fields] + ["other"]:
+def check_frozen_node(node, **defaults) -> None:
+    """``node``'s class is a frozen record whatever ``__init__`` it has: its
+    fields refuse assignment, its signature is its fields with the
+    ``defaults`` given, and it is built by keyword into an equal node with
+    the same repr."""
+    fields = type(node)._fields
+    for name in [*fields, "other"]:
         try:
             setattr(node, name, None)
-        except dataclasses.FrozenInstanceError:
+        except AttributeError:
             continue
         raise AssertionError(f"{type(node).__name__}.{name} was assigned")
     empty = inspect.Parameter.empty
     assert [(param.name, param.default, param.kind)
             for param in inspect.signature(type(node)).parameters.values()] == [
-        (field.name, empty if field.default is dataclasses.MISSING else field.default,
-         inspect.Parameter.POSITIONAL_OR_KEYWORD) for field in fields]
-    values = {field.name: getattr(node, field.name) for field in fields}
-    for twin in (type(node)(**values), dataclasses.replace(node)):
-        assert twin == node and repr(twin) == repr(node) and twin is not node
+        (name, defaults.get(name, empty), inspect.Parameter.POSITIONAL_OR_KEYWORD)
+        for name in fields]
+    twin = type(node)(**{name: getattr(node, name) for name in fields})
+    assert twin == node and repr(twin) == repr(node) and twin is not node
 
 
 def fresh(code: str, cwd=None) -> str:

@@ -205,6 +205,13 @@ class TestTranslate:
                            "--dialect", "classical", "p -> q")
         assert (code, out) == (0, "(p (q))\n")
 
+    @pytest.mark.parametrize("dialect", ["classical", "intuitionistic"])
+    def test_a_flat_conjunction_to_graph(self, capsys, dialect):
+        # the chain reads 1,000 levels deep, and its conjuncts are encoded
+        # from a stack, so it is not too deep
+        assert run(capsys, "translate", "--to", "graph", "--dialect", dialect, FLAT_CHAIN) == (
+            0, " ".join(f"a{i}" for i in range(1000)) + "\n", "")
+
 
 # what every command imports of the package besides itself: the command
 # line and the formula modules
@@ -241,6 +248,21 @@ class TestStartup:
                 "print(code, *sorted(m for m in sys.modules if m.startswith('peirce.')))\n")
         loaded = sorted(f"peirce.{m}" for m in f"{FORMULA_MODULES} {more}".split())
         assert fresh(code, cwd=tmp_path).split() == ["0", *loaded]
+
+    @pytest.mark.parametrize("argv", [
+        ["taut", "--logic", "classical", "p -> p"],
+        ["prove", "--system", "classical", "--goal", "(p (p))"],
+    ], ids=["taut", "prove"])
+    def test_a_command_loads_neither_dataclasses_nor_inspect(self, argv):
+        # the value classes are records with no generated code: generating
+        # it, and inspect, which dataclasses imports, took about 40% of
+        # the program's own start-up
+        code = ("import contextlib, io, sys\n"
+                "from peirce.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = main({argv!r})\n"
+                "print(code, sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n")
+        assert fresh(code) == "0 []\n"
 
     def test_the_tracers_bindings_stay_wrappable(self, tmp_path):
         # the benchmark's tracer wraps names of peirce.cli and of a proxy it
@@ -445,7 +467,7 @@ class TestDeepNesting:
         ("translate", "--to", "formula", "--dialect", "classical", NESTED),
         ("translate", "--to", "formula", "--dialect", "classical", JUXTAPOSED),
         ("translate", "--to", "graph", "--dialect", "classical", NEGATED),
-        ("translate", "--to", "graph", "--dialect", "intuitionistic", CONJUNCTS),
+        ("translate", "--to", "graph", "--dialect", "intuitionistic", NEGATED),
         ("taut", "--logic", "classical", NEGATED),
         ("taut", "--logic", "classical", CONJUNCTS),
         ("taut", "--logic", "intuitionistic", NEGATED),

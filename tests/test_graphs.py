@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import hashlib
 import random
 
@@ -44,21 +43,21 @@ def g(text, dialect=I):
 
 
 class TestNodeContract:
-    # the graph nodes are frozen dataclasses, built by position, by keyword
-    # and by dataclasses.replace; test_semantics checks the formula nodes,
-    # whose __init__ is their own, the same way
-    @pytest.mark.parametrize("node", [
-        Atom("p"), Scroll(g("p"), (g("q"), BLANK)), g("p (q)")], ids=["Atom", "Scroll", "Graph"])
-    def test_a_frozen_dataclass(self, node):
-        check_frozen_node(node)
+    # the graph nodes are frozen records, built by position and by keyword
+    # through an __init__ of their own; test_semantics checks the formula
+    # nodes the same way
+    @pytest.mark.parametrize("node, defaults", [
+        (Atom("p"), {}), (Scroll(g("p"), (g("q"), BLANK)), {"loops": ()}),
+        (g("p (q)"), {"items": ()})], ids=["Atom", "Scroll", "Graph"])
+    def test_a_frozen_dataclass(self, node, defaults):
+        check_frozen_node(node, **defaults)
 
     def test_defaults_and_replace(self):
         assert Scroll(outer=g("p")) == Scroll(g("p"), ()) == cut(Atom("p"))
         assert Graph() == Graph(items=()) == BLANK
         assert repr(Scroll(BLANK)) == "Scroll(outer=Graph(items=()), loops=())"
-        scroll = dataclasses.replace(cut(Atom("p")), loops=(g("q"),))
+        scroll = Scroll(cut(Atom("p")).outer, loops=(g("q"),))
         assert scroll == g("[p | q]").items[0] and scroll.key == g("[p | q]").items[0].key
-        assert dataclasses.replace(Atom("p"), name="q") == Atom("q")
 
     def test_the_reader_builds_one_atom_per_name(self):
         graph = parse_graph("p (p)", I)
@@ -316,11 +315,12 @@ class TestFlaws:
 
 @pytest.fixture
 def computed(monkeypatch):
-    """The nodes whose flaws are computed, in the order they are."""
+    """The nodes whose flaws are computed, in the order they are: a node
+    computes them in its __init__."""
     nodes = []
     for kind in (Atom, Scroll, Graph):
-        flaws = kind.__dict__["flaws"]
-        monkeypatch.setattr(flaws, "fn", lambda node, fn=flaws.fn: nodes.append(node) or fn(node))
+        monkeypatch.setattr(kind, "__init__", lambda node, *args, init=kind.__init__, **named:
+                            init(node, *args, **named) or nodes.append(node))
     return nodes
 
 
@@ -349,7 +349,9 @@ class TestFlawsOnce:
             spines += len(new)
         assert spines > 600
 
-    def test_an_intuitionistic_parse_checks_nothing(self, computed, monkeypatch):
+    def test_an_intuitionistic_parse_checks_nothing(self, monkeypatch):
+        # no parse walks its graph; each node's flaws are computed as it is
+        # built, so a parse computes the flaws of the nodes it builds
         walked = []
         monkeypatch.setattr("peirce.graphs.walk", lambda graph: walked.append(graph) or walk(graph))
         rng = random.Random(367)
@@ -360,7 +362,7 @@ class TestFlawsOnce:
         for text in texts:
             if "|" not in text:
                 parse_graph(text, C)
-        assert (walked, computed) == ([], [])
+        assert walked == []
         assert any("|" in text for text in texts)
 
 

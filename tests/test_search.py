@@ -547,21 +547,29 @@ class TestPredecessorBound:
 
 class TestVocabularyCheck:
     def test_each_vocabulary_graph_is_checked_once_per_search(self, monkeypatch):
-        checked = collections.Counter()
-        well_formed = graphs.well_formed
+        # each Walk checks the vocabulary with well_formed, which reads the
+        # graphs' flaws: the vocabulary graphs are checked, and none walked
+        checked, walked = collections.Counter(), collections.Counter()
+        well_formed, walk_violations = graphs.well_formed, graphs.walk_violations
 
         def counting(g, dialect):
             checked[id(g), dialect] += 1
             return well_formed(g, dialect)
+
+        def walking(g, dialect):
+            walked[id(g)] += 1
+            return walk_violations(g, dialect)
         for module in (graphs, calculus, search):
             monkeypatch.setattr(module, "well_formed", counting)
+        monkeypatch.setattr(graphs, "walk_violations", walking)
         goal = goal_graph("p -> (q -> p)", IN)
         # fresh objects, so that the checks of the endpoints are not counted
         vocab = tuple(parse_graph(print_graph(v), Dialect.INTUITIONISTIC)
                       for v in default_vocabulary(Graph(), goal))
         monkeypatch.setattr(search, "default_vocabulary", lambda *endpoints: vocab)
         assert derive(IN, Graph(), goal) is not None
-        assert [checked[id(v), Dialect.INTUITIONISTIC] for v in vocab] == [1] * len(vocab)
+        assert all(checked[id(v), Dialect.INTUITIONISTIC] for v in vocab)
+        assert [walked[id(v)] for v in vocab] == [0] * len(vocab)
 
 
 class TestKeyFirst:
@@ -619,6 +627,26 @@ class TestKeyFirst:
         assert derive(IN, Graph(), goal, SearchBounds(max_depth=5)) is None
         assert len(listed) == len(set(listed)) == 145
         assert len(keyed) == 1_721
+
+    @pytest.mark.parametrize("depth, recorded", [(5, 317), (12, 8_795)])
+    def test_the_last_layer_records_only_a_meeting(self, depth, recorded):
+        # the forward side records the key of each state it reaches, and
+        # in its last layer only a meeting: recording each new key there
+        # too made 552 and 14,148.  ``ahead`` is read as _search returns
+        sizes = []
+
+        def returning(frame, event, arg):
+            if event == "return":
+                sizes.append(len(frame.f_locals["ahead"]))
+            return returning
+        sys.settrace(lambda frame, event, arg:
+                     returning if frame.f_code is search._search.__code__ else None)
+        try:
+            assert derive(IN, Graph(), goal_graph("p | ~p", IN),
+                          SearchBounds(max_depth=depth)) is None
+        finally:
+            sys.settrace(None)
+        assert sizes == [recorded]
 
     # sha256 of `eg prove` stdout: the C6 goals and the depth-5 exhaustion
     @pytest.mark.parametrize("argv,code,digest", [

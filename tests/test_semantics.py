@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -477,8 +476,8 @@ class TestG4ipWork:
 
 class TestStoredHash:
     def test_the_dataclass_hash(self):
-        # each node's hash is the one a frozen dataclass computes: that of
-        # the tuple of its fields
+        # each node's hash is the one a frozen dataclass computed, and a
+        # record computes: that of the tuple of its fields
         rng = random.Random(89)
         roots = [fm.TOP, fm.BOT] + [random_formula(rng, connectives=rng.randint(0, 12), atoms=5)
                                     for _ in range(300)]
@@ -486,7 +485,7 @@ class TestStoredHash:
         assert {type(node) for node in nodes} == {
             fm.Atom, fm.Top, fm.Bot, fm.Not, fm.And, fm.Or, fm.Imp}
         for node in nodes:
-            fields = tuple(getattr(node, field.name) for field in dataclasses.fields(node))
+            fields = tuple(getattr(node, name) for name in type(node)._fields)
             assert hash(node) == hash(fields), print_formula(node)
 
     def test_a_deep_chain_hashes_without_recursion(self):
@@ -499,20 +498,20 @@ class TestStoredHash:
 
 
 class TestNodeContract:
-    # each node's __init__ writes its fields and its hash into the instance
-    # dict in one step; the classes stay frozen dataclasses
+    # each node's __init__ writes its fields and its hash into its slots;
+    # the classes are frozen records
     @pytest.mark.parametrize("node", [
         fm.Atom("p"), fm.TOP, fm.BOT, fm.Not(fm.Atom("p")), fm.And(fm.Atom("p"), fm.TOP),
         fm.Or(fm.BOT, fm.Atom("q")), fm.Imp(fm.Atom("p"), fm.Not(fm.Atom("q")))],
         ids=lambda node: type(node).__name__)
     def test_a_frozen_dataclass_with_the_dataclass_hash(self, node):
         check_frozen_node(node)
-        fields = tuple(getattr(node, field.name) for field in dataclasses.fields(node))
+        fields = tuple(getattr(node, name) for name in type(node)._fields)
         assert hash(node) == hash(fields) == hash(type(node)(*fields))
 
     def test_replace_hashes_the_new_fields(self):
         p, q = fm.Atom("p"), fm.Atom("q")
-        swapped = dataclasses.replace(fm.Imp(p, q), left=q)
+        swapped = fm.Imp(left=q, right=fm.Imp(p, q).right)
         assert swapped == fm.Imp(q, q) and hash(swapped) == hash((q, q))
         assert repr(fm.Not(p)) == "Not(body=Atom(name='p'))"
 
