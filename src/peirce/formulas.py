@@ -78,57 +78,63 @@ Formula = Union[Atom, Top, Bot, Not, And, Or, Imp]
 
 TOP = Top()
 BOT = Bot()
+# ~A is A -> F: a Not answers left, its body read from the same slot, and
+# right, F, so the rules for -> read it where it stands; its one field,
+# equality, hash and repr stay those of body
+Not.left, Not.right = Not.body, BOT
+
+
+def postfix(f: Formula) -> list[Formula]:
+    """``f``'s nodes, each after its operands (``~A``'s are ``A`` and F),
+    the left before the right, from a walk that keeps its own stack."""
+    nodes, todo = [], [f]
+    while todo:
+        f = todo.pop()
+        nodes.append(f)
+        kind = type(f)
+        if kind is not Atom and kind is not Top and kind is not Bot:
+            todo += f.left, f.right
+    # the walk met each node before its operands, the right one first
+    return nodes[::-1]
 
 
 def atoms(f: Formula) -> set[str]:
-    names = set()
-    todo = [f]
-    while todo:
-        f = todo.pop()
-        if isinstance(f, Atom):
-            names.add(f.name)
-        elif isinstance(f, Not):
-            todo.append(f.body)
-        elif not isinstance(f, (Top, Bot)):
-            todo += f.left, f.right
-    return names
+    return {g.name for g in postfix(f) if type(g) is Atom}
 
 
-def eval_mask(f: Formula, atom_masks: dict[str, int], up: tuple[int, ...],
+def eval_mask(nodes: list[Formula], atom_masks: dict[str, int], up: tuple[int, ...],
               width: int) -> int:
-    """The bitmask of the points where ``f`` holds.  Bit ``w * width + v``
-    is world ``w`` in lane ``v``: each world holds one block of ``width``
-    lanes, and ``up[w]`` masks the worlds above ``w`` in a Kripke order,
-    all numbered ``w`` or higher.  A truth table is one world, ``up=(1,)``,
-    with one lane per row."""
+    """The bitmask of the points where a formula holds, its ``postfix``
+    ``nodes`` run as a stack machine.  Bit ``w * width + v`` is world ``w``
+    in lane ``v``: each world holds one block of ``width`` lanes, and
+    ``up[w]`` masks the worlds above ``w`` in a Kripke order, all numbered
+    ``w`` or higher.  A truth table is one world, ``up=(1,)``, a lane a row."""
     # for each distance d > 0, the shift that brings world w + d's block
     # down to world w's, and the blocks of the worlds w with w + d above them
     steps = []
     for d in range(1, len(up)):
         below = sum(1 << w * width for w in range(len(up) - d) if up[w] >> w + d & 1)
         steps.append((d * width, below * ((1 << width) - 1)))
-    return _holds(f, atom_masks, (1 << len(up) * width) - 1, steps)
-
-
-def _holds(f: Formula, atom_masks: dict[str, int], full: int,
-           steps: list[tuple[int, int]]) -> int:
-    if isinstance(f, Atom):
-        return atom_masks[f.name]
-    if isinstance(f, Top):
-        return full
-    if isinstance(f, Bot):
-        return 0
-    if isinstance(f, And):
-        return _holds(f.left, atom_masks, full, steps) & _holds(f.right, atom_masks, full, steps)
-    if isinstance(f, Or):
-        return _holds(f.left, atom_masks, full, steps) | _holds(f.right, atom_masks, full, steps)
-    # the points where a -> b (or ~a, that is a -> F) fails: a without b
-    # there or at a point above, which, the order being transitive, the
-    # steps may reach in any order
-    if isinstance(f, Not):
-        bad = _holds(f.body, atom_masks, full, steps)
-    else:
-        bad = _holds(f.left, atom_masks, full, steps) & ~_holds(f.right, atom_masks, full, steps)
-    for shift, below in steps:
-        bad |= bad >> shift & below
-    return full & ~bad
+    full = (1 << len(up) * width) - 1
+    stack = []
+    for f in nodes:
+        kind = type(f)
+        if kind is Atom:
+            stack.append(atom_masks[f.name])
+        elif kind is Top or kind is Bot:
+            stack.append(full if kind is Top else 0)
+        else:
+            right = stack.pop()
+            if kind is And:
+                stack[-1] &= right
+            elif kind is Or:
+                stack[-1] |= right
+            else:
+                # the points where a -> b (or ~a, that is a -> F) fails: a
+                # without b there or at a point above, which, the order
+                # being transitive, the steps may reach in any order
+                bad = stack[-1] & ~right
+                for shift, below in steps:
+                    bad |= bad >> shift & below
+                stack[-1] = full & ~bad
+    return stack.pop()

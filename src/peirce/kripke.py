@@ -12,8 +12,9 @@ n worlds is a poset on n - 1 worlds, shifted up one, under a new least world
 A frame's valuations are evaluated together, as bit lanes: world w holds
 bits ``w * width`` to ``(w + 1) * width - 1``, and lane v is the v-th
 valuation in ``product(values, repeat=atoms)`` order, the last atom varying
-fastest.  One ``formulas.eval_mask`` call then evaluates a whole pass, and
-the lowest failing lane of world 0 is the valuation a one-at-a-time search
+fastest.  A search walks its formula once, into ``formulas.postfix``
+nodes, which one ``formulas.eval_mask`` call runs over a whole pass.  The
+lowest failing lane of world 0 is the valuation a one-at-a-time search
 would have met first, so the model returned does not depend on the lanes.
 A pass holds at most ``MAX_LANES`` lanes; the first atoms past that take
 their values in an outer loop, in the same order, as masks constant across
@@ -58,20 +59,22 @@ class KripkeModel(Record):
 
 def forces(model: KripkeModel, world: int, f: fm.Formula) -> bool:
     """The standard forcing clauses, evaluated directly; ``~A`` is ``A -> F``."""
+    # a left-nested chain of & and | is taken down its left spine in a
+    # loop, so a long flat chain takes no recursion: an & fails, and an |
+    # holds, where its right operand does
+    while isinstance(f, (fm.And, fm.Or)):
+        if forces(model, world, f.right) is isinstance(f, fm.Or):
+            return isinstance(f, fm.Or)
+        f = f.left
     if isinstance(f, fm.Atom):
         return f.name in model.valuation[world]
     if isinstance(f, fm.Top):
         return True
     if isinstance(f, fm.Bot):
         return False
-    if isinstance(f, fm.And):
-        return forces(model, world, f.left) and forces(model, world, f.right)
-    if isinstance(f, fm.Or):
-        return forces(model, world, f.left) or forces(model, world, f.right)
-    left, right = (f.body, fm.BOT) if isinstance(f, fm.Not) else (f.left, f.right)
-    return all(forces(model, v, right)
+    return all(forces(model, v, f.right)
                for v in range(model.worlds)
-               if model.leq(world, v) and forces(model, v, left))
+               if model.leq(world, v) and forces(model, v, f.left))
 
 
 def persistent(model: KripkeModel) -> bool:
@@ -132,7 +135,8 @@ def kripke_countermodel(f: fm.Formula, max_worlds: int) -> KripkeModel | None:
     valuations."""
     if not 1 <= max_worlds <= MAX_WORLDS:
         raise ValueError(f"max_worlds must be in 1..{MAX_WORLDS}")
-    names = sorted(fm.atoms(f))
+    nodes = fm.postfix(f)
+    names = sorted({g.name for g in nodes if type(g) is fm.Atom})
     tried = 0
     for n in range(1, max_worlds + 1):
         full = (1 << n) - 1
@@ -154,7 +158,7 @@ def kripke_countermodel(f: fm.Formula, max_worlds: int) -> KripkeModel | None:
                     raise BoundsExceededError(f"the Kripke countermodel search passed its "
                                               f"budget of {MAX_VALUATIONS:,} valuations")
                 masks.update(zip(names, prefix))
-                failing = lanes & ~fm.eval_mask(f, masks, up, width)
+                failing = lanes & ~fm.eval_mask(nodes, masks, up, width)
                 if failing:
                     # the first failing lane, read back world by world
                     lane = (failing & -failing).bit_length() - 1

@@ -1,15 +1,15 @@
 """Graph/formula translations and the two propositional oracles.
 
 The classical oracle is a truth table over all 2^n rows at once, one
-bitmask per atom (guarded at 20 atoms).
+bitmask per atom (guarded at 20 atoms), over one walk's list of nodes.
 The intuitionistic oracle is a contraction-free sequent procedure in the
 G4ip style: the four implication-left refinements make it terminate on
 every input, and it decides full IPC.  Negation is read where it stands
-as implication into falsum: ``~A`` acts as ``A -> F`` in each rule, and
-no formula is rewritten first.  The rules that neither branch nor lose
-provability run in a loop over one set until none fires, without
-recursion, and only the saturated sequents left for the branching rules
-are memoised.
+as implication into falsum: ``~A`` answers ``left`` and ``right`` as
+``A -> F``, and no formula is rewritten first.  The rules that neither
+branch nor lose provability run in a loop over one set until none
+fires, without recursion, and only the saturated sequents left for the
+branching rules are memoised.
 """
 
 from __future__ import annotations
@@ -94,11 +94,13 @@ def _encode(f: fm.Formula, d: Dialect) -> tuple[Item, ...]:
 def eval_classical(f: fm.Formula, assignment: dict[str, bool]) -> bool:
     """``f`` under one assignment: a truth table of one row."""
     row = {name: 1 if value else 0 for name, value in assignment.items()}
-    return fm.eval_mask(f, row, (1,), 1) == 1
+    return fm.eval_mask(fm.postfix(f), row, (1,), 1) == 1
 
 
 def taut_classical(f: fm.Formula) -> bool:
-    names = sorted(fm.atoms(f))
+    # one walk lists the nodes that give the atoms and that are evaluated
+    nodes = fm.postfix(f)
+    names = sorted({g.name for g in nodes if type(g) is fm.Atom})
     if len(names) > 20:
         raise TooManyAtomsError(f"{len(names)} atoms exceed the truth-table guard")
     # Atom i is true in the rows whose bit i is set.  Each new atom doubles
@@ -108,7 +110,7 @@ def taut_classical(f: fm.Formula) -> bool:
         masks = [m | m << rows for m in masks] + [((1 << rows) - 1) << rows]
         rows <<= 1
     full = (1 << rows) - 1
-    return fm.eval_mask(f, dict(zip(names, masks)), (1,), rows) == full
+    return fm.eval_mask(nodes, dict(zip(names, masks)), (1,), rows) == full
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +135,9 @@ def _sequent(gamma: frozenset, new: list, goal: fm.Formula) -> bool:
     ``|`` or held atom head) are applied in one loop over one set, which
     is frozen once; the memoised ``_prove`` gets the rules that branch."""
     # no formula class has subclasses, so each node's kind is its type
-    while type(goal) is fm.Imp:
+    while type(goal) is fm.Imp or type(goal) is fm.Not:
         new.append(goal.left)
         goal = goal.right
-    if type(goal) is fm.Not:
-        new.append(goal.body)
-        goal = fm.BOT
     if new:
         out = set(gamma)
         while new:
@@ -149,7 +148,7 @@ def _sequent(gamma: frozenset, new: list, goal: fm.Formula) -> bool:
                 if kind is fm.And:
                     new += f.left, f.right
                 elif kind is fm.Imp or kind is fm.Not:
-                    head, tail = (f.left, f.right) if kind is fm.Imp else (f.body, fm.BOT)
+                    head, tail = f.left, f.right
                     kind = type(head)
                     if kind is fm.And:
                         new.append(fm.Imp(head.left, fm.Imp(head.right, tail)))
@@ -165,10 +164,10 @@ def _sequent(gamma: frozenset, new: list, goal: fm.Formula) -> bool:
                     out.add(f)
             # an implication or ~ held before its atom head came fires once a pass
             if atoms:
-                fired = [f for f in out if type(f) is fm.Imp and f.left in atoms
-                         or type(f) is fm.Not and f.body in atoms]
+                fired = [f for f in out if (type(f) is fm.Imp or type(f) is fm.Not)
+                         and f.left in atoms]
                 out.difference_update(fired)
-                new = [f.right if type(f) is fm.Imp else fm.BOT for f in fired]
+                new = [f.right for f in fired]
         gamma = frozenset(out)
     if fm.BOT in gamma:
         return True
@@ -205,12 +204,11 @@ def _prove(gamma: frozenset, goal: fm.Formula) -> bool:
     for f in gamma:
         kind = type(f)
         if kind is fm.Imp or kind is fm.Not:
-            inner, tail = (f.left, f.right) if kind is fm.Imp else (f.body, fm.BOT)
+            inner, tail = f.left, f.right
             kind = type(inner)
             if kind is fm.Imp or kind is fm.Not:
                 rest = gamma - {f}
-                middle = inner.right if kind is fm.Imp else fm.BOT
-                if (_sequent(rest, [fm.Imp(middle, tail)], inner)
+                if (_sequent(rest, [fm.Imp(inner.right, tail)], inner)
                         and _sequent(rest, [tail], goal)):
                     return True
     return False

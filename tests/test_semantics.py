@@ -13,6 +13,7 @@ from peirce import formulas as fm
 from peirce import semantics
 from peirce.errors import TooManyAtomsError
 from peirce.graphs import Dialect
+from peirce.kripke import kripke_countermodel
 from peirce.notation import parse_formula, parse_graph, print_formula, print_graph
 from peirce.semantics import (
     entails,
@@ -547,8 +548,13 @@ class TestNegationInPlace:
         theorems = 0
         for _ in range(300):
             formula = random_formula(rng, connectives=rng.randint(0, 12), atoms=4)
+            rebuilt = _rebuilt_without_not(formula)
             verdict = taut_int(formula)
-            assert verdict == taut_int(_rebuilt_without_not(formula)), print_formula(formula)
+            assert verdict == taut_int(rebuilt), print_formula(formula)
+            # the truth table and the Kripke search read ~A as A -> F too
+            assert taut_classical(formula) == taut_classical(rebuilt), print_formula(formula)
+            assert (str(kripke_countermodel(formula, 3))
+                    == str(kripke_countermodel(rebuilt, 3))), print_formula(formula)
             theorems += verdict
         assert 30 < theorems < 270
 
@@ -563,6 +569,9 @@ class TestNegationInPlace:
             negated = fm.And(negated, plain.right)
         assert taut_int(fm.Imp(negated, negated))
         assert not taut_int(fm.Imp(negated, plain))
+        # and the truth table evaluates it with its own stack
+        assert taut_classical(fm.Imp(negated, negated))
+        assert not taut_classical(fm.Imp(negated, plain))
         assert fm.atoms(negated) == fm.atoms(plain) == {"a"} | {f"b{i}" for i in range(7)}
 
 
