@@ -478,7 +478,9 @@ class TestDeepNesting:
         ("translate", "--to", "graph", "--dialect", "classical", NEGATED),
         ("translate", "--to", "graph", "--dialect", "intuitionistic", NEGATED),
         ("taut", "--logic", "classical", NEGATED),
+        ("taut", "--logic", "classical", NESTED),
         ("taut", "--logic", "intuitionistic", NEGATED),
+        ("taut", "--logic", "intuitionistic", "--countermodel", NEGATED),
         ("prove", "--system", "classical", "--goal", NESTED),
         ("prove", "--system", "intuitionistic", "--goal", "p", "--from", NESTED),
         ("continuum", "domain", "[" + "w^(" * 3000 + "1" + ")" * 3000 + ":1]"),
