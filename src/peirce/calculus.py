@@ -15,10 +15,10 @@ undone.  apply_rule evaluates the conditions and raises the first failing
 one's reason.  ``moves`` is the one listing of a graph's moves: each rule
 with the operands that the same conditions accept, no instance built.
 enumerate_rule_instances builds their instances, ``edits`` gives their
-edits (for a search that keys a successor before building it),
-``predecessor_edits`` undoes each rule as its entry says, as edits too,
-and ``unlisted_edits`` gives the edits that no listed predecessor undoes.
-Every graph a rule gives or undoes is built from its edit.
+edits, ``predecessor_edits`` undoes each rule as its entry says, as edits
+too, and ``unlisted_edits`` gives the edits that no listed predecessor
+undoes.  Every graph a rule gives or undoes is built from its edit, and
+``operands`` reads an instance's operands back from its graph.
 
 Iteration scope is a test on paths.  An area is in scope of an item when
 it lies in the item's area or, if that is a scroll's outer area, in one of
@@ -28,10 +28,12 @@ and not inside the item itself.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import IllegalRuleError, InvalidPathError, Record
 from .graphs import (
+    BLANK,
     EVEN,
     ODD,
     OUTER,
@@ -252,8 +254,15 @@ def _one_loop(path, item) -> Optional[str]:
     return "detachment needs a one-loop scroll"
 
 
-def _choices(walk, path, area) -> list:
-    return [(frozenset(),)] + [(frozenset((i,)),) for i in range(len(area.items))]
+def _choices(walk, path, area) -> tuple:
+    return _index_choices(len(area.items))
+
+
+@cache
+def _index_choices(n: int) -> tuple:
+    # one set per index, shared by every area of that size: the search
+    # keeps the sets of the moves it records
+    return ((frozenset(),),) + tuple((frozenset((i,)),) for i in range(n))
 
 
 def _splice(path: Path, replacement: tuple) -> tuple:
@@ -265,7 +274,7 @@ def _splice(path: Path, replacement: tuple) -> tuple:
 def _wrapping(wrapper: Callable[[Graph], Scroll]) -> Callable[..., tuple]:
     """The edit that puts an area's chosen items in ``wrapper(chosen)``."""
     def edit(path, area, indices) -> tuple:
-        chosen = Graph(tuple(area.items[i] for i in sorted(indices)))
+        chosen = Graph(tuple(area.items[i] for i in sorted(indices))) if indices else BLANK
         rest = [item for i, item in enumerate(area.items) if i not in indices]
         rest.insert(min(indices, default=len(rest)), wrapper(chosen))
         rest = tuple(rest)
@@ -333,7 +342,7 @@ RULES: dict[type, Rule] = {
                         _splicing(lambda item: item.outer.items[0].outer.items),
                         condition=_donut,
                         keep=lambda path, item: len(item.outer.items[0].outer.items) <= 1),
-    ScrollWrap: Rule("wrap", "areas", _wrapping(lambda chosen: Scroll(Graph(), (chosen,))),
+    ScrollWrap: Rule("wrap", "areas", _wrapping(lambda chosen: Scroll(BLANK, (chosen,))),
                      more=_choices, growth=1, condition=_chosen),
     ScrollUnwrap: Rule("unwrap", "scrolls", _splicing(lambda item: item.loops[0].items),
                        condition=_unwrappable,
@@ -360,8 +369,9 @@ SYSTEM_RULES = {
 }
 
 
-def _operands(g: Graph, rule: RuleInstance) -> tuple:
-    """The rule's operands in ``g``."""
+def operands(g: Graph, rule: RuleInstance) -> tuple:
+    """The rule's operands in ``g``: its fields, each path followed by the
+    node it addresses."""
     ops = []
     try:
         for name, value in zip(rule._fields, rule._values()):
@@ -379,7 +389,7 @@ def apply_rule(system: System, g: Graph, rule: RuleInstance) -> Graph:
     """The rewritten graph, or IllegalRuleError with the reason."""
     if type(rule) not in SYSTEM_RULES[system]:
         raise IllegalRuleError(f"{type(rule).__name__} is not a rule of the {system.value} system")
-    ops = _operands(g, rule)
+    ops = operands(g, rule)
     entry = RULES[type(rule)]
     reason = entry.condition and entry.condition(*ops)
     if not reason and not entry.fits(ops[0]):

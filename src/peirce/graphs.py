@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Callable, Iterator, Union
 
 from .errors import InvalidPathError, Record
@@ -81,6 +81,11 @@ class Scroll(Record):
         _set(self, "outer", outer)
         _set(self, "loops", loops)
         _set(self, "regions", (outer,) + loops)
+        if not loops:
+            # a cut: nothing to sort, and no loop to flag
+            _set(self, "key", _SCROLL + outer.key + _END_LOOPS)
+            _set(self, "flaws", outer.flaws)
+            return
         _set(self, "key", _SCROLL + outer.key
              + "".join(sorted([loop.key for loop in loops])) + _END_LOOPS)
         flaws = outer.flaws
@@ -318,16 +323,19 @@ _key = attrgetter("key")
 
 
 def canonicalize(g: Graph) -> Graph:
-    """Sort every area and every loop list by canonical key.  Idempotent;
-    used for printing and translation, never applied to stored graphs."""
-    return Graph(tuple(_canonical_item(i) for i in sorted(g.items, key=_key)))
+    """Sort every area and every loop list by canonical key.  Idempotent:
+    a node already in key order is returned itself, so an already
+    canonical graph builds no node.  Used for printing and translation,
+    never applied to stored graphs."""
+    items = tuple(map(_canonical_item, sorted(g.items, key=_key)))
+    return g if all(map(is_, items, g.items)) else Graph(items)
 
 
 def _canonical_item(item: Item) -> Item:
     if isinstance(item, Atom):
         return item
-    loops = tuple(canonicalize(l) for l in sorted(item.loops, key=_key))
-    return Scroll(canonicalize(item.outer), loops)
+    regions = (canonicalize(item.outer),) + tuple(map(canonicalize, sorted(item.loops, key=_key)))
+    return item if all(map(is_, regions, item.regions)) else Scroll(regions[0], regions[1:])
 
 
 def equals(g1: Graph, g2: Graph) -> bool:

@@ -83,9 +83,15 @@ states and keys 1,721 edits, where listing every state's keyed 2,700.
 
 The sides record each key with the key it came from and its distance,
 but for the last forward layer, which records only a meeting.  The
-script is read back along the keys through the meeting by listing the
-moves at each step: the first move whose edit reaches the next key is
-taken, and only that move's rule instance is built.
+forward side also records the move that first reached the key, as its
+rule class and the instance's fields, taken from calculus.moves as the
+layer keys its edit.  The script is read back along the keys through the
+meeting.  A forward step is that recorded move, and its graph is built
+from the move's edit with no listing.  A backward step, and a key the
+scan found, list the moves at the step: the first move whose edit
+reaches the next key is taken, and only that move's rule instance is
+built.  It is the move the forward side would have recorded, so each
+script is the one that listing every step gives.
 ``max_visited`` bounds the states expanded, on both sides together.
 Every script found is re-checked through check_script before being
 returned; a failed re-check raises CertificationError.
@@ -97,12 +103,13 @@ from typing import Callable, Optional
 
 from . import formulas as fm
 from .calculus import (
+    RULES,
     ProofScript,
     RuleInstance,
     System,
     check_script,
-    edits,
     moves,
+    operands,
     predecessor_edits,
     unlisted_edits,
 )
@@ -214,13 +221,15 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
     when ``entailed`` is given and expands only the states it accepts,
     tested as their layer is expanded (frontier sizes count untested
     states).  ``ahead`` and ``behind`` map each key a side recorded to the
-    key it came from and its distance from that side's end.  A frontier
-    holds each new key's state as the state it came from and the edit,
-    built when reached."""
+    key it came from, its distance from that side's end, and the move
+    that first reached it: on the forward side its rule class and then the
+    instance's fields, on the backward side, and for a key the scan found,
+    None.  A frontier holds each new key's state as the state it came
+    from and the edit, built when reached."""
     if start.key == goal.key:
         return []
-    ahead: dict[str, tuple[Optional[str], int]] = {start.key: (None, 0)}
-    behind: dict[str, tuple[Optional[str], int]] = {goal.key: (None, 0)}
+    ahead: dict[str, tuple] = {start.key: (None, 0, None)}
+    behind: dict[str, tuple] = {goal.key: (None, 0, None)}
     budget = bounds.max_visited
 
     def reach(states, i):
@@ -250,16 +259,16 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
             room = size - node_count(g)
             if last and room == 0 and len(g.key) != len(goal.key) + 1:
                 continue
-            for parts, contents in successors(system, g, vocabulary, max(room, 0)):
+            for kind, ops, parts, contents in successors(system, g, vocabulary, max(room, 0)):
                 key = edited_key(g, parts, contents)
                 if key in seen:
                     continue
                 meet = other.get(key)
                 if meet is not None and distance + 1 + meet[1] <= bounds.max_depth:
-                    seen[key] = (g.key, distance + 1)
+                    seen[key] = (g.key, distance + 1, kind, *ops[::2])
                     return None, key if seen is behind else nearest(states, i, key, distance)
                 if not last:
-                    seen[key] = (g.key, distance + 1)
+                    seen[key] = (g.key, distance + 1, kind, *ops[::2])
                     found.append((g, parts, contents))
         return found, None
 
@@ -276,7 +285,7 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
                 near = edited_key(g, parts, contents)
                 if behind.get(near, (None, far))[1] < far:
                     key, far = near, behind[near][1]
-                    ahead[key] = (g.key, distance + 1)
+                    ahead[key] = (g.key, distance + 1, None)
         return key
 
     frontier, back_frontier = [start], [goal] if entailed else []
@@ -285,18 +294,33 @@ def _search(system: System, start: Graph, goal: Graph, vocabulary: tuple[Graph, 
         if (back_frontier and len(back_frontier) < len(frontier)
                 and depth + back_depth < bounds.max_depth):
             back_frontier, meeting = layer(back_frontier, behind, ahead, back_depth,
-                                           predecessor_edits, entailed)
+                                           _predecessors, entailed)
             back_depth += 1
         else:
-            frontier, meeting = layer(frontier, ahead, behind, depth, edits,
+            frontier, meeting = layer(frontier, ahead, behind, depth, _successors,
                                       last=depth == bounds.max_depth - 1)
             depth += 1
         if meeting is not None:
-            keys = _trail(ahead, meeting)[::-1] + _trail(behind, meeting)[1:]
-            return _replay(system, start, keys, vocabulary, cap)
+            forward = _trail(ahead, meeting)[::-1]
+            keys = forward + _trail(behind, meeting)[1:]
+            made = {key: ahead[key][2:] for key in forward}
+            return _replay(system, start, keys, vocabulary, cap, made)
         if not frontier:
             return None
     return None
+
+
+def _successors(system: System, g: Graph, vocabulary: tuple[Graph, ...], max_growth: int):
+    """The forward side's edits, in the order of ``moves``, each after its
+    move's rule class and operands."""
+    for kind, rule, ops in moves(system, g, vocabulary, max_growth):
+        yield (kind, ops) + rule.edit(*ops)
+
+
+def _predecessors(system: System, g: Graph, vocabulary: tuple[Graph, ...], max_growth: int):
+    """The backward side's edits, each after no move (None, no operand)."""
+    for edit in predecessor_edits(system, g, vocabulary, max_growth):
+        yield (None, ()) + edit
 
 
 def _trail(side: dict, key: str) -> list[str]:
@@ -307,22 +331,32 @@ def _trail(side: dict, key: str) -> list[str]:
     return keys
 
 
-def _replay(system: System, start: Graph, keys: list[str],
-            vocabulary: tuple[Graph, ...], cap: int) -> list[RuleInstance]:
-    """For each step, the instance of the first move (calculus.moves) whose
-    edit reaches the next key; only that instance is built.  On the
-    forward side that is the move whose edit the search first keyed
-    there, because it expanded the same representatives in the same
-    order.  No key after the start has more than ``cap`` nodes."""
+def _replay(system: System, start: Graph, keys: list[str], vocabulary: tuple[Graph, ...],
+            cap: int, made: Optional[dict] = None) -> list[RuleInstance]:
+    """For each step, the instance of the move that ``made`` records for
+    the step's key: its rule class and then the instance's fields, or
+    None.  Where it records none, the instance is that of the first move
+    (calculus.moves) whose edit reaches the key, and only that move's
+    instance is built; the forward side records that move, because it
+    expanded the same representatives in the same order.  Each step's
+    graph is built from its move's edit.  No key after the start has more
+    than ``cap`` nodes."""
+    made = made or {}
     chain: list[RuleInstance] = []
     g = start
     for key in keys[1:]:
-        for kind, rule, ops in moves(system, g, vocabulary, cap - node_count(g)):
-            parts, contents = rule.edit(*ops)
-            if edited_key(g, parts, contents) == key:
-                break
+        kind, *fields = made.get(key, (None,))
+        if kind is not None:
+            rule = kind(*fields)
+            parts, contents = RULES[kind].edit(*operands(g, rule))
         else:
-            raise CertificationError("search chain cannot be replayed")
-        chain.append(kind(*ops[::2]))
+            for kind, entry, ops in moves(system, g, vocabulary, cap - node_count(g)):
+                parts, contents = entry.edit(*ops)
+                if edited_key(g, parts, contents) == key:
+                    break
+            else:
+                raise CertificationError("search chain cannot be replayed")
+            rule = kind(*ops[::2])
+        chain.append(rule)
         g = _apply_fast(g, parts, contents)
     return chain

@@ -447,6 +447,15 @@ class TestWrapPlacement:
     def test_wrapper_takes_the_place_of_the_first_chosen_item(self, system, rule, expected):
         assert print_graph(apply_rule(system, g("p q r", system), rule)) == expected
 
+    def test_an_empty_area_of_a_wrapper_is_the_shared_blank(self):
+        # the wrap and the double cut build no empty area of their own
+        wrapped = apply_rule(IN, g("p", IN), ScrollWrap(Path(), frozenset())).items[1]
+        assert len(wrapped.loops) == 1 and wrapped.outer is wrapped.loops[0] is graphs.BLANK
+        wrapped = apply_rule(IN, g("p", IN), ScrollWrap(Path(), frozenset({0}))).items[0]
+        assert wrapped.outer is graphs.BLANK and print_graph(wrapped.loops[0]) == "p"
+        cut = apply_rule(CL, g("p", CL), DoubleCutIntro(Path(), frozenset())).items[1]
+        assert cut.outer.items[0].outer is graphs.BLANK
+
 
 def _reference_key(node):
     # the canonical key, recomputed from the structure: no cached key read

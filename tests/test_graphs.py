@@ -86,6 +86,46 @@ class TestCanonicalize:
         graph = g("[ | q | p]")
         assert print_graph(canonicalize(graph)) == "[ | p | q]"
 
+    def test_a_canonical_graph_is_returned_itself(self, computed):
+        # a node already in key order is its own canonical form, so no node
+        # is built for it; an unsorted area or loop list is rebuilt, and so
+        # is each node above it
+        for text in ("a [p | q | r] (p q)", "", "[ | a | (a)]"):
+            graph = g(text)
+            computed.clear()
+            assert canonicalize(graph) is graph and computed == []
+        graph = g("a [p | r | q] (p q)")
+        once = canonicalize(graph)
+        assert once.items[0] is graph.items[0] and once.items[2] is graph.items[2]
+        assert once is not graph and once.items[1] is not graph.items[1]
+        assert once.items[1].outer is graph.items[1].outer
+
+    def test_seeded_graphs_print_as_a_full_rebuild_does(self):
+        # 2,000 graphs of both dialects: canonicalize is idempotent by
+        # identity, and prints as a form built anew at every node does
+        rng = random.Random(409)
+        kept = 0
+        for _ in range(2_000):
+            graph = random_graph(rng, depth=4, dialect=rng.choice([C, I]))
+            once = canonicalize(graph)
+            assert canonicalize(once) is once
+            assert print_graph(once) == print_graph(_rebuilt(graph))
+            kept += once is graph
+        assert 200 < kept < 1_800
+
+
+def _rebuilt(node):
+    """The canonical form of ``node``, every node built anew."""
+    if isinstance(node, Atom):
+        return Atom(node.name)
+    if isinstance(node, Scroll):
+        return Scroll(_rebuilt(node.outer), tuple(sorted(map(_rebuilt, node.loops), key=_key)))
+    return Graph(tuple(sorted(map(_rebuilt, node.items), key=_key)))
+
+
+def _key(node):
+    return node.key
+
 
 class TestEquals:
     def test_area_order_irrelevant(self):
@@ -341,7 +381,8 @@ class TestFlawsOnce:
             checked = apply_rule(system, graph, rng.choice(
                 enumerate_rule_instances(system, graph, vocab)))
             rules = enumerate_rule_instances(system, checked, vocab)
-            old = _nodes(checked).union(*map(_nodes, vocab))
+            # the shared blank area is built once, at import
+            old = _nodes(checked).union(*map(_nodes, vocab), {id(BLANK)})
             computed.clear()
             result = apply_rule(system, checked, rng.choice(rules))
             new = _nodes(result) - old

@@ -616,12 +616,12 @@ class TestKeyFirst:
         # goal's node count (4) but a key not one code longer than the
         # goal's, and list no edit
         listed, keyed = [], []
-        listing, key = search.edits, search.edited_key
+        listing, key = search.moves, search.edited_key
 
         def counting(*args):
             listed.append(args[1].key)
             return listing(*args)
-        monkeypatch.setattr(search, "edits", counting)
+        monkeypatch.setattr(search, "moves", counting)
         monkeypatch.setattr(search, "edited_key", lambda *args: keyed.append(1) or key(*args))
         goal = goal_graph("p | ~p", IN)
         assert derive(IN, Graph(), goal, SearchBounds(max_depth=5)) is None
@@ -902,3 +902,38 @@ class TestReplay:
         keys = [Graph().key, parse_graph("p q r", Dialect.CLASSICAL).key]
         with pytest.raises(CertificationError, match="search chain cannot be replayed"):
             search._replay(CL, Graph(), keys, (), 3)
+
+    def test_only_the_steps_the_forward_side_did_not_record_list_moves(self, monkeypatch):
+        # a forward step is replayed from the move its layer recorded; only
+        # a backward step, or a key the scan found, lists the moves: 12 of
+        # the 31 steps of the C6 scripts.  Every chain is still the first
+        # listed instance reaching each key
+        listed, unrecorded, steps = [], [], []
+        replay, listing = search._replay, search.moves
+
+        def recording(system, start, keys, vocab, cap, made=None):
+            unrecorded.append(sum((made or {}).get(key, (None,))[0] is None for key in keys[1:]))
+            listed.append(0)
+            chain = replay(system, start, keys, vocab, cap, made)
+            assert chain == _reference_replay(system, start, keys, vocab, cap)
+            steps.append(len(chain))
+            return chain
+
+        def counting(*args):
+            if sys._getframe(1).f_code is replay.__code__:
+                listed[-1] += 1
+            return listing(*args)
+        monkeypatch.setattr(search, "_replay", recording)
+        monkeypatch.setattr(search, "moves", counting)
+        for system, text in C6_PROVABLE:
+            assert derive(system, Graph(), goal_graph(text, system),
+                          SearchBounds(max_visited=10_000)) is not None
+        assert listed == unrecorded == [1, 2, 1, 2, 1, 2, 2, 1]
+        assert steps == [3, 5, 3, 4, 3, 5, 5, 3]
+        # searched forward alone, every step is recorded
+        listed.clear()
+        for system, text in C6_PROVABLE:
+            goal = goal_graph(text, system)
+            assert search._search(system, Graph(), goal, default_vocabulary(Graph(), goal),
+                                  node_count(goal), SearchBounds()) is not None
+        assert listed == [0] * 8 and steps[8:] == steps[:8]
