@@ -10,14 +10,14 @@ one-way detachment ``[g0 | g1]``  ->  ``(g0 (g1))`` in even areas.
 
 Every rule is stated once, as an entry of one table (``RULES``): its side
 conditions (shape, polarity, scope, and the dialect of a graph it draws),
-the nodes it adds, its rewrite as an edit of one area, and how it is
-undone.  apply_rule evaluates the conditions and raises the first failing
-one's reason.  ``moves`` is the one listing of a graph's moves: each rule
-with the operands that the same conditions accept, no instance built.
-enumerate_rule_instances builds their instances, ``edits`` gives their
-edits, ``predecessor_edits`` undoes each rule as its entry says, as edits
-too, and ``unlisted_edits`` gives the edits that no listed predecessor
-undoes.  Every graph a rule gives or undoes is built from its edit, and
+the nodes it adds, its rewrite as an edit of one area, how it is undone,
+and which of its moves have a listed undo.  apply_rule evaluates the
+conditions and raises the first failing one's reason.  ``moves`` is the
+one listing of a graph's moves: each rule with the operands that the same
+conditions accept, no instance built.  enumerate_rule_instances builds
+their instances, ``predecessor_edits`` undoes each rule as its entry says,
+and ``unlisted_edits`` gives the edits of the moves it does not undo.
+Every graph a rule gives or undoes is built from its edit, and
 ``operands`` reads an instance's operands back from its graph.
 
 Iteration scope is a test on paths.  An area is in scope of an item when
@@ -164,7 +164,9 @@ class Rule(Record):
     How the rule is undone: by ``undo(walk, path, node)`` at each ``at``
     site of the rule's polarity, edits adding at most ``walk.limit``; or,
     with no ``undo``, the rule is one half of an inverse pair, and its own
-    moves that ``keep`` passes (None: all) undo its partner."""
+    moves that ``keep`` passes undo its partner.  ``keep(walk, *ops)``:
+    whether the move's graph is listed among its result's predecessors
+    (None: every move's is)."""
 
     name: str
     site: str
@@ -307,8 +309,8 @@ def _uninsert(walk, path, area) -> Iterator[tuple]:
 
 
 def _unadd_loop(walk, path, item) -> Iterator[tuple]:
-    return (RULES[LoopRemove].edit(path, item, k) for k, loop in enumerate(item.loops)
-            if any(loop.key == v.key for (v,) in walk.drawn))
+    return (RULES[LoopRemove].edit(path, item, k) for k in range(len(item.loops))
+            if RULES[LoopRemove].keep(walk, path, item, k))
 
 
 def _unremove_loop(walk, path, item) -> Iterator[tuple]:
@@ -322,7 +324,9 @@ def _undetach(walk, path, item) -> Iterator[tuple]:
 
 
 RULES: dict[type, Rule] = {
-    Erase: Rule("erasure", "items", _removal, polarity=EVEN, at="areas", undo=_unerase),
+    Erase: Rule("erasure", "items", _removal, polarity=EVEN, at="areas", undo=_unerase,
+                keep=lambda walk, path, item: any(len(v.items) == 1 and v.items[0].key == item.key
+                                                  for (v,) in walk.drawn)),
     Insert: Rule("insertion", "areas",
                  lambda path, area, graph: (path.parts, lambda _: area.items + graph.items),
                  more=lambda walk, *site: walk.fitting, polarity=ODD, drawn="inserted",
@@ -332,6 +336,7 @@ RULES: dict[type, Rule] = {
                       (target.parts, lambda _: area.items + (item,)),
                   condition=_target_scope,
                   more=lambda walk, _, item: walk.areas if node_count(item) <= walk.limit else ()),
+    # no keep: iteration undoes every deiteration
     Deiterate: Rule("deiteration", "items", _removal, condition=_witness,
                     more=lambda walk, _, item: [site for site in walk.items
                                                 if site[1].key == item.key]),
@@ -341,12 +346,12 @@ RULES: dict[type, Rule] = {
     DoubleCutElim: Rule("double-cut elimination", "scrolls",
                         _splicing(lambda item: item.outer.items[0].outer.items),
                         condition=_donut,
-                        keep=lambda path, item: len(item.outer.items[0].outer.items) <= 1),
+                        keep=lambda walk, path, item: len(item.outer.items[0].outer.items) <= 1),
     ScrollWrap: Rule("wrap", "areas", _wrapping(lambda chosen: Scroll(BLANK, (chosen,))),
                      more=_choices, growth=1, condition=_chosen),
     ScrollUnwrap: Rule("unwrap", "scrolls", _splicing(lambda item: item.loops[0].items),
                        condition=_unwrappable,
-                       keep=lambda path, item: len(item.loops[0].items) <= 1),
+                       keep=lambda walk, path, item: len(item.loops[0].items) <= 1),
     LoopAdd: Rule("loop addition", "scrolls",
                   _splicing(lambda item, graph: (Scroll(item.outer, item.loops + (graph,)),)),
                   more=lambda walk, *site: walk.fitting, condition=_scroll, polarity=EVEN,
@@ -355,7 +360,9 @@ RULES: dict[type, Rule] = {
                      _splicing(lambda item, k: (Scroll(item.outer,
                                                        item.loops[:k] + item.loops[k + 1:]),)),
                      more=lambda walk, path, item: [(k,) for k in range(len(item.loops))],
-                     condition=_loop, polarity=ODD, at="scrolls", undo=_unremove_loop),
+                     condition=_loop, polarity=ODD, at="scrolls", undo=_unremove_loop,
+                     keep=lambda walk, path, item, k: any(item.loops[k].key == v.key
+                                                          for (v,) in walk.drawn)),
     Detach: Rule("detachment", "scrolls",
                  _splicing(lambda item: (Scroll(Graph(item.outer.items
                                                       + (Scroll(item.loops[0]),))),)),
@@ -434,12 +441,6 @@ def enumerate_rule_instances(system: System, g: Graph,
     return [kind(*ops[::2]) for kind, _, ops in moves(system, g, vocabulary, max_growth)]
 
 
-def edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),
-          max_growth: Optional[int] = None) -> Iterator[tuple]:
-    """The edits of the moves, in their order."""
-    return (rule.edit(*ops) for _, rule, ops in moves(system, g, vocabulary, max_growth))
-
-
 def predecessor_edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = (),
                       max_growth: Optional[int] = None) -> Iterator[tuple]:
     """The edits of ``g`` into some of its predecessors: graphs with a move
@@ -457,7 +458,7 @@ def predecessor_edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = 
     for rule in rules:
         if rule.undo is None:
             yield from (rule.edit(*ops) for ops in accepted(rule, walk)
-                        if rule.keep is None or rule.keep(*ops))
+                        if rule.keep is None or rule.keep(walk, *ops))
     for at in ("areas", "scrolls"):
         for path, node in getattr(walk, at):
             for rule in rules:
@@ -466,24 +467,13 @@ def predecessor_edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = 
 
 
 def unlisted_edits(system: System, g: Graph, vocabulary: tuple[Graph, ...] = ()) -> Iterator[tuple]:
-    """The edits of the moves adding no node that predecessor_edits does not
-    undo: ``g`` is not a listed predecessor of their result, under any
-    bound that ``g`` fits.  In the order of ``moves``, they are the unwraps
-    and double-cut removals that their rule's ``keep`` rejects, and the
-    erasures and loop removals of a graph that is not a drawn vocabulary
-    graph.  Iteration undoes every deiteration."""
+    """The edits of the moves adding no node whose rule's ``keep`` rejects
+    them, in the order of ``moves``: ``g`` is not a listed predecessor of
+    their result, under any bound that ``g`` fits."""
     walk = Walk(system, g, vocabulary, 0)
-    drawn = {v.key for (v,) in walk.drawn}
-    unlisted = {
-        Erase: lambda path, item: Graph((item,)).key not in drawn,
-        DoubleCutElim: lambda *ops: not RULES[DoubleCutElim].keep(*ops),
-        ScrollUnwrap: lambda *ops: not RULES[ScrollUnwrap].keep(*ops),
-        LoopRemove: lambda path, item, k: item.loops[k].key not in drawn,
-    }
-    for kind in SYSTEM_RULES[system]:
-        if kind in unlisted:
-            rule, test = RULES[kind], unlisted[kind]
-            yield from (rule.edit(*ops) for ops in accepted(rule, walk) if test(*ops))
+    for rule in (RULES[kind] for kind in SYSTEM_RULES[system]):
+        if rule.keep:
+            yield from (rule.edit(*ops) for ops in accepted(rule, walk) if not rule.keep(walk, *ops))
 
 
 # ---------------------------------------------------------------------------

@@ -98,8 +98,9 @@ def postfix(f: Formula) -> list[Formula]:
     return nodes[::-1]
 
 
-def atoms(f: Formula) -> set[str]:
-    return {g.name for g in postfix(f) if type(g) is Atom}
+def atoms(nodes: list[Formula]) -> list[str]:
+    """The names of the atoms among a formula's ``postfix`` nodes, sorted."""
+    return sorted({f.name for f in nodes if type(f) is Atom})
 
 
 def eval_mask(nodes: list[Formula], atom_masks: dict[str, int], up: tuple[int, ...],

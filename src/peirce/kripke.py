@@ -136,7 +136,7 @@ def kripke_countermodel(f: fm.Formula, max_worlds: int) -> KripkeModel | None:
     if not 1 <= max_worlds <= MAX_WORLDS:
         raise ValueError(f"max_worlds must be in 1..{MAX_WORLDS}")
     nodes = fm.postfix(f)
-    names = sorted({g.name for g in nodes if type(g) is fm.Atom})
+    names = fm.atoms(nodes)
     tried = 0
     for n in range(1, max_worlds + 1):
         full = (1 << n) - 1

@@ -30,6 +30,7 @@ in ``continuum``.
 from __future__ import annotations
 
 import re
+from functools import reduce
 
 from . import formulas as fm
 from .errors import DialectError, ParseError
@@ -162,13 +163,18 @@ def parse_formula(text: str) -> fm.Formula:
 def _binary(tokens: list[str], i: int, atoms: dict,
             minimum: int = 0) -> tuple[fm.Formula, int]:
     """The formula at token ``i`` whose connectives bind at ``minimum`` or
-    tighter: an operand, then each such connective with its right operand."""
+    tighter: an operand, then each chain of one such connective, its
+    operands read in one loop and joined from the end if it associates right."""
     f, i = _unary(tokens, i, atoms)
     level = _LEVEL.get(tokens[i], -1)
     while level >= minimum:
-        node, _, right_assoc = _BINARY[level]
-        right, i = _binary(tokens, i + 1, atoms, level if right_assoc else level + 1)
-        f = node(f, right)
+        node, sign, right_assoc = _BINARY[level]
+        chain = [f]
+        while tokens[i] == sign:
+            f, i = _binary(tokens, i + 1, atoms, level + 1)
+            chain.append(f)
+        f = (reduce(lambda right, left: node(left, right), reversed(chain)) if right_assoc
+             else reduce(node, chain))
         level = _LEVEL.get(tokens[i], -1)
     return f, i
 

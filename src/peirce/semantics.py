@@ -100,7 +100,7 @@ def eval_classical(f: fm.Formula, assignment: dict[str, bool]) -> bool:
 def taut_classical(f: fm.Formula) -> bool:
     # one walk lists the nodes that give the atoms and that are evaluated
     nodes = fm.postfix(f)
-    names = sorted({g.name for g in nodes if type(g) is fm.Atom})
+    names = fm.atoms(nodes)
     if len(names) > 20:
         raise TooManyAtomsError(f"{len(names)} atoms exceed the truth-table guard")
     # Atom i is true in the rows whose bit i is set.  Each new atom doubles

@@ -19,7 +19,6 @@ from peirce.calculus import (
     System,
     apply_rule,
     check_script,
-    edits,
     enumerate_rule_instances,
     moves,
 )
@@ -490,12 +489,10 @@ class TestEdits:
                           for _ in range(rng.randint(0, 3)))
             listed = enumerate_rule_instances(system, graph, vocab)
             listing = list(moves(system, graph, vocab))
-            assert len(list(edits(system, graph, vocab))) == len(listed) == len(listing)
-            for (kind, entry, ops), rule, edit in zip(listing, listed,
-                                                      edits(system, graph, vocab)):
+            assert len(listing) == len(listed)
+            for (kind, entry, ops), rule in zip(listing, listed):
                 assert kind(*ops[::2]) == rule and entry is calculus.RULES[kind]
                 parts, contents = entry.edit(*ops)
-                assert parts == edit[0]
                 key = graphs.edited_key(graph, parts, contents)
                 built = graphs.edited(graph, parts, contents)
                 assert key == _reference_key(built), (print_graph(graph), rule)

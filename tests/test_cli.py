@@ -57,6 +57,7 @@ class TestGraphSyntaxErrors:
 
 FLAT_CHAIN = " & ".join(f"a{i}" for i in range(1_000))
 CYCLING_CHAIN = " & ".join(f"a{i % 5}" for i in range(1_000))
+IMPLICATIONS = " -> ".join(f"a{i % 5}" for i in range(1_000))
 CONJUNCTS = " & ".join(["p"] * 3000)
 
 
@@ -113,6 +114,14 @@ class TestTaut:
         # it with no recursion per &, so the verdict is given, with its
         # model, or the atom guard's error
         assert run(capsys, "taut", "--logic", *argv) == expected
+
+    @pytest.mark.parametrize("logic,verdict", [
+        ("classical", "tautology"), ("intuitionistic", "theorem")])
+    def test_flat_implication_chain_is_decided(self, capsys, logic, verdict):
+        # a chain of -> without parentheses reads right-nested, 999 levels
+        # deep: the reader takes its operands in one loop and joins them
+        # from the end, and a999 is a4, one of the premises
+        assert run(capsys, "taut", "--logic", logic, IMPLICATIONS) == (0, f"{verdict}\n", "")
 
     @pytest.mark.parametrize("worlds", ["9", "0", "-1"])
     def test_max_worlds_out_of_range(self, capsys, worlds):

@@ -117,7 +117,7 @@ def _forced(formula, masks, up, full):
 def _every_poset_countermodel(formula, max_worlds):
     """The search over every poset of ``_posets``, accepting a failure at
     any world: the search before it was restricted to rooted models."""
-    names = sorted(fm.atoms(formula))
+    names = fm.atoms(fm.postfix(formula))
     for n in range(1, max_worlds + 1):
         full = (1 << n) - 1
         for up, upsets in _posets(n):
@@ -175,7 +175,7 @@ def _pin_corpus():
     for i in range(1500):
         g = random_formula(rng, connectives=rng.randint(0, 6), atoms=1 + i % 5)
         formula = (g, fm.Or(g, fm.Not(g)), fm.Imp(fm.Not(fm.Not(g)), g))[i % 3]
-        top = 5 if len(fm.atoms(formula)) <= 3 else 4
+        top = 5 if len(fm.atoms(fm.postfix(formula))) <= 3 else 4
         for worlds in range(1, top + 1):
             yield formula, worlds
 

@@ -157,7 +157,7 @@ class TestClassicalOracle:
 
 def _row_by_row(formula):
     """The truth table one row at a time, through eval_classical."""
-    names = sorted(fm.atoms(formula))
+    names = fm.atoms(fm.postfix(formula))
     return all(eval_classical(formula, dict(zip(names, values)))
                for values in product((False, True), repeat=len(names)))
 
@@ -185,7 +185,7 @@ def test_eval_classical_agrees_with_recursive_evaluator():
     rows = 0
     for _ in range(300):
         formula = _formula_over(rng, ["p", "q", "r"], rng.randint(0, 10))
-        names = sorted(fm.atoms(formula))
+        names = fm.atoms(fm.postfix(formula))
         for values in product((False, True), repeat=len(names)):
             assignment = dict(zip(names, values))
             expected = _recursive_eval(formula, assignment)
@@ -572,7 +572,8 @@ class TestNegationInPlace:
         # and the truth table evaluates it with its own stack
         assert taut_classical(fm.Imp(negated, negated))
         assert not taut_classical(fm.Imp(negated, plain))
-        assert fm.atoms(negated) == fm.atoms(plain) == {"a"} | {f"b{i}" for i in range(7)}
+        assert (fm.atoms(fm.postfix(negated)) == fm.atoms(fm.postfix(plain))
+                == ["a"] + [f"b{i}" for i in range(7)])
 
 
 class TestEntails:
