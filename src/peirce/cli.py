@@ -2,8 +2,8 @@
 
 Exit codes: 0 success/valid/theorem; 1 checked-and-negative (invalid
 script, non-theorem, no derivation); 2 usage or input error, input nested
-too deeply included.  Diagnostics go to stderr, machine-consumable
-results to stdout.
+too deeply included, or running out of memory.  Diagnostics go to
+stderr, machine-consumable results to stdout.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def __getattr__(name: str):
     inside its first ``taut``.
 
     A deferred name's first read through the module binds it as a module
-    global, and each handler calls it by that global after ``_bind``, so a
+    global, and each handler reads it through the module, ``_cli``, so a
     wrapper set on this module's name from outside, as the benchmark's
     tracer sets one, sees every call."""
     if name not in _DEFERRED:
@@ -45,10 +45,8 @@ def __getattr__(name: str):
     return value
 
 
-def _bind(*names: str) -> None:
-    """Binds each of the deferred names not bound yet."""
-    for name in names:
-        getattr(sys.modules[__name__], name)
+# this module, through which the handlers read the deferred names
+_cli = sys.modules[__name__]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,6 +130,10 @@ def main(argv: list[str] | None = None) -> int:
     # name to that subcommand's parser, so such an argv goes there at once
     # and is scanned once; the namespace lacks only the unread "command"
     command = _COMMANDS.get(argv[0]) if argv else None
+    # while the command runs, stderr is None, so that the interpreter's
+    # reports of errors it ignores go nowhere: as memory runs out, closing
+    # the search's suspended generators fails, and each failure would print
+    stderr, sys.stderr = sys.stderr, None
     try:
         args = _PARSER.parse_args(argv) if command is None else command.parse_args(argv[1:])
         return args.run(args)
@@ -139,14 +141,20 @@ def main(argv: list[str] | None = None) -> int:
         # only --help exits, after printing the help
         return 0
     except (PeirceError, OSError, UnicodeDecodeError) as exc:
-        print(f"eg: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
     except RecursionError:
         # the token readers take two frames per bracket, and the
         # translations, printers, oracles and layout recurse per level of
         # nesting too, so input deeper than the stack allows ends here
-        print("eg: input nested too deeply", file=sys.stderr)
-        return 2
+        message = "input nested too deeply"
+    except MemoryError:
+        message = "out of memory"
+    finally:
+        sys.stderr = stderr
+    # printed past the handlers, whose end frees the traceback and with it
+    # all that the failed command held
+    print(f"eg: {message}", file=sys.stderr)
+    return 2
 
 
 def _parse(args: argparse.Namespace) -> int:
@@ -156,9 +164,8 @@ def _parse(args: argparse.Namespace) -> int:
 
 
 def _check(args: argparse.Namespace) -> int:
-    _bind("parse_script", "check_script")
-    script = parse_script(FsPath(args.script).read_text(encoding="utf-8"))
-    report = check_script(script)
+    script = _cli.parse_script(FsPath(args.script).read_text(encoding="utf-8"))
+    report = _cli.check_script(script)
     for step in report.results:
         if step.error is None:
             print(f"step {step.index}: ok -> {print_graph(step.graph)}")
@@ -172,20 +179,20 @@ def _check(args: argparse.Namespace) -> int:
 
 
 def _prove(args: argparse.Namespace) -> int:
-    _bind("SearchBounds", "derive", "format_script")
-    depth = SearchBounds.max_depth if args.depth is None else args.depth
-    visited = SearchBounds.max_visited if args.max_visited is None else args.max_visited
+    bounds = _cli.SearchBounds
+    depth = bounds.max_depth if args.depth is None else args.depth
+    visited = bounds.max_visited if args.max_visited is None else args.max_visited
     for flag, value in (("--depth", depth), ("--max-visited", visited)):
         if value < 0:
             raise PeirceError(f"{flag} must be at least 0, not {value}")
     system = Dialect(args.system)
     goal = parse_graph(args.goal, system)
     start = parse_graph(args.start, system)
-    script = derive(system, start, goal, SearchBounds(max_depth=depth, max_visited=visited))
+    script = _cli.derive(system, start, goal, bounds(max_depth=depth, max_visited=visited))
     if script is None:
         print(f"no derivation within depth {depth}")
         return 1
-    sys.stdout.write(format_script(script))
+    sys.stdout.write(_cli.format_script(script))
     return 0
 
 
@@ -218,30 +225,30 @@ def _translate(args: argparse.Namespace) -> int:
 
 
 def _render(args: argparse.Namespace) -> int:
-    _bind("render_svg")
     g = parse_graph(_text_argument(args), Dialect.INTUITIONISTIC)
-    FsPath(args.output).write_text(render_svg(g), encoding="utf-8")
+    FsPath(args.output).write_text(_cli.render_svg(g), encoding="utf-8")
     return 0
 
 
-# operation: (elements it takes, its stdout line and exit code); the lambdas
-# look ``ct``'s functions up when they run, so that a wrapper set on a name
-# of ``ct`` from outside, as the benchmark's tracer sets one, sees each call
+# operation: (elements it takes, its stdout line and exit code from the
+# continuum module ``ct`` and the elements); the handler passes ``ct`` as
+# read when it runs, so that a wrapper set on a name of ``ct`` from
+# outside, as the benchmark's tracer sets one, sees each call
 _OPERATIONS = {
-    "cmp": (2, lambda x, y: (ct.lex_compare(x, y).value, 0)),
-    "extends": (2, lambda x, y: ("true", 0) if ct.extends(x, y) else ("false", 1)),
-    "tail": (2, lambda x, y: (ct.print_element(ct.tail(x, y)), 0)),
-    "concat": (2, lambda x, y: (ct.print_element(ct.concat(x, y)), 0)),
-    "domain": (1, lambda x: (ct.print_ordinal(ct.elem_domain(x)), 0)),
+    "cmp": (2, lambda ct, x, y: (ct.lex_compare(x, y).value, 0)),
+    "extends": (2, lambda ct, x, y: ("true", 0) if ct.extends(x, y) else ("false", 1)),
+    "tail": (2, lambda ct, x, y: (ct.print_element(ct.tail(x, y)), 0)),
+    "concat": (2, lambda ct, x, y: (ct.print_element(ct.concat(x, y)), 0)),
+    "domain": (1, lambda ct, x: (ct.print_ordinal(ct.elem_domain(x)), 0)),
 }
 
 
 def _continuum(args: argparse.Namespace) -> int:
-    _bind("ct")
     need, run = _OPERATIONS[args.operation]
     if len(args.elements) != need:
         raise PeirceError(f"continuum {args.operation} takes {need} element(s)")
-    line, code = run(*[ct.parse_element(e) for e in args.elements])
+    ct = _cli.ct
+    line, code = run(ct, *[ct.parse_element(e) for e in args.elements])
     print(line)
     return code
 

@@ -7,9 +7,12 @@ from typing import Union
 from .errors import Record
 
 # Each node stores the hash a record computes, that of the tuple of its
-# fields, taken from their stored hashes, so hashing never recurses.  The
-# fields and the hash sit in slots, whose reads CPython 3.11 specialises:
-# G4ip and the Kripke search make them by the thousand.
+# fields, taken from their stored hashes, so hashing never recurses; an
+# atom's field is read as the integer its name's UTF-8 bytes spell, little
+# end first, which no string-hash seed moves.  So a formula's hash, and the
+# order in which G4ip scans a set of formulas, is the same in every
+# process.  The fields and the hash sit in slots, whose reads CPython 3.11
+# specialises: G4ip and the Kripke search make them by the thousand.
 _set = object.__setattr__
 
 
@@ -31,7 +34,9 @@ class Atom(_Node):
 
     def __init__(self, name: str):
         _set(self, "name", name)
-        _set(self, "_hash", hash((name,)))
+        # surrogatepass: every str encodes, a lone surrogate included
+        code = int.from_bytes(name.encode("utf-8", "surrogatepass"), "little")
+        _set(self, "_hash", hash((code,)))
 
 
 class Top(_Node):

@@ -34,7 +34,7 @@ from functools import reduce
 
 from . import formulas as fm
 from .errors import DialectError, ParseError
-from .graphs import ATOM_NAME, Atom, Dialect, Graph, Item, Scroll, walk_violations
+from .graphs import ATOM_NAME, Atom, Dialect, Graph, Item, Scroll, well_formed
 
 # ---------------------------------------------------------------------------
 # Reading: functions over (tokens, i) that return (value, i)
@@ -78,14 +78,11 @@ def _position(text: str, i: int) -> int:
 
 def parse_graph(text: str, dialect: Dialect) -> Graph:
     """The graph ``text`` denotes, or DialectError at its first violation
-    of ``dialect``.  The reader rejects bad atom names itself, and a text
-    that reads holds a loop exactly when it holds a '|', so only a
-    classical text with a '|' is checked, by the walk, which names the
-    loop's path."""
+    of ``dialect``, named with its path."""
     graph = _read(text, _parse_area, {})
-    if dialect is Dialect.CLASSICAL and "|" in text:
-        bad = walk_violations(graph, dialect)[0]
-        raise DialectError(f"{bad.reason} at {bad.path}")
+    violations = well_formed(graph, dialect)
+    if violations:
+        raise DialectError(f"{violations[0].reason} at {violations[0].path}")
     return graph
 
 

@@ -212,6 +212,41 @@ class TestProve:
                            "--goal", "p", "--from", "((p))", "--depth", "2")
         assert code == 0 and "dcremove" in out
 
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        # a search that runs out of memory claims no derivation: it is one
+        # eg: line and exit 2, as input nested too deeply is
+        def derive(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "derive", derive)
+        code, out, err = run(capsys, "prove", "--system", "intuitionistic",
+                             "--from", "p", "--goal", "[p q | r s]")
+        assert (code, out, err) == (2, "", "eg: out of memory\n")
+
+    def test_out_of_memory_prints_only_its_line(self):
+        # as memory runs out, the generators a search leaves suspended fail
+        # to close as its frames unwind, and the interpreter reports each
+        # failure on stderr unless main has set it aside; run in a fresh
+        # interpreter, whose report would go to the default hook
+        code = """
+import contextlib, io
+from peirce import cli
+def suspended():
+    try:
+        yield
+    finally:
+        raise MemoryError
+def derive(*args):
+    for _ in suspended():
+        raise MemoryError
+cli.derive = derive
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = cli.main(["prove", "--system", "intuitionistic", "--goal", "p"])
+print(code, repr(err.getvalue()))
+"""
+        assert fresh(code) == "2 'eg: out of memory\\n'\n"
+
 
 class TestTranslate:
     def test_graph_to_formula(self, capsys):

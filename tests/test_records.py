@@ -24,10 +24,11 @@ STEP = ca.StepResult(0, ca.Erase(P0), gr.Graph(), None)
 ONE = Ordinal(((Ordinal(), 1),))
 
 # (class, its fields by name, the repr, a class taking the same values, or
-# None, and whether it hashes: the step results and the layout nodes were
-# mutable, and a report holds a list)
+# None, and whether it hashes, as the tuple of its values if True: the step
+# results and the layout nodes were mutable, and a report holds a list)
 TABLE = [
-    (fm.Atom, dict(name="p"), "Atom(name='p')", gr.Atom, True),
+    # a formula atom hashes as the tuple of its name's bytes read as an integer
+    (fm.Atom, dict(name="p"), "Atom(name='p')", gr.Atom, (ord("p"),)),
     (fm.Top, dict(), "Top()", fm.Bot, True),
     (fm.Bot, dict(), "Bot()", fm.Top, True),
     (fm.Not, dict(body=p), "Not(body=Atom(name='p'))", None, True),
@@ -105,7 +106,8 @@ def test_contract(cls, fields, text, other, hashes):
     assert node == twin and not node != twin and node is not twin
     assert [getattr(node, name) for name in fields] == list(fields.values())
     if hashes:
-        assert hash(node) == hash(twin) == hash(tuple(fields.values()))
+        hashed = tuple(fields.values()) if hashes is True else hashes
+        assert hash(node) == hash(twin) == hash(hashed)
     # equality is per class: another class given the same values, and the
     # tuple of the values, are not equal
     assert node != tuple(fields.values())

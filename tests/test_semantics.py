@@ -451,13 +451,12 @@ class TestG4ipWork:
         assert not taut_int(fm.And(f("p -> p"), fm.Imp(parts[0], f("q"))))
         assert semantics._prove.cache_info().currsize == 0
 
-    @pytest.mark.parametrize("seed, counts", [("0", [5, 37, 243]), ("1", [5, 32, 207])])
+    @pytest.mark.parametrize("seed, counts", [(seed, [5, 37, 243]) for seed in "012"])
     def test_sequents_proved_per_hash_seed(self, seed, counts):
         # _prove scans gamma, a frozenset, in hash order, and an atom's hash
-        # follows the process's string-hash seed, so the sequents proved are
-        # pinned per seed.  ROADMAP direction 4 (a branch order free of the
-        # seed) will re-pin these counts on purpose.  Each count is the memo's
-        # misses of one taut_int call, read as the call clears the memo.
+        # comes from its name's bytes, not from the process's string-hash
+        # seed, so every seed proves the same sequents.  Each count is the
+        # memo's misses of one taut_int call, read as the call clears the memo.
         code = ("import json, sys\n"
                 "from peirce import parse_formula, semantics\n"
                 "counts = []\n"
@@ -475,10 +474,19 @@ class TestG4ipWork:
         assert (done.returncode, done.stdout) == (0, f"{counts}\n"), done.stderr
 
 
+def _hashed_fields(node):
+    """The tuple whose hash is ``node``'s: its fields, but an atom's name
+    read as the integer its UTF-8 bytes spell, little end first."""
+    if type(node) is fm.Atom:
+        return (int.from_bytes(node.name.encode(), "little"),)
+    return tuple(getattr(node, name) for name in type(node)._fields)
+
+
 class TestStoredHash:
     def test_the_dataclass_hash(self):
         # each node's hash is the one a frozen dataclass computed, and a
-        # record computes: that of the tuple of its fields
+        # record computes, that of the tuple of its fields, with an atom's
+        # name read as an integer
         rng = random.Random(89)
         roots = [fm.TOP, fm.BOT] + [random_formula(rng, connectives=rng.randint(0, 12), atoms=5)
                                     for _ in range(300)]
@@ -486,8 +494,23 @@ class TestStoredHash:
         assert {type(node) for node in nodes} == {
             fm.Atom, fm.Top, fm.Bot, fm.Not, fm.And, fm.Or, fm.Imp}
         for node in nodes:
-            fields = tuple(getattr(node, name) for name in type(node)._fields)
-            assert hash(node) == hash(fields), print_formula(node)
+            assert hash(node) == hash(_hashed_fields(node)), print_formula(node)
+
+    def test_the_hash_is_the_same_at_every_seed(self):
+        # the names' own hashes differ between the two seeds; the atoms'
+        # hashes, and so those of the formulas over them, do not
+        code = ("from peirce import formulas as fm, parse_formula\n"
+                "names = ['p', 'a0', 'p\u00e9', 'q\\ud800']\n"
+                "print([hash(name) for name in names])\n"
+                "print([hash(fm.Atom(name)) for name in names],"
+                " hash(parse_formula('(p -> a0) & ~p | T')))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        names, atoms = zip(*[
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=dict(env, PYTHONHASHSEED=seed), timeout=60,
+                           check=True).stdout.splitlines()
+            for seed in ("0", "1")])
+        assert names[0] != names[1] and atoms[0] == atoms[1]
 
     def test_a_deep_chain_hashes_without_recursion(self):
         # the dataclass hash recursed once per level; built bottom-up, no
@@ -508,7 +531,7 @@ class TestNodeContract:
     def test_a_frozen_dataclass_with_the_dataclass_hash(self, node):
         check_frozen_node(node)
         fields = tuple(getattr(node, name) for name in type(node)._fields)
-        assert hash(node) == hash(fields) == hash(type(node)(*fields))
+        assert hash(node) == hash(_hashed_fields(node)) == hash(type(node)(*fields))
 
     def test_replace_hashes_the_new_fields(self):
         p, q = fm.Atom("p"), fm.Atom("q")
