@@ -107,12 +107,6 @@ class Detach(Record):
     item: Path
 
 
-RuleInstance = Union[
-    Erase, Insert, Iterate, Deiterate, DoubleCutIntro, DoubleCutElim,
-    ScrollWrap, ScrollUnwrap, LoopAdd, LoopRemove, Detach,
-]
-
-
 def in_scope(source_item: Path, target_area: Path) -> bool:
     """Whether iteration from the source item may land in the target area:
     the target lies in the source's area, or in a loop of the scroll whose
@@ -368,6 +362,9 @@ RULES: dict[type, Rule] = {
                                                       + (Scroll(item.loops[0]),))),)),
                  growth=1, condition=_one_loop, polarity=EVEN, at="scrolls", undo=_undetach),
 }
+
+# a rule instance is one of the table's classes, in its order
+RuleInstance = Union[tuple(RULES)]
 
 SYSTEM_RULES = {
     System.CLASSICAL: (Erase, Insert, Iterate, Deiterate, DoubleCutIntro, DoubleCutElim),

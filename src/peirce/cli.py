@@ -143,9 +143,10 @@ def main(argv: list[str] | None = None) -> int:
     except (PeirceError, OSError, UnicodeDecodeError) as exc:
         message = str(exc)
     except RecursionError:
-        # the token readers take two frames per bracket, and the
-        # translations, printers, oracles and layout recurse per level of
-        # nesting too, so input deeper than the stack allows ends here
+        # the token readers take two frames per bracket, and the walks
+        # over a graph, G4ip's branching rules and the forcing re-check
+        # recurse per level of nesting too, so input deeper than the stack
+        # allows ends here
         message = "input nested too deeply"
     except MemoryError:
         message = "out of memory"

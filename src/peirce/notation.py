@@ -14,7 +14,8 @@ single-space-separated items, cuts as ``( ... )``, loopful scrolls as
 Formula grammar: atoms, ``T``, ``F``, ``~``, ``&``, ``|``, ``->`` and
 parentheses, with precedence ``~ > & > | > ->``; ``->`` associates right,
 ``&`` and ``|`` left.  The binary connectives are stated once, in the table
-``_BINARY``, which both the parser and the minimal-parenthesis printer read.
+``_BINARY``, which both the parser and the minimal-parenthesis printer
+read; the printer runs a formula's ``postfix`` nodes as a stack machine.
 
 A text is read from one list of tokens: ``_TOKEN`` splits it into ``->``,
 runs of letters, digits and ``_``, and single other characters, skipping
@@ -151,6 +152,12 @@ _BINARY = ((fm.Imp, "->", True), (fm.Or, "|", False), (fm.And, "&", False))
 _NOT = len(_BINARY)
 # a connective's precedence by its sign
 _LEVEL = {sign: level for level, (_, sign, _) in enumerate(_BINARY)}
+# The printer's tables: each connective's (precedence, sign, right-assoc)
+# by its node type, ~A read as A -> F with its F unprinted, and each
+# keyword by its node.  Atoms and keywords bind tightest, at _NOT + 1.
+_PRINTED = {node: (level, sign, right) for level, (node, sign, right) in enumerate(_BINARY)}
+_PRINTED[fm.Not] = (_NOT, "~", False)
+_KEYWORD = {f: text for text, f in _FORMULA_KEYWORDS.items()}
 
 
 def parse_formula(text: str) -> fm.Formula:
@@ -196,20 +203,17 @@ def _unary(tokens: list[str], i: int, atoms: dict) -> tuple[fm.Formula, int]:
 
 
 def print_formula(f: fm.Formula) -> str:
-    return _print_formula(f, 0)
-
-
-def _print_formula(f: fm.Formula, minimum: int) -> str:
-    """``f`` parenthesised when its precedence is below ``minimum``."""
-    if isinstance(f, fm.Atom):
-        return f.name
-    if isinstance(f, fm.Not):
-        return "~" + _print_formula(f.body, _NOT)
-    for level, (node, sign, right_assoc) in enumerate(_BINARY):
-        if isinstance(f, node):
-            # the operand on the associating side may be as loose as f
-            left = _print_formula(f.left, level + 1 if right_assoc else level)
-            right = _print_formula(f.right, level if right_assoc else level + 1)
-            body = f"{left} {sign} {right}"
-            return f"({body})" if level < minimum else body
-    return "T" if isinstance(f, fm.Top) else "F"
+    """``f`` with the fewest parentheses, from (text, precedence) pairs."""
+    stack = []
+    for f in fm.postfix(f):
+        kind = type(f)
+        if kind not in _PRINTED:
+            stack.append((f.name if kind is fm.Atom else _KEYWORD[f], _NOT + 1))
+            continue
+        (right, right_level), (left, left_level) = stack.pop(), stack.pop()
+        level, sign, right_assoc = _PRINTED[kind]
+        # the operand on the associating side may be as loose as f
+        left = f"({left})" if left_level < level + right_assoc else left
+        right = f"({right})" if right_level < level + (not right_assoc) else right
+        stack.append((sign + left if kind is fm.Not else f"{left} {sign} {right}", level))
+    return stack[0][0]

@@ -1,7 +1,8 @@
 """Graph/formula translations and the two propositional oracles.
 
 The classical oracle is a truth table over all 2^n rows at once, one
-bitmask per atom (guarded at 20 atoms), over one walk's list of nodes.
+bitmask per atom (guarded at 20 atoms).  Both it and the encoder run a
+formula's ``postfix`` nodes as a stack machine.
 The intuitionistic oracle is a contraction-free sequent procedure in the
 G4ip style: the four implication-left refinements make it terminate on
 every input, and it decides full IPC.  Negation is read where it stands
@@ -47,43 +48,38 @@ def _item_formula(item: Item) -> fm.Formula:
 
 def _fold(node, parts: list[fm.Formula]) -> fm.Formula:
     """``parts`` joined by the binary ``node``, nested to the right."""
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = node(part, out)
-    return out
+    return functools.reduce(lambda right, left: node(left, right), reversed(parts))
 
 
 def formula_to_graph(f: fm.Formula, dialect: Dialect) -> Graph:
-    return Graph(_encode(f, dialect))
-
-
-def _encode(f: fm.Formula, d: Dialect) -> tuple[Item, ...]:
-    """The items of ``f``'s graph; the conjuncts of an ``&`` come from a
-    stack, left to right, so a long chain of them takes no recursion."""
-    items, todo = [], [f]
-    while todo:
-        f = todo.pop()
-        if isinstance(f, fm.And):
-            todo += f.right, f.left
-        elif isinstance(f, fm.Atom):
-            items.append(Atom(f.name))
-        elif isinstance(f, fm.Bot):
-            items.append(Scroll(Graph()))
-        elif isinstance(f, fm.Not):
-            items.append(Scroll(Graph(_encode(f.body, d))))
-        elif isinstance(f, fm.Top):
-            pass
-        elif d is Dialect.CLASSICAL:
-            # A -> B  ~>  (A (B)), and A | B is ~A -> B  ~>  ((A) (B))
-            left = _encode(f.left, d)
-            left = left if isinstance(f, fm.Imp) else (Scroll(Graph(left)),)
-            items.append(Scroll(Graph(left + (Scroll(Graph(_encode(f.right, d))),))))
-        elif isinstance(f, fm.Imp):
-            items.append(Scroll(Graph(_encode(f.left, d)), (Graph(_encode(f.right, d)),)))
+    """``f``'s graph.  An operand's items run from its mark to the end of
+    ``items``: an ``&`` drops its right operand's mark, so a chain of them
+    stays one run, and the other connectives take their operands' runs."""
+    items, marks = [], []
+    for f in fm.postfix(f):
+        kind = type(f)
+        if kind is fm.And:
+            marks.pop()
+        elif kind is fm.Atom or kind is fm.Top or kind is fm.Bot:
+            marks.append(len(items))
+            if kind is not fm.Top:
+                items.append(Atom(f.name) if kind is fm.Atom else Scroll(Graph()))
         else:
-            # A | B  ~>  [ | A | B]
-            items.append(Scroll(Graph(), (Graph(_encode(f.left, d)), Graph(_encode(f.right, d)))))
-    return tuple(items)
+            start = marks.pop()
+            left, right = tuple(items[marks[-1]:start]), Graph(tuple(items[start:]))
+            del items[marks[-1]:]
+            if kind is fm.Not:
+                # ~A's right operand is F, which the cut stands for
+                items.append(Scroll(Graph(left)))
+            elif dialect is Dialect.CLASSICAL:
+                # A -> B  ~>  (A (B)), and A | B is ~A -> B  ~>  ((A) (B))
+                left = left if kind is fm.Imp else (Scroll(Graph(left)),)
+                items.append(Scroll(Graph(left + (Scroll(right),))))
+            else:
+                # A -> B  ~>  [A | B], and A | B  ~>  [ | A | B]
+                items.append(Scroll(Graph(left), (right,)) if kind is fm.Imp
+                             else Scroll(Graph(), (Graph(left), right)))
+    return Graph(tuple(items))
 
 
 # ---------------------------------------------------------------------------

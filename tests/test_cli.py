@@ -4,6 +4,7 @@ import io
 import random
 import re
 import sys
+import time
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -266,6 +267,26 @@ class TestTranslate:
         assert run(capsys, "translate", "--to", "graph", "--dialect", dialect, FLAT_CHAIN) == (
             0, " ".join(f"a{i}" for i in range(1000)) + "\n", "")
 
+    @pytest.mark.parametrize("dialect", ["classical", "intuitionistic"])
+    def test_a_flat_graph_to_formula(self, capsys, dialect):
+        # 3,000 juxtaposed atoms fold into a right-nested & chain, 3,000
+        # levels deep, which the printer runs as a stack machine
+        code, out, err = run(capsys, "translate", "--to", "formula", "--dialect", dialect,
+                             JUXTAPOSED)
+        assert (code, err) == (0, "")
+        assert out.startswith("p & (p & (")
+        assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (
+            17_994, "849bdd9727adc7cea94d905d7cafe06071e0d3f34fb0a1201def75434befa106")
+
+    def test_a_flat_graph_of_20000_atoms_to_formula_within_2_s(self, capsys):
+        names = sorted(f"a{i}" for i in range(20_000))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "translate", "--to", "formula", "--dialect", "classical",
+                             " ".join(names))
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (0, "")
+        assert out == " & (".join(names[:-1]) + f" & {names[-1]}" + ")" * 19_998 + "\n"
+
 
 # what every command imports of the package besides itself: the command
 # line and the formula modules
@@ -518,7 +539,7 @@ class TestDeepNesting:
     @pytest.mark.parametrize("argv", [
         ("parse", "--dialect", "classical", NESTED),
         ("translate", "--to", "formula", "--dialect", "classical", NESTED),
-        ("translate", "--to", "formula", "--dialect", "classical", JUXTAPOSED),
+        ("translate", "--to", "formula", "--dialect", "intuitionistic", NESTED),
         ("translate", "--to", "graph", "--dialect", "classical", NEGATED),
         ("translate", "--to", "graph", "--dialect", "intuitionistic", NEGATED),
         ("taut", "--logic", "classical", NEGATED),

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import product
 from pathlib import Path
 
@@ -12,9 +13,9 @@ import pytest
 from peirce import formulas as fm
 from peirce import semantics
 from peirce.errors import TooManyAtomsError
-from peirce.graphs import Dialect
+from peirce.graphs import Atom, Dialect, Graph, Scroll
 from peirce.kripke import kripke_countermodel
-from peirce.notation import parse_formula, parse_graph, print_formula, print_graph
+from peirce.notation import _BINARY, _NOT, parse_formula, parse_graph, print_formula, print_graph
 from peirce.semantics import (
     entails,
     eval_classical,
@@ -108,6 +109,100 @@ class TestFormulaToGraph:
                  for formula in drawn for dialect in Dialect]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "10bb6d76bdf5edf830263c4ac15e1eb17f2bf62941d80482ccc257d3129ce392"
+
+
+def _reference_encode(f, d):
+    """The recursive encoder that ``formula_to_graph`` replaced: the items
+    of ``f``'s graph, an ``&`` chain's conjuncts taken from a stack."""
+    items, todo = [], [f]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, fm.And):
+            todo += f.right, f.left
+        elif isinstance(f, fm.Atom):
+            items.append(Atom(f.name))
+        elif isinstance(f, fm.Bot):
+            items.append(Scroll(Graph()))
+        elif isinstance(f, fm.Not):
+            items.append(Scroll(Graph(_reference_encode(f.body, d))))
+        elif isinstance(f, fm.Top):
+            pass
+        elif d is Dialect.CLASSICAL:
+            left = _reference_encode(f.left, d)
+            left = left if isinstance(f, fm.Imp) else (Scroll(Graph(left)),)
+            items.append(Scroll(Graph(left + (Scroll(Graph(_reference_encode(f.right, d))),))))
+        elif isinstance(f, fm.Imp):
+            items.append(Scroll(Graph(_reference_encode(f.left, d)),
+                                (Graph(_reference_encode(f.right, d)),)))
+        else:
+            items.append(Scroll(Graph(), (Graph(_reference_encode(f.left, d)),
+                                          Graph(_reference_encode(f.right, d)))))
+    return tuple(items)
+
+
+def _reference_print(f, minimum=0):
+    """The recursive printer that ``print_formula`` replaced: ``f``
+    parenthesised when its precedence is below ``minimum``."""
+    if isinstance(f, fm.Atom):
+        return f.name
+    if isinstance(f, fm.Not):
+        return "~" + _reference_print(f.body, _NOT)
+    for level, (node, sign, right_assoc) in enumerate(_BINARY):
+        if isinstance(f, node):
+            left = _reference_print(f.left, level + 1 if right_assoc else level)
+            right = _reference_print(f.right, level if right_assoc else level + 1)
+            body = f"{left} {sign} {right}"
+            return f"({body})" if level < minimum else body
+    return "T" if isinstance(f, fm.Top) else "F"
+
+
+class TestPostfixWalks:
+    """``formula_to_graph`` and ``print_formula`` run a formula's
+    ``postfix`` nodes as a stack machine; each gives what its recursive
+    predecessor gave, and takes input of any depth."""
+
+    def test_the_recursive_walkers_agree(self):
+        rng = random.Random(47)
+        for _ in range(10_000):
+            formula = random_formula(rng, rng.randint(0, 12), atoms=4)
+            assert print_formula(formula) == _reference_print(formula)
+            for dialect in Dialect:
+                g = formula_to_graph(formula, dialect)
+                assert g == Graph(_reference_encode(formula, dialect))
+                back = graph_to_formula(g)
+                assert print_formula(back) == _reference_print(back)
+
+    def test_a_deep_negation_chain(self):
+        chain = fm.Atom("p")
+        cut = Atom("p")
+        for _ in range(5_000):
+            chain, cut = fm.Not(chain), Scroll(Graph((cut,)))
+        assert print_formula(chain) == "~" * 5_000 + "p"
+        for dialect in Dialect:
+            assert formula_to_graph(chain, dialect).key == Graph((cut,)).key
+
+    def test_a_right_nested_conjunction_prints(self):
+        # graph_to_formula folds an area's conjuncts so
+        chain = semantics._fold(fm.And, [fm.Atom(f"a{i}") for i in range(5_000)])
+        # & associates left, so each right operand but the last, a4999, is
+        # parenthesised
+        assert print_formula(chain) == (" & (".join(f"a{i}" for i in range(4_999))
+                                        + " & a4999" + ")" * 4_998)
+
+    @pytest.mark.parametrize("nested", ["left", "right"])
+    def test_a_long_conjunction_encodes_in_linear_time(self, nested):
+        names = [f"a{i}" for i in range(20_000)]
+        chain = (parse_formula(" & ".join(names)) if nested == "left"
+                 else semantics._fold(fm.And, [fm.Atom(name) for name in names]))
+        took = []
+        for _ in range(3):
+            start = time.perf_counter()
+            g = formula_to_graph(chain, C)
+            took.append(time.perf_counter() - start)
+        assert [item.name for item in g.items] == names
+        # the recursive encoder took 29 ms; extending the left operand's list
+        # at each & took 0.8 s on the right-nested chain
+        assert min(took) < 0.2
 
 
 class TestClassicalOracle:
